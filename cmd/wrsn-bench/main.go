@@ -43,7 +43,7 @@ import (
 func main() {
 	var (
 		fig        = flag.String("fig", "all", `figure to regenerate: "3", "4", "5" (paper), "C" (clustering extension), "F" (MCV breakdown-rate sweep), "all" or "ablation"`)
-		scaling    = flag.String("scaling", "", `instead of figures, run the BENCH_scaling.json ladder: comma-separated request counts (e.g. "1000,10000"), one cold Appro plan each on a density-scaled field, with per-stage timings`)
+		scaling    = flag.String("scaling", "", `instead of figures, run the BENCH_scaling.json ladder: comma-separated request counts (e.g. "1000,10000"), one cold Appro plan each on a density-scaled field, verified and bounded, with per-stage timings and the lower-bound gap; a feasibility violation exits nonzero`)
 		scalingK   = flag.Int("scaling-k", 4, "chargers per scaling rung")
 		scalingR   = flag.Int("scaling-restarts", 0, "2-opt restarts per scaling rung (<=1 = single descent)")
 		misRescan  = flag.Bool("mis-rescan", false, "plan the scaling rungs with the retained quadratic MIS reference selection instead of the bucket queue (identical schedules; measures the A/B)")

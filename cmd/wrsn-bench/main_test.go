@@ -67,6 +67,7 @@ func TestParseBudget(t *testing.T) {
 		{name: "multi", in: "kminmax=30,mis=2.5", want: map[string]float64{"kminmax": 30, "mis": 2.5}},
 		{name: "nested-spans", in: "mis/select=1,kminmax/mst=4", want: map[string]float64{"mis/select": 1, "kminmax/mst": 4}},
 		{name: "spaces", in: " insertion=9 , execute=1 ", want: map[string]float64{"insertion": 9, "execute": 1}},
+		{name: "checks", in: "verify=2,lowerbound=2", want: map[string]float64{"verify": 2, "lowerbound": 2}},
 		{name: "unknown-stage", in: "typo=30", wantErr: `unknown -budget stage "typo"`},
 		{name: "unknown-among-known", in: "kminmax=30,msi=2", wantErr: `unknown -budget stage "msi"`},
 		{name: "case-sensitive", in: "MIS=2", wantErr: `unknown -budget stage "MIS"`},
@@ -91,5 +92,18 @@ func TestParseBudget(t *testing.T) {
 				t.Errorf("parseBudget(%q) = %v, want %v", tc.in, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunScalingChecksEveryRung drives a small ladder end to end: every
+// rung is planned, verified and bounded, and budgets on the verify and
+// lowerbound spans are enforced like any planning stage's.
+func TestRunScalingChecksEveryRung(t *testing.T) {
+	if err := runScaling(context.Background(), "120,240", 2, 1, 0, false, "verify=60,lowerbound=60", true); err != nil {
+		t.Fatal(err)
+	}
+	err := runScaling(context.Background(), "120", 2, 1, 0, false, "lowerbound=1e-12", true)
+	if err == nil || !strings.Contains(err.Error(), "stage lowerbound took") {
+		t.Fatalf("lowerbound budget breach not reported: %v", err)
 	}
 }

@@ -28,14 +28,17 @@ const scalingDensity = 0.12
 // mis/select and mis/update sub-spans that attribute the MIS stage to
 // its selection engine, and the kminmax/mst, kminmax/match, kminmax/2opt
 // and kminmax/split sub-spans that attribute the K-minMax stage to its
-// kernels. rescan routes the degree-ordered MIS through the retained
-// quadratic reference selection (identical schedules), so the ladder can
-// measure both sides of the swap. budget is a comma-separated list of
-// stage=seconds assertions (e.g. "kminmax=30,mis=20") checked against
-// every rung; stage names must come from the tracer's canonical
-// vocabulary (obs.KnownStages) — unknown names are a hard error, never a
-// silently-passing no-op — and a breach fails the run after the table
-// prints, so CI can hold stage regressions out.
+// kernels. Every plan is then checked: the feasibility verifier and the
+// lower bound run under the verify and lowerbound spans, outside the
+// plan's total, and the table reports the plan's gap to the bound. rescan
+// routes the degree-ordered MIS through the retained quadratic reference
+// selection (identical schedules), so the ladder can measure both sides
+// of the swap. budget is a comma-separated list of stage=seconds
+// assertions (e.g. "kminmax=30,mis=20") checked against every rung;
+// stage names must come from the tracer's canonical vocabulary
+// (obs.KnownStages) — unknown names are a hard error, never a
+// silently-passing no-op. A budget breach or a feasibility violation
+// fails the run after the table prints, so CI can hold both out.
 func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts int, rescan bool, budget string, csv bool) error {
 	ns, err := parseLadder(ladder)
 	if err != nil {
@@ -48,12 +51,13 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts 
 	stages := []string{
 		obs.StageChargingGraph, obs.StageMIS, obs.StageMISSelect, obs.StageMISUpdate, obs.StageKMinMax,
 		obs.StageKMinMaxMST, obs.StageKMinMaxMatch, obs.StageKMinMaxTwoOpt, obs.StageKMinMaxSplit,
-		obs.StageInsertion,
+		obs.StageInsertion, obs.StageVerify, obs.StageLowerBound,
 	}
 	tb := export.NewTable(
 		fmt.Sprintf("Appro scaling ladder, density %.2f sensors/unit^2, K=%d, seed %d", scalingDensity, k, seed),
-		"n", "field", "total (s)", "graph", "mis", "..select", "..update", "kminmax", "..mst", "..match", "..2opt", "..split", "insertion")
-	var breaches []string
+		"n", "field", "total (s)", "graph", "mis", "..select", "..update", "kminmax", "..mst", "..match", "..2opt", "..split", "insertion",
+		"verify", "lowerbound", "gap")
+	var failures []string
 	for _, n := range ns {
 		side := math.Sqrt(float64(n) / scalingDensity)
 		in := scalingInstance(n, k, seed, side)
@@ -63,18 +67,28 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts 
 		}
 		tracer := obs.New()
 		start := time.Now()
-		if _, err := planner.Plan(obs.WithTracer(ctx, tracer), in); err != nil {
+		s, err := planner.Plan(obs.WithTracer(ctx, tracer), in)
+		if err != nil {
 			return fmt.Errorf("scaling rung n=%d: %w", n, err)
 		}
 		total := time.Since(start).Seconds()
+		sp := tracer.Start(obs.StageVerify)
+		viol := repro.Verify(in, s)
+		sp.End()
+		sp = tracer.Start(obs.StageLowerBound)
+		lb := repro.ComputeLowerBound(in)
+		sp.End()
+		if len(viol) > 0 {
+			failures = append(failures, fmt.Sprintf("n=%d plan has %d feasibility violations, first %v", n, len(viol), viol[0]))
+		}
 		row := []string{export.I(n), export.F(side, 2), export.F(total, 3)}
 		for _, st := range stages {
 			row = append(row, export.F(tracer.StageSeconds(st), 3))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(append(row, export.F(s.Longest/lb.Value, 3))...)
 		for stage, limit := range budgets {
 			if got := tracer.StageSeconds(stage); got > limit {
-				breaches = append(breaches, fmt.Sprintf("n=%d stage %s took %.3fs, budget %.3fs", n, stage, got, limit))
+				failures = append(failures, fmt.Sprintf("n=%d stage %s took %.3fs, budget %.3fs", n, stage, got, limit))
 			}
 		}
 	}
@@ -85,8 +99,8 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts 
 	} else if err := tb.WriteText(os.Stdout); err != nil {
 		return err
 	}
-	if len(breaches) > 0 {
-		return fmt.Errorf("stage budget exceeded: %s", strings.Join(breaches, "; "))
+	if len(failures) > 0 {
+		return fmt.Errorf("scaling ladder failed: %s", strings.Join(failures, "; "))
 	}
 	return nil
 }

@@ -96,11 +96,18 @@ func Verify(in *Instance, s *Schedule) []Violation {
 		}
 	}
 
-	// 2. Node-disjoint tours.
-	owner := make(map[int]int)
+	// 2. Node-disjoint tours. Out-of-range nodes are already reported as
+	// bad-node, so they own no sojourn location.
+	owner := make([]int, len(in.Requests))
+	for i := range owner {
+		owner[i] = -1
+	}
 	for k, tour := range s.Tours {
 		for _, stop := range tour.Stops {
-			if prev, ok := owner[stop.Node]; ok && prev != k {
+			if stop.Node < 0 || stop.Node >= len(owner) {
+				continue
+			}
+			if prev := owner[stop.Node]; prev >= 0 && prev != k {
 				out = append(out, Violation{
 					Kind:   "shared-sojourn",
 					Detail: fmt.Sprintf("sojourn location %d appears in tours %d and %d", stop.Node, prev, k),
@@ -164,7 +171,13 @@ func Verify(in *Instance, s *Schedule) []Violation {
 
 // overlapViolations returns a violation for every pair of stops in
 // different tours whose coverage disks share at least one sensor and whose
-// charging intervals overlap in time.
+// charging intervals overlap in time, ordered by the first stop's then the
+// second stop's position in the schedule.
+//
+// Two stops that share a sensor lie within 2*gamma of each other, so a
+// grid over the stop positions narrows each stop's partners to its
+// neighbors at geom.PairRadius(2*gamma), visited in ascending order; the
+// tour, interval and cover tests alone decide.
 func overlapViolations(in *Instance, s *Schedule) []Violation {
 	var out []Violation
 	type flatStop struct {
@@ -174,20 +187,30 @@ func overlapViolations(in *Instance, s *Schedule) []Violation {
 	}
 	grid := geom.NewGrid(in.Positions(), maxCell(in.Gamma))
 	var flat []flatStop
+	var pos []geom.Point
 	for k, tour := range s.Tours {
 		for _, stop := range tour.Stops {
 			if stop.Node < 0 || stop.Node >= len(in.Requests) {
 				continue
 			}
-			cs := grid.Neighbors(in.Requests[stop.Node].Pos, in.Gamma, nil)
-			sorted := append([]int(nil), cs...)
-			sort.Ints(sorted)
-			flat = append(flat, flatStop{tour: k, stop: stop, cover: sorted})
+			p := in.Requests[stop.Node].Pos
+			cs := grid.Neighbors(p, in.Gamma, nil)
+			sort.Ints(cs)
+			flat = append(flat, flatStop{tour: k, stop: stop, cover: cs})
+			pos = append(pos, p)
 		}
 	}
+	reach := geom.PairRadius(2 * in.Gamma)
+	stops := geom.NewGrid(pos, reach)
 	const eps = 1e-9
-	for i := 0; i < len(flat); i++ {
-		for j := i + 1; j < len(flat); j++ {
+	var near []int
+	for i := range flat {
+		near = stops.Neighbors(pos[i], reach, near)
+		sort.Ints(near)
+		for _, j := range near {
+			if j <= i {
+				continue
+			}
 			a, b := flat[i], flat[j]
 			if a.tour == b.tour {
 				continue // a single charger cannot overlap itself

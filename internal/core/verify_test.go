@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,22 +60,27 @@ func TestVerifyCatchesEachViolation(t *testing.T) {
 		name   string
 		mutate func(*Schedule)
 		kind   string
+		absent string // a kind the mutation must not produce
 	}{
-		{"uncovered", func(s *Schedule) { s.Tours[1].Stops[0].Covers = nil }, "uncovered"},
-		{"double cover", func(s *Schedule) { s.Tours[1].Stops[0].Covers = []int{0, 1} }, "double-cover"},
+		{"uncovered", func(s *Schedule) { s.Tours[1].Stops[0].Covers = nil }, "uncovered", ""},
+		{"double cover", func(s *Schedule) { s.Tours[1].Stops[0].Covers = []int{0, 1} }, "double-cover", ""},
 		{"out of range cover", func(s *Schedule) {
 			s.Tours[0].Stops[0].Covers = []int{0, 1} // sensor 1 is 20 m away
 			s.Tours[1].Stops[0].Covers = nil
-		}, "out-of-range"},
-		{"bad node", func(s *Schedule) { s.Tours[0].Stops[0].Node = 99 }, "bad-node"},
-		{"bad cover index", func(s *Schedule) { s.Tours[0].Stops[0].Covers = []int{0, 42} }, "bad-cover"},
-		{"arrives too early", func(s *Schedule) { s.Tours[0].Stops[0].Arrive = 3 }, "time-travel"},
-		{"undercharge", func(s *Schedule) { s.Tours[0].Stops[0].Duration = 1 }, "undercharge"},
-		{"delay understated", func(s *Schedule) { s.Tours[0].Delay = 50 }, "delay-understated"},
-		{"wrong tour count", func(s *Schedule) { s.Tours = s.Tours[:1] }, "tour-count"},
+		}, "out-of-range", ""},
+		{"bad node", func(s *Schedule) { s.Tours[0].Stops[0].Node = 99 }, "bad-node", ""},
+		{"bad node in two tours", func(s *Schedule) {
+			s.Tours[0].Stops[0].Node = -1
+			s.Tours[1].Stops[0].Node = -1
+		}, "bad-node", "shared-sojourn"},
+		{"bad cover index", func(s *Schedule) { s.Tours[0].Stops[0].Covers = []int{0, 42} }, "bad-cover", ""},
+		{"arrives too early", func(s *Schedule) { s.Tours[0].Stops[0].Arrive = 3 }, "time-travel", ""},
+		{"undercharge", func(s *Schedule) { s.Tours[0].Stops[0].Duration = 1 }, "undercharge", ""},
+		{"delay understated", func(s *Schedule) { s.Tours[0].Delay = 50 }, "delay-understated", ""},
+		{"wrong tour count", func(s *Schedule) { s.Tours = s.Tours[:1] }, "tour-count", ""},
 		{"shared sojourn", func(s *Schedule) {
 			s.Tours[1].Stops = append(s.Tours[1].Stops, Stop{Node: 0, Arrive: 200, Duration: 0})
-		}, "shared-sojourn"},
+		}, "shared-sojourn", ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -80,6 +89,9 @@ func TestVerifyCatchesEachViolation(t *testing.T) {
 			vs := Verify(in, s)
 			if !hasKind(vs, tt.kind) {
 				t.Errorf("want violation %q, got %v", tt.kind, vs)
+			}
+			if tt.absent != "" && hasKind(vs, tt.absent) {
+				t.Errorf("spurious violation %q in %v", tt.absent, vs)
 			}
 		})
 	}
@@ -308,4 +320,157 @@ func TestViolationString(t *testing.T) {
 	if got := v.String(); !strings.Contains(got, "uncovered") || !strings.Contains(got, "request 3") {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// overlapViolationsQuadratic is the all-pairs reference for
+// overlapViolations: every pair of stops is compared, in schedule order.
+func overlapViolationsQuadratic(in *Instance, s *Schedule) []Violation {
+	var out []Violation
+	type flatStop struct {
+		tour  int
+		stop  Stop
+		cover []int
+	}
+	grid := geom.NewGrid(in.Positions(), maxCell(in.Gamma))
+	var flat []flatStop
+	for k, tour := range s.Tours {
+		for _, stop := range tour.Stops {
+			if stop.Node < 0 || stop.Node >= len(in.Requests) {
+				continue
+			}
+			cs := grid.Neighbors(in.Requests[stop.Node].Pos, in.Gamma, nil)
+			sort.Ints(cs)
+			flat = append(flat, flatStop{tour: k, stop: stop, cover: cs})
+		}
+	}
+	const eps = 1e-9
+	for i := 0; i < len(flat); i++ {
+		for j := i + 1; j < len(flat); j++ {
+			a, b := flat[i], flat[j]
+			if a.tour == b.tour {
+				continue
+			}
+			if a.stop.Arrive >= b.stop.Finish()-eps || b.stop.Arrive >= a.stop.Finish()-eps {
+				continue
+			}
+			if !intersectsSorted(a.cover, b.cover) {
+				continue
+			}
+			out = append(out, Violation{
+				Kind: "simultaneous-charge",
+				Detail: fmt.Sprintf("tours %d and %d charge a shared sensor simultaneously: stops at nodes %d [%.2f,%.2f] and %d [%.2f,%.2f]",
+					a.tour, b.tour, a.stop.Node, a.stop.Arrive, a.stop.Finish(), b.stop.Node, b.stop.Arrive, b.stop.Finish()),
+			})
+		}
+	}
+	return out
+}
+
+// overlapCase builds one instance and schedule for the overlap oracle.
+// Positions are uniform on a side x side field, or (lattice) on a grid of
+// spacing gamma so stops sit exactly 2*gamma apart and sensors exactly
+// gamma from a stop; every fifth request duplicates an earlier position,
+// so gamma = 0 still has shared sensors. mode picks the schedule: 0 is
+// Appro's planned (unexecuted) schedule, 1 the executed schedule with
+// perturbed arrival times, 2 a hostile random schedule with out-of-range
+// nodes, sojourn locations reused across tours and negative times.
+func overlapCase(t *testing.T, seed int64, n, k int, gamma, side float64, lattice bool, mode int) (*Instance, *Schedule) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	in := &Instance{Depot: geom.Pt(side/2, side/2), Gamma: gamma, Speed: 1, K: k}
+	cols := 1 + int(math.Sqrt(float64(n)))
+	for i := 0; i < n; i++ {
+		p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
+		if lattice {
+			p = geom.Pt(float64(i%cols)*gamma, float64(i/cols)*gamma)
+		}
+		if i > 0 && i%5 == 0 {
+			p = in.Requests[rng.Intn(i)].Pos
+		}
+		in.Requests = append(in.Requests, Request{Pos: p, Duration: rng.Float64() * 3600})
+	}
+	if mode == 2 {
+		s := &Schedule{Tours: make([]Tour, k)}
+		for si := 0; si < 2*n; si++ {
+			tour := &s.Tours[rng.Intn(k)]
+			tour.Stops = append(tour.Stops, Stop{
+				Node:     rng.Intn(n+6) - 3,
+				Arrive:   rng.Float64()*2000 - 200,
+				Duration: rng.Float64()*600 - 100,
+			})
+		}
+		return in, s
+	}
+	s, err := Appro(context.Background(), in, Options{Seed: seed})
+	if err != nil {
+		t.Fatalf("Appro: %v", err)
+	}
+	if mode == 1 {
+		s = Execute(context.Background(), in, s)
+		for ti := range s.Tours {
+			for si := range s.Tours[ti].Stops {
+				st := &s.Tours[ti].Stops[si]
+				if rng.Intn(2) == 0 {
+					st.Arrive += (rng.Float64() - 0.5) * 2 * st.Duration
+				}
+			}
+		}
+	}
+	return in, s
+}
+
+// checkOverlapOracle requires the grid-pruned overlap scan to report
+// exactly the all-pairs reference's violations, order included, and
+// returns how many there were.
+func checkOverlapOracle(t *testing.T, seed int64, n, k int, gamma, side float64, lattice bool, mode int) int {
+	t.Helper()
+	in, s := overlapCase(t, seed, n, k, gamma, side, lattice, mode)
+	got := overlapViolations(in, s)
+	want := overlapViolationsQuadratic(in, s)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed %d n=%d k=%d gamma=%v side=%v lattice=%v mode=%d: grid scan found %d violations, all-pairs %d\ngot  %v\nwant %v",
+			seed, n, k, gamma, side, lattice, mode, len(got), len(want), got, want)
+	}
+	return len(want)
+}
+
+// TestOverlapMatchesQuadratic runs the overlap oracle over a fixed sweep
+// of every schedule mode and geometry, and requires the sweep to produce
+// violations at all, so the comparison is never vacuous.
+func TestOverlapMatchesQuadratic(t *testing.T) {
+	total := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		for mode := 0; mode < 3; mode++ {
+			for _, gamma := range []float64{2.7, 0, 10} {
+				for _, lattice := range []bool{false, true} {
+					total += checkOverlapOracle(t, seed, 40+int(seed)*10, 1+int(seed%4), gamma, 60, lattice, mode)
+				}
+			}
+		}
+	}
+	if total < 500 {
+		t.Fatalf("sweep found only %d violations; the oracle comparison is too weak", total)
+	}
+	t.Logf("%d violations matched", total)
+}
+
+// FuzzOverlapMatchesQuadratic fuzzes the overlap oracle's instance shape,
+// radius and schedule mode. Lattice positions feed only the hostile
+// schedules: on a lattice with coordinates in the tens of kilometers,
+// tsp.TwoOptFull's absolute 1e-12 improvement threshold lies below the
+// rounding of its distance deltas, so Appro's 2-opt descent can cycle
+// forever, which is a planner defect and not the verifier's.
+func FuzzOverlapMatchesQuadratic(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(2), 2.7, 60.0, false, uint8(0))
+	f.Add(int64(2), uint8(80), uint8(3), 2.7, 40.0, false, uint8(1))
+	f.Add(int64(3), uint8(50), uint8(4), 0.0, 20.0, false, uint8(2))
+	f.Add(int64(4), uint8(30), uint8(1), 0.0, 5.0, true, uint8(2))
+	f.Add(int64(5), uint8(100), uint8(2), 25.0, 30.0, true, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8, gamma, side float64, lattice bool, modeRaw uint8) {
+		if !(gamma >= 0 && gamma <= 1e4) || !(side > 0 && side <= 1e5) {
+			t.Skip()
+		}
+		mode := int(modeRaw % 3)
+		checkOverlapOracle(t, seed, int(nRaw%150), 1+int(kRaw%5), gamma, side, lattice && mode == 2, mode)
+	})
 }

@@ -200,6 +200,20 @@ func cellScanRange(c int, span float64, n int) (int, int) {
 	return int(lo), int(hi)
 }
 
+// PairRadius returns a query radius (and cell size) at which Neighbors
+// finds every pair of points within distance d of each other, whether the
+// pair is judged by Dist(p, q) <= d or by both points lying within d/2 of
+// a common point under Within. A caller can then use the grid purely as a
+// prefilter and let its own predicate decide, which reproduces an
+// all-pairs scan exactly. d is inflated by a relative 1e-9, far above the
+// rounding either judgement can incur; floored at 1e-150, so the squared
+// radius Neighbors compares against stays a normal float even for d = 0;
+// and capped at MaxFloat64, because an infinite radius on an infinite cell
+// scans no cells at all.
+func PairRadius(d float64) float64 {
+	return math.Min(math.Max(d*(1+1e-9), 1e-150), math.MaxFloat64)
+}
+
 // NeighborsOf returns the indices of all indexed points within radius r of
 // the i-th indexed point, excluding i itself.
 func (g *Grid) NeighborsOf(i int, r float64, dst []int) []int {

@@ -211,3 +211,48 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// TestPairRadiusFindsEveryPair pins the three parts of PairRadius: the
+// relative inflation (pairs exactly d apart by Hypot, whose squared
+// distance can round above d*d), the floor (at d = 0, two points that
+// share a third under Within although their own squared distance is a
+// nonzero subnormal), and the cap (an infinite d must scan every cell).
+func TestPairRadiusFindsEveryPair(t *testing.T) {
+	found := func(pts []Point, d float64, i, j int) bool {
+		r := PairRadius(d)
+		for _, k := range NewGrid(pts, r).Neighbors(pts[i], r, nil) {
+			if k == j {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(10)-3))
+		p := Pt(rng.Float64()*scale, rng.Float64()*scale)
+		q := Pt(rng.Float64()*scale, rng.Float64()*scale)
+		if d := Dist(p, q); !found([]Point{p, q}, d, 0, 1) {
+			t.Fatalf("pair %v %v at Dist %v not found", p, q, d)
+		}
+		// Two points within d/2 of a shared third under Within.
+		u := Midpoint(p, q)
+		half := math.Max(Dist(p, u), Dist(q, u))
+		if Within(p, u, half) && Within(q, u, half) && !found([]Point{p, q}, 2*half, 0, 1) {
+			t.Fatalf("pair %v %v sharing %v within %v not found", p, q, u, half)
+		}
+	}
+	p, q, u := Pt(0, 0), Pt(3e-162, 0), Pt(1.5e-162, 0)
+	if !Within(p, u, 0) || !Within(q, u, 0) || DistSq(p, q) == 0 {
+		t.Fatal("subnormal fixture no longer underflows as intended")
+	}
+	if !found([]Point{p, q}, 0, 0, 1) {
+		t.Error("gamma = 0: points sharing a sensor by underflow not found")
+	}
+	pts := []Point{Pt(0, 0), Pt(1e3, -7), Pt(-5e5, 2e5)}
+	for _, gamma := range []float64{math.Inf(1), 1e308} {
+		if d := 2 * gamma; !found(pts, d, 0, 2) || !found(pts, d, 2, 1) {
+			t.Errorf("gamma = %v: not every pair found", gamma)
+		}
+	}
+}

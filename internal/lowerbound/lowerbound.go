@@ -66,28 +66,7 @@ func Compute(in *core.Instance) Bound {
 		}
 	}
 
-	// Greedy max-weight 2*gamma packing: scan requests by decreasing
-	// duration, keep those farther than 2*gamma from everything kept.
-	order := make([]int, len(in.Requests))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, c int) bool {
-		return in.Requests[order[a]].Duration > in.Requests[order[c]].Duration
-	})
-	var packed []int
-	for _, i := range order {
-		ok := true
-		for _, j := range packed {
-			if geom.Dist(in.Requests[i].Pos, in.Requests[j].Pos) <= 2*in.Gamma {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			packed = append(packed, i)
-		}
-	}
+	packed := pack(in)
 	b.PackingSize = len(packed)
 
 	// Bound 2: packed charging work per charger.
@@ -108,19 +87,16 @@ func Compute(in *core.Instance) Bound {
 	for _, i := range packed {
 		pts = append(pts, in.Requests[i].Pos)
 	}
-	var edges []mst.Edge
-	for u := 0; u < len(pts); u++ {
-		for v := u + 1; v < len(pts); v++ {
-			w := geom.Dist(pts[u], pts[v]) - 2*in.Gamma
-			if w < 0 {
-				w = 0
-			}
-			edges = append(edges, mst.Edge{U: u, V: v, W: w})
-		}
-	}
+	// The shrunken weight max(0, d-2*gamma) is nondecreasing in d, so a
+	// Euclidean MST is also a minimum tree under it (cycle property).
 	travel := 0.0
-	if tree := mst.FromEdges(len(pts), edges, 0); tree != nil {
-		travel = tree.Weight
+	tree := mst.EuclideanSparse(pts, 0)
+	for v, p := range tree.Parent {
+		if p >= 0 {
+			if w := geom.Dist(pts[v], pts[p]) - 2*in.Gamma; w > 0 {
+				travel += w
+			}
+		}
 	}
 	if hull := geom.HullPerimeter(pts) - 2*math.Pi*in.Gamma; hull > travel {
 		travel = hull
@@ -132,4 +108,41 @@ func Compute(in *core.Instance) Bound {
 		b.Value = combined
 	}
 	return b
+}
+
+// pack returns the greedy max-weight 2*gamma packing: requests scanned by
+// decreasing duration (stable), each kept when it lies farther than
+// 2*gamma from everything kept so far. Only a kept request within 2*gamma
+// can reject a candidate, so a grid over all requests, queried at
+// geom.PairRadius(2*gamma), narrows the comparisons to the candidate's
+// neighbors; the distance predicate alone decides, so the packing is
+// exactly the all-pairs scan's.
+func pack(in *core.Instance) []int {
+	order := make([]int, len(in.Requests))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, c int) bool {
+		return in.Requests[order[a]].Duration > in.Requests[order[c]].Duration
+	})
+	pos := in.Positions()
+	reach := geom.PairRadius(2 * in.Gamma)
+	grid := geom.NewGrid(pos, reach)
+	kept := make([]bool, len(pos))
+	var packed, near []int
+	for _, i := range order {
+		near = grid.Neighbors(pos[i], reach, near)
+		ok := true
+		for _, j := range near {
+			if kept[j] && geom.Dist(pos[i], pos[j]) <= 2*in.Gamma {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			kept[i] = true
+			packed = append(packed, i)
+		}
+	}
+	return packed
 }

@@ -1,5 +1,5 @@
 // Package mst computes minimum spanning trees over complete Euclidean
-// graphs and explicit edge lists. MSTs are the backbone of the TSP
+// graphs and explicit neighbor graphs. MSTs are the backbone of the TSP
 // approximations used by the K-minMax closed-tour subroutine (step 5 of
 // Algorithm Appro) and the one-to-one K-minMax baseline.
 package mst
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/unionfind"
 )
 
 // Edge is a weighted undirected edge.
@@ -100,54 +99,6 @@ func Euclidean(pts []geom.Point, root int) *Tree {
 		}
 	}
 	return buildTree(root, parent, total)
-}
-
-// FromEdges computes an MST (or minimum spanning forest, if disconnected)
-// of the n-vertex graph with the given edge list using Kruskal's algorithm.
-// For a disconnected input only the component containing root becomes the
-// returned tree; other components are absent from Adj and keep Parent -1.
-func FromEdges(n int, edges []Edge, root int) *Tree {
-	if n == 0 || root < 0 || root >= n {
-		return nil
-	}
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].W < sorted[j].W })
-	dsu := unionfind.New(n)
-	adj := make([][]Edge, n)
-	total := 0.0
-	for _, e := range sorted {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
-			continue
-		}
-		if dsu.Union(e.U, e.V) {
-			adj[e.U] = append(adj[e.U], e)
-			adj[e.V] = append(adj[e.V], Edge{U: e.V, V: e.U, W: e.W})
-			total += e.W
-		}
-	}
-	// Orient the component containing root.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	visited := make([]bool, n)
-	stack := []int{root}
-	visited[root] = true
-	compWeight := 0.0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range adj[v] {
-			if !visited[e.V] {
-				visited[e.V] = true
-				parent[e.V] = v
-				compWeight += e.W
-				stack = append(stack, e.V)
-			}
-		}
-	}
-	return buildTree(root, parent, compWeight)
 }
 
 // EuclideanPrimHeap is a heap-based Prim over an explicit neighbor graph:

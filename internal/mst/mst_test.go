@@ -3,10 +3,61 @@ package mst
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/unionfind"
 )
+
+// FromEdges is the Kruskal reference the Prim kernels are checked
+// against: an MST (or minimum spanning forest, if disconnected) of the
+// n-vertex graph with the given edge list. For a disconnected input only
+// the component containing root becomes the returned tree; other
+// components are absent from Adj and keep Parent -1.
+func FromEdges(n int, edges []Edge, root int) *Tree {
+	if n == 0 || root < 0 || root >= n {
+		return nil
+	}
+	sorted := make([]Edge, len(edges))
+	copy(sorted, edges)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].W < sorted[j].W })
+	dsu := unionfind.New(n)
+	adj := make([][]Edge, n)
+	total := 0.0
+	for _, e := range sorted {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
+			continue
+		}
+		if dsu.Union(e.U, e.V) {
+			adj[e.U] = append(adj[e.U], e)
+			adj[e.V] = append(adj[e.V], Edge{U: e.V, V: e.U, W: e.W})
+			total += e.W
+		}
+	}
+	// Orient the component containing root.
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	visited := make([]bool, n)
+	stack := []int{root}
+	visited[root] = true
+	compWeight := 0.0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range adj[v] {
+			if !visited[e.V] {
+				visited[e.V] = true
+				parent[e.V] = v
+				compWeight += e.W
+				stack = append(stack, e.V)
+			}
+		}
+	}
+	return buildTree(root, parent, compWeight)
+}
 
 func TestEuclideanSmall(t *testing.T) {
 	// Unit square: MST weight 3.

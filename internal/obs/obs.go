@@ -12,9 +12,10 @@
 // The planning stack records a small, stable span vocabulary (see the
 // Stage* constants): the paper's Algorithm Appro records charging-graph,
 // mis, kminmax and insertion; the conflict-aware executor records execute;
-// the simulator records verify around its per-round feasibility checks.
-// Stage timings therefore partition a plan's runtime: summed, they account
-// for approximately the total planning time.
+// the simulator records verify around its per-round feasibility checks,
+// and the scaling ladder records verify and lowerbound after each plan.
+// The planning stage timings therefore partition a plan's runtime: summed,
+// they account for approximately the total planning time.
 package obs
 
 import (
@@ -67,6 +68,9 @@ const (
 	StageExecute = "execute"
 	// StageVerify covers the independent feasibility verifier.
 	StageVerify = "verify"
+	// StageLowerBound covers the lower bound on the optimum that a plan's
+	// quality gap is measured against.
+	StageLowerBound = "lowerbound"
 )
 
 // KnownStages returns the canonical span vocabulary above — top-level
@@ -82,6 +86,7 @@ func KnownStages() []string {
 		StageInsertion,
 		StageExecute,
 		StageVerify,
+		StageLowerBound,
 	}
 }
 
