@@ -46,7 +46,6 @@ func main() {
 		scaling    = flag.String("scaling", "", `instead of figures, run the BENCH_scaling.json ladder: comma-separated request counts (e.g. "1000,10000"), one cold Appro plan each on a density-scaled field, verified and bounded, with per-stage timings and the lower-bound gap; a feasibility violation exits nonzero`)
 		scalingK   = flag.Int("scaling-k", 4, "chargers per scaling rung")
 		scalingR   = flag.Int("scaling-restarts", 0, "2-opt restarts per scaling rung (<=1 = single descent)")
-		misRescan  = flag.Bool("mis-rescan", false, "plan the scaling rungs with the retained quadratic MIS reference selection instead of the bucket queue (identical schedules; measures the A/B)")
 		budget     = flag.String("budget", "", `per-stage time budgets asserted on every scaling rung, e.g. "kminmax=30,mis=20" (seconds; stage names validated against the tracer vocabulary); a breach exits nonzero`)
 		instances  = flag.Int("instances", 10, "random networks per sweep point (paper: 100)")
 		days       = flag.Float64("days", 365, "monitored period in days (paper: one year)")
@@ -101,7 +100,7 @@ func main() {
 	}
 
 	if *scaling != "" {
-		err = runScaling(ctx, *scaling, *scalingK, *seed, *scalingR, *misRescan, *budget, *csv)
+		err = runScaling(ctx, *scaling, *scalingK, *seed, *scalingR, *budget, *csv)
 	} else {
 		err = run(ctx, *fig, opt, *csv, *svgDir, *jsonDir)
 	}

@@ -26,20 +26,18 @@ const scalingDensity = 0.12
 // per rung of the comma-separated n ladder on a density-scaled field,
 // reporting per-stage timings from the obs tracer — including the
 // mis/select and mis/update sub-spans that attribute the MIS stage to
-// its selection engine, and the kminmax/mst, kminmax/match, kminmax/2opt
+// selection and bookkeeping, and the kminmax/mst, kminmax/match, kminmax/2opt
 // and kminmax/split sub-spans that attribute the K-minMax stage to its
 // kernels. Every plan is then checked: the feasibility verifier and the
 // lower bound run under the verify and lowerbound spans, outside the
-// plan's total, and the table reports the plan's gap to the bound. rescan
-// routes the degree-ordered MIS through the retained quadratic reference
-// selection (identical schedules), so the ladder can measure both sides
-// of the swap. budget is a comma-separated list of stage=seconds
-// assertions (e.g. "kminmax=30,mis=20") checked against every rung;
-// stage names must come from the tracer's canonical vocabulary
-// (obs.KnownStages) — unknown names are a hard error, never a
-// silently-passing no-op. A budget breach or a feasibility violation
-// fails the run after the table prints, so CI can hold both out.
-func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts int, rescan bool, budget string, csv bool) error {
+// plan's total, and the table reports the plan's gap to the bound. budget
+// is a comma-separated list of stage=seconds assertions (e.g.
+// "kminmax=30,mis=20") checked against every rung; stage names must come
+// from the tracer's canonical vocabulary (obs.KnownStages) — unknown
+// names are a hard error, never a silently-passing no-op. A budget
+// breach or a feasibility violation fails the run after the table
+// prints, so CI can hold both out.
+func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts int, budget string, csv bool) error {
 	ns, err := parseLadder(ladder)
 	if err != nil {
 		return err
@@ -61,7 +59,7 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts 
 	for _, n := range ns {
 		side := math.Sqrt(float64(n) / scalingDensity)
 		in := scalingInstance(n, k, seed, side)
-		planner, err := repro.NewPlannerWithOptions("Appro", repro.ApproOptions{TourRestarts: restarts, MISRescan: rescan})
+		planner, err := repro.NewPlannerWithOptions("Appro", repro.ApproOptions{TourRestarts: restarts})
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/render"
-	"repro/internal/tsp"
 )
 
 func main() {
@@ -36,11 +35,7 @@ func main() {
 		field      = flag.Float64("field", 100, "side of the square deployment field in meters (scale ~ sqrt(n) to keep the paper's density at large n)")
 		misFlag    = flag.String("mis", "", `MIS strategy for options-capable planners: "max-degree" (default), "min-degree", "lexicographic", "random", "luby"`)
 		misSeed    = flag.Int64("mis-seed", 1, `seed for the seeded MIS strategies ("random", "luby")`)
-		misRescan  = flag.Bool("mis-rescan", false, "route the degree-ordered MIS strategies through the retained quadratic reference selection instead of the bucket queue (identical output; for byte-identity drills and A/B measurement)")
 		restarts   = flag.Int("restarts", 0, "independent 2-opt descents inside the K-minMax tour refinement (<=1 = single sequential descent)")
-		sparseMST  = flag.Int("sparse-mst", 0, "K-minMax MST kernel crossover: run the grid-pruned exact-weight MST at tour size >= this (0 = package default, negative = never)")
-		sparse2opt = flag.Int("sparse-2opt", 0, "K-minMax 2-opt kernel crossover: run the neighbor-list descent at tour size >= this (0 = package default, negative = never; approximate above the crossover)")
-		sparseMtch = flag.Int("sparse-match", 0, "Christofides matching kernel crossover: run the grid-bucketed greedy at odd-vertex count >= this (0 = package default, negative = never; approximate above the crossover)")
 		svgPath    = flag.String("svg", "", "write an SVG rendering of the tours to this file")
 		gantt      = flag.String("gantt", "", "write an SVG timeline of charger activity to this file")
 		compare    = flag.Bool("compare", false, "plan with every registered algorithm and compare objectives")
@@ -68,13 +63,11 @@ func main() {
 		ctx = repro.WithTracer(ctx, tracer)
 	}
 
-	opts, err := plannerOptions(*misFlag, *misSeed, *restarts, *workers,
-		tsp.Thresholds{MST: *sparseMST, TwoOpt: *sparse2opt, Match: *sparseMtch})
+	opts, err := plannerOptions(*misFlag, *misSeed, *restarts, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
 		os.Exit(1)
 	}
-	opts.MISRescan = *misRescan
 
 	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -104,8 +97,8 @@ func main() {
 // plannerOptions folds the option flags into core options for the
 // options-capable planners. An empty -mis keeps the planner's default
 // (max-degree for Appro).
-func plannerOptions(mis string, misSeed int64, restarts, workers int, sparse tsp.Thresholds) (repro.ApproOptions, error) {
-	opts := repro.ApproOptions{Seed: misSeed, TourRestarts: restarts, Workers: workers, Sparse: sparse}
+func plannerOptions(mis string, misSeed int64, restarts, workers int) (repro.ApproOptions, error) {
+	opts := repro.ApproOptions{Seed: misSeed, TourRestarts: restarts, Workers: workers}
 	switch strings.ToLower(mis) {
 	case "":
 	case "max-degree":
@@ -270,9 +263,8 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 		fmt.Printf("empirical approx factor:  <= %.2f\n", s.Longest/lb.Value)
 	}
 	// Default options deliberately: the guarantee is for the paper's
-	// canonical construction. Only the engine-only rescan switch passes
-	// through, so -mis-rescan measures every MIS call in the binary.
-	if ana, err := repro.Analyze(ctx, in, repro.ApproOptions{MISRescan: opts.MISRescan}); err == nil {
+	// canonical construction.
+	if ana, err := repro.Analyze(ctx, in, repro.ApproOptions{}); err == nil {
 		fmt.Printf("theoretical guarantee:    %.1f (Delta_H=%d <= %d, tau_max/tau_min=%.2f, |S_I|=%d, |V'_H|=%d)\n",
 			ana.Ratio, ana.DeltaH, 26, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
 	} else if ctx.Err() != nil {

@@ -49,10 +49,10 @@ func TestGoldenObjectives(t *testing.T) {
 // any planner registered without an entry here, so the table always
 // covers the full registry.
 var goldenObjectives = map[string]float64{
-	"Appro":    131.5245,
+	"Appro":    131.2335,
 	"K-EDF":    171.1694,
 	"NETWRAP":  170.8549,
-	"AA":       173.6608,
-	"K-minMax": 169.1649,
-	"BiLevel":  129.3351,
+	"AA":       173.6519,
+	"K-minMax": 169.1916,
+	"BiLevel":  129.2291,
 }

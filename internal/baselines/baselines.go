@@ -261,9 +261,9 @@ func tourOrder(in *core.Instance, group []int) []int {
 	for _, u := range group {
 		pts = append(pts, in.Requests[u].Pos)
 	}
-	t := tsp.Christofides(pts, 0)
+	// Untraced: these are AA's per-group tours, not K-minMax kernels.
+	t := tsp.Christofides(context.Background(), pts, 0)
 	tsp.TwoOpt(&t, pts, 0)
-	t.RotateToStart(0)
 	out := make([]int, 0, len(group))
 	for _, v := range t.Order {
 		if v != 0 {

@@ -67,7 +67,7 @@ func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error)
 	sp := tr.Start(obs.StageChargingGraph)
 	gc := graph.UnitDisk(pts, in.Gamma)
 	sp.End()
-	misCfg := graph.MISConfig{Rng: rng, Rescan: opts.MISRescan, Tracer: tr}
+	misCfg := graph.MISConfig{Rng: rng, Tracer: tr}
 	sp = tr.Start(obs.StageMIS)
 	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
 	sp.End()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ktour"
 	"repro/internal/obs"
-	"repro/internal/tsp"
 )
 
 // Options tunes Algorithm Appro. The zero value gives the paper's behavior
@@ -23,14 +22,6 @@ type Options struct {
 	// EXPERIMENTS.md shows it yields ~20% fewer stops and shorter tours
 	// than min-degree or lexicographic selection on dense request sets.
 	MISOrder graph.MISOrder
-	// MISRescan forces the degree-ordered MIS strategies through the
-	// retained quadratic reference selection loop instead of the
-	// incremental bucket queue. The two engines pick the identical
-	// vertex sequence on every graph, so this is a measurement and
-	// verification knob, never a plan-shaping one: the plan cache drops
-	// it from its key (plancache.canonOptions) and CI diffs the n=10k
-	// plan bytes across both settings.
-	MISRescan bool
 	// Seed drives graph.MISRandom; ignored for deterministic orders.
 	Seed int64
 	// NoSortByFinishTime disables the paper's processing of pending
@@ -51,16 +42,6 @@ type Options struct {
 	// Workers bounds the goroutines those restarts fan across; <= 0 means
 	// GOMAXPROCS. Affects speed only, never the schedule.
 	Workers int
-	// Sparse tunes the input sizes at which the K-minMax tour kernels
-	// (MST, Christofides matching, 2-opt) abandon their exact quadratic
-	// implementations for the subquadratic ones (tsp.Thresholds; the zero
-	// value keeps the package defaults). Under the defaults every
-	// paper-scale instance (n <= 1200) runs the exact kernels, so
-	// schedules there are byte-identical to the seed. The MST kernel is
-	// weight-exact at any setting; the 2-opt and matching kernels are
-	// approximate above their crossovers, which is why these fields are
-	// part of the plan-cache key.
-	Sparse tsp.Thresholds
 }
 
 // Appro runs Algorithm 1 of the paper and returns a planned schedule for
@@ -123,7 +104,7 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	sp := tr.Start(obs.StageChargingGraph)
 	gc := graph.UnitDisk(pts, in.Gamma)
 	sp.End()
-	misCfg := graph.MISConfig{Rng: rng, Rescan: opts.MISRescan, Tracer: tr}
+	misCfg := graph.MISConfig{Rng: rng, Tracer: tr}
 	sp = tr.Start(obs.StageMIS)
 	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
 	sp.End()
@@ -183,7 +164,6 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 		Builder:  opts.TourBuilder,
 		Restarts: opts.TourRestarts,
 		Workers:  opts.Workers,
-		Sparse:   opts.Sparse,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: k-minmax subroutine: %w", err)

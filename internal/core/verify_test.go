@@ -9,8 +9,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/ktour"
 )
 
 // handSchedule builds a minimal feasible schedule by hand for a two-sensor
@@ -454,23 +456,84 @@ func TestOverlapMatchesQuadratic(t *testing.T) {
 	t.Logf("%d violations matched", total)
 }
 
+// TestApproTerminates plans instances that once made Appro spin. Each
+// plan runs on its own goroutine under a 5 s deadline, so a planner that
+// never returns fails the test instead of hanging the suite, and each
+// plan must verify clean.
+//
+//   - lattice-km: with coordinates in the kilometers, the 2-opt descent's
+//     old absolute 1e-12 acceptance threshold lay below the rounding of
+//     the move deltas, so a move and its reversal could both look
+//     improving.
+//   - near-collinear-*: requests on a line whose y coordinates differ
+//     only by rounding (0.3 against the float sum 0.1+0.2) span a
+//     bounding box of height ~5e-17, so grid cells sized by area alone
+//     came out near a micrometre and one nearest-neighbor search walked
+//     ~1e14 empty cells. Both grand-tour constructions must plan it, from
+//     one request (MST-doubling over two points) up.
+func TestApproTerminates(t *testing.T) {
+	type tc struct {
+		name string
+		in   *Instance
+		opts Options
+	}
+	lattice, _ := overlapCase(t, -99, 90, 1, 5047.285714285714, 1070, true, 2) // mode 2: the instance, unplanned
+	cases := []tc{{"lattice-km", lattice, Options{Seed: -99}}}
+	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
+	for _, n := range []int{1, 2, 60} {
+		in := &Instance{Depot: geom.Pt(0, 0.3), Gamma: 2.7, Speed: 1, K: 2}
+		for i := 1; i <= n; i++ {
+			y := 0.3
+			if i%2 == 1 {
+				y = a + b
+			}
+			in.Requests = append(in.Requests, Request{Pos: geom.Pt(50*float64(i), y), Duration: 600})
+		}
+		for _, builder := range []ktour.Builder{ktour.BuilderChristofides, ktour.BuilderMST} {
+			cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/%v", n, builder), in, Options{TourBuilder: builder}})
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			type result struct {
+				s   *Schedule
+				err error
+			}
+			done := make(chan result, 1)
+			start := time.Now()
+			go func() {
+				s, err := Appro(context.Background(), c.in, c.opts)
+				done <- result{s, err}
+			}()
+			select {
+			case r := <-done:
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				if v := Verify(c.in, r.s); len(v) > 0 {
+					t.Fatalf("%d violations, first %v", len(v), v[0])
+				}
+				t.Logf("planned in %v", time.Since(start))
+			case <-time.After(5 * time.Second):
+				t.Fatal("Appro still planning after 5 s")
+			}
+		})
+	}
+}
+
 // FuzzOverlapMatchesQuadratic fuzzes the overlap oracle's instance shape,
-// radius and schedule mode. Lattice positions feed only the hostile
-// schedules: on a lattice with coordinates in the tens of kilometers,
-// tsp.TwoOptFull's absolute 1e-12 improvement threshold lies below the
-// rounding of its distance deltas, so Appro's 2-opt descent can cycle
-// forever, which is a planner defect and not the verifier's.
+// radius, geometry and schedule mode.
 func FuzzOverlapMatchesQuadratic(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(2), 2.7, 60.0, false, uint8(0))
 	f.Add(int64(2), uint8(80), uint8(3), 2.7, 40.0, false, uint8(1))
 	f.Add(int64(3), uint8(50), uint8(4), 0.0, 20.0, false, uint8(2))
 	f.Add(int64(4), uint8(30), uint8(1), 0.0, 5.0, true, uint8(2))
 	f.Add(int64(5), uint8(100), uint8(2), 25.0, 30.0, true, uint8(2))
+	f.Add(int64(-99), uint8(90), uint8(0), 5047.285714285714, 1070.0, true, uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8, gamma, side float64, lattice bool, modeRaw uint8) {
 		if !(gamma >= 0 && gamma <= 1e4) || !(side > 0 && side <= 1e5) {
 			t.Skip()
 		}
-		mode := int(modeRaw % 3)
-		checkOverlapOracle(t, seed, int(nRaw%150), 1+int(kRaw%5), gamma, side, lattice && mode == 2, mode)
+		checkOverlapOracle(t, seed, int(nRaw%150), 1+int(kRaw%5), gamma, side, lattice, int(modeRaw%3))
 	})
 }

@@ -214,6 +214,23 @@ func PairRadius(d float64) float64 {
 	return math.Min(math.Max(d*(1+1e-9), 1e-150), math.MaxFloat64)
 }
 
+// CellFor returns a grid cell size (and starting query radius) at which n
+// points spread over b sit a small constant number to a cell: twice the
+// larger of the area spacing sqrt(width*height/n) and the line spacing
+// max(width, height)/n. The line term keeps cells in proportion for
+// collinear and near-collinear sets, whose area is zero or a rounding
+// error: sized by area alone their cells shrink towards nothing, and a
+// ring search between neighbors crosses millions of empty cells. It
+// returns 1 when the extent is zero (coincident points) or not a number.
+func CellFor(b Rect, n int) float64 {
+	w, h := b.Width(), b.Height()
+	c := 2 * math.Max(math.Sqrt(w*h/float64(n)), math.Max(w, h)/float64(n))
+	if !(c > 0) {
+		return 1
+	}
+	return c
+}
+
 // NeighborsOf returns the indices of all indexed points within radius r of
 // the i-th indexed point, excluding i itself.
 func (g *Grid) NeighborsOf(i int, r float64, dst []int) []int {
@@ -265,6 +282,20 @@ func (g *Grid) NearestWhere(q Point, maxDist float64, accept func(i int) bool) (
 	if g.rows > maxSpan {
 		maxSpan = g.rows
 	}
+	scan := func(x, y int) {
+		for _, idx := range g.cellPoints(y*g.cols + x) {
+			if accept != nil && !accept(int(idx)) {
+				continue
+			}
+			d2 := DistSq(q, g.pts[idx])
+			if d2 > maxD2 {
+				continue
+			}
+			if d2 < bestD2 || (d2 == bestD2 && int(idx) < best) {
+				best, bestD2 = int(idx), d2
+			}
+		}
+	}
 	for span := 0; span <= maxSpan; span++ {
 		// A point in a ring at cell-distance span is at least
 		// (span-1)*cell away from q, so once that lower bound exceeds
@@ -278,36 +309,32 @@ func (g *Grid) NearestWhere(q Point, maxDist float64, accept func(i int) bool) (
 		if float64(span-1)*g.cell > bound {
 			break
 		}
-		for dy := -span; dy <= span; dy++ {
-			y := cy + dy
-			if y < 0 || y >= g.rows {
-				continue
+		// Visit only the ring's cells that lie inside the grid: its top
+		// and bottom rows, clamped to the columns, then its left and
+		// right columns between them, clamped to the rows. A ring then
+		// costs its in-grid perimeter, never its area or its full
+		// height, so a far query on a one-row (or one-column) grid pays
+		// O(1) per ring rather than O(span).
+		x0, x1 := max(cx-span, 0), min(cx+span, g.cols-1)
+		if y := cy - span; y >= 0 {
+			for x := x0; x <= x1; x++ {
+				scan(x, y)
 			}
-			// Ring only: on interior rows step straight from the left
-			// edge to the right edge instead of iterating (and skipping)
-			// every interior cell — rings must cost their perimeter, not
-			// their area, or a faraway query degrades quadratically.
-			step := 1
-			if span > 0 && dy > -span && dy < span {
-				step = 2 * span
+		}
+		if y := cy + span; span > 0 && y < g.rows {
+			for x := x0; x <= x1; x++ {
+				scan(x, y)
 			}
-			for dx := -span; dx <= span; dx += step {
-				x := cx + dx
-				if x < 0 || x >= g.cols {
-					continue
-				}
-				for _, idx := range g.cellPoints(y*g.cols + x) {
-					if accept != nil && !accept(int(idx)) {
-						continue
-					}
-					d2 := DistSq(q, g.pts[idx])
-					if d2 > maxD2 {
-						continue
-					}
-					if d2 < bestD2 || (d2 == bestD2 && int(idx) < best) {
-						best, bestD2 = int(idx), d2
-					}
-				}
+		}
+		y0, y1 := max(cy-span+1, 0), min(cy+span-1, g.rows-1)
+		if x := cx - span; span > 0 && x >= 0 {
+			for y := y0; y <= y1; y++ {
+				scan(x, y)
+			}
+		}
+		if x := cx + span; span > 0 && x < g.cols {
+			for y := y0; y <= y1; y++ {
+				scan(x, y)
 			}
 		}
 	}

@@ -256,3 +256,30 @@ func TestPairRadiusFindsEveryPair(t *testing.T) {
 		}
 	}
 }
+
+// TestCellFor pins the cell-size rule the sparse kernels share: the area
+// spacing for spread-out sets, the line spacing once the bounding box is
+// thinner than the points are apart (exactly or up to a rounding error),
+// and 1 for a zero or undefined extent.
+func TestCellFor(t *testing.T) {
+	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
+	cases := []struct {
+		name string
+		b    Rect
+		n    int
+		want float64
+	}{
+		{"square", Square(100), 400, 2 * 100 / 20.0},
+		{"strip", Rect{Max: Pt(1000, 1)}, 100, 2 * 1000 / 100.0},
+		{"line", Rect{Max: Pt(0, 90)}, 40, 2 * 90 / 40.0},
+		{"near-line", Rect{Min: Pt(0, 0.3), Max: Pt(100, a+b)}, 3, 2 * 100 / 3.0},
+		{"coincident", Rect{Min: Pt(7, -3), Max: Pt(7, -3)}, 25, 1},
+		{"empty", Rect{}, 0, 1},
+		{"nan", Rect{Max: Pt(math.NaN(), 1)}, 5, 1},
+	}
+	for _, c := range cases {
+		if got := CellFor(c.b, c.n); math.Abs(got-c.want) > 1e-12*c.want {
+			t.Errorf("%s: CellFor = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -94,6 +94,23 @@ func TestNearestWhereBounds(t *testing.T) {
 	}
 }
 
+// TestNearestWhereThinGrid: on a one-row or one-column grid of a million
+// cells, a query whose nearest acceptable point is at the far end must
+// still find it, and each ring must cost its in-grid cells only. Walking
+// every row of each ring, as the search once did, made this ~1e12 steps.
+func TestNearestWhereThinGrid(t *testing.T) {
+	for _, far := range []Point{Pt(1000, 0), Pt(0, 1000)} {
+		pts := []Point{Pt(0, 0), far, Pt(0, 0)}
+		g := NewGrid(pts, 1e-3)
+		if i, d := g.NearestWhere(Pt(0, 0), math.Inf(1), func(i int) bool { return i == 1 }); i != 1 || d != 1000 {
+			t.Errorf("far point %v: got (%d, %v), want (1, 1000)", far, i, d)
+		}
+		if i, d := g.NearestWhere(far, math.Inf(1), func(i int) bool { return i != 1 }); i != 0 || d != 1000 {
+			t.Errorf("from %v: got (%d, %v), want (0, 1000)", far, i, d)
+		}
+	}
+}
+
 // TestNearestWhereTiesLowestIndex: equidistant candidates — even across
 // different grid cells — must resolve to the lowest index. The sparse
 // matching kernel's determinism (and its brute-force fuzz oracle) depend

@@ -9,8 +9,9 @@ import (
 // degreeBucketQueue indexes the alive vertices of a shrinking graph by
 // residual degree, supporting the exact selection rule of the degree-ordered
 // MIS strategies: "the alive vertex of minimum (or maximum) residual degree,
-// lowest vertex index among ties". It replaces misByDegreeRescan's
-// per-selection argmin/argmax sweep over all n vertices with incremental
+// lowest vertex index among ties". It replaces the per-selection
+// argmin/argmax sweep over all n vertices of the quadratic reference
+// (misByDegreeRescan, kept in the oracle tests) with incremental
 // bookkeeping:
 //
 //   - buckets[d] holds candidate entries for residual degree d, kept as a

@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -53,24 +52,14 @@ func (o MISOrder) String() string {
 }
 
 // MISConfig carries the optional knobs of MaximalIndependentSetWith. The
-// zero value is valid and means: no randomness source, the incremental
-// bucket-queue selection for the degree orders, no tracing.
+// zero value is valid and means: no randomness source, no tracing.
 type MISConfig struct {
 	// Rng drives the seeded orders MISRandom and MISLuby; it is ignored
 	// by the deterministic orders and may be nil (a fixed seed-1 source
 	// substitutes).
 	Rng *rand.Rand
-	// Rescan forces the degree orders (MISMinDegree, MISMaxDegree)
-	// through the retained quadratic reference selection loop instead of
-	// the incremental bucket queue. The two pick the identical vertex
-	// sequence on every graph (TestMISDegreeOrderOracle,
-	// FuzzMISDegreeOrder), so the switch never changes a result; it
-	// exists for CI byte-identity drills and A/B measurement
-	// (wrsn-plan/-bench -mis-rescan).
-	Rescan bool
-	// Tracer, when non-nil, receives the nested mis/select and
-	// mis/update spans plus a mis.degree.bucket or mis.degree.rescan
-	// counter tick naming the selection engine that ran.
+	// Tracer, when non-nil, receives the degree orders' nested
+	// mis/select and mis/update spans.
 	Tracer *obs.Tracer
 }
 
@@ -84,8 +73,8 @@ func MaximalIndependentSet(g *Undirected, order MISOrder, rng *rand.Rand) []int 
 }
 
 // MaximalIndependentSetWith is MaximalIndependentSet with the full knob
-// set: a randomness source for the seeded strategies, the reference-rescan
-// switch for the degree strategies, and an optional tracer.
+// set: a randomness source for the seeded strategies and an optional
+// tracer.
 func MaximalIndependentSetWith(g *Undirected, order MISOrder, cfg MISConfig) []int {
 	n := g.Len()
 	if n == 0 {
@@ -141,90 +130,10 @@ func misScan(g *Undirected, scan []int) []int {
 // misByDegree repeatedly selects the remaining vertex with minimum (or
 // maximum) residual degree, lowest vertex index among ties, removing it
 // and its neighbors. The selection runs on the incremental bucket queue
-// (bucket.go) — or, when cfg.Rescan asks for it, on the retained quadratic
-// reference — and returns the selected vertices sorted ascending. The two
-// engines pick the identical vertex sequence; the counters record which
-// one ran.
+// (bucket.go); the selected vertices are returned sorted ascending.
 func misByDegree(g *Undirected, wantMin bool, cfg MISConfig) []int {
-	var out []int
-	if cfg.Rescan {
-		cfg.Tracer.Add("mis.degree.rescan", 1)
-		out = misByDegreeRescan(g, wantMin, cfg.Tracer)
-	} else {
-		cfg.Tracer.Add("mis.degree.bucket", 1)
-		out = misByDegreeBucket(g, wantMin, cfg.Tracer)
-	}
+	out := misByDegreeBucket(g, wantMin, cfg.Tracer)
 	sort.Ints(out)
-	return out
-}
-
-// misByDegreeRescan is the reference selection loop: per selection it
-// rescans every alive vertex for the extreme residual degree (Θ(n) per
-// pick, Θ(n · selections) overall — quadratic on graphs whose MIS grows
-// with n). It is retained as the executable specification the bucket
-// queue is proven against: the oracle suite and FuzzMISDegreeOrder assert
-// sequence equality, and -mis-rescan routes production plans through it
-// for CI byte-identity diffs. Returns vertices in selection order.
-func misByDegreeRescan(g *Undirected, wantMin bool, tr *obs.Tracer) []int {
-	n := g.Len()
-	deg := make([]int, n)
-	alive := make([]bool, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		alive[v] = true
-	}
-	remaining := n
-	var out []int
-	remove := make([]int, 0, 16) // scratch, reused across selections
-	var selectD, updateD time.Duration
-	for remaining > 0 {
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		best := -1
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			if best < 0 ||
-				(wantMin && deg[v] < deg[best]) ||
-				(!wantMin && deg[v] > deg[best]) {
-				best = v
-			}
-		}
-		if tr != nil {
-			t1 := time.Now()
-			selectD += t1.Sub(t0)
-			t0 = t1
-		}
-		out = append(out, best)
-		// Remove best and its alive neighbors; fix residual degrees.
-		remove = append(remove[:0], best)
-		for _, w := range g.Neighbors(best) {
-			if alive[w] {
-				remove = append(remove, int(w))
-			}
-		}
-		for _, v := range remove {
-			alive[v] = false
-			remaining--
-		}
-		for _, v := range remove {
-			for _, w := range g.Neighbors(v) {
-				if alive[w] {
-					deg[w]--
-				}
-			}
-		}
-		if tr != nil {
-			updateD += time.Since(t0)
-		}
-	}
-	if tr != nil {
-		tr.Observe(obs.StageMISSelect, selectD)
-		tr.Observe(obs.StageMISUpdate, updateD)
-	}
 	return out
 }
 

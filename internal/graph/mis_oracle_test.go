@@ -7,19 +7,69 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // The oracle contract: the bucket queue must pick the IDENTICAL vertex
-// sequence as the retained rescan reference — not merely the same final
+// sequence as the quadratic rescan reference — not merely the same final
 // set — for both degree orders, on every graph. Sequence equality is the
 // strongest possible statement: it implies every downstream schedule,
 // golden objective and plan-cache entry is byte-identical across the two
 // engines.
 
+// misByDegreeRescan is the reference selection loop the bucket queue is
+// proven against: per selection it rescans every alive vertex for the
+// extreme residual degree (Θ(n) per pick, Θ(n · selections) overall —
+// quadratic on graphs whose MIS grows with n). Returns vertices in
+// selection order.
+func misByDegreeRescan(g *Undirected, wantMin bool) []int {
+	n := g.Len()
+	deg := make([]int, n)
+	alive := make([]bool, n)
+	for v := 0; v < n; v++ {
+		deg[v] = g.Degree(v)
+		alive[v] = true
+	}
+	remaining := n
+	var out []int
+	remove := make([]int, 0, 16) // scratch, reused across selections
+	for remaining > 0 {
+		best := -1
+		for v := 0; v < n; v++ {
+			if !alive[v] {
+				continue
+			}
+			if best < 0 ||
+				(wantMin && deg[v] < deg[best]) ||
+				(!wantMin && deg[v] > deg[best]) {
+				best = v
+			}
+		}
+		out = append(out, best)
+		// Remove best and its alive neighbors; fix residual degrees.
+		remove = append(remove[:0], best)
+		for _, w := range g.Neighbors(best) {
+			if alive[w] {
+				remove = append(remove, int(w))
+			}
+		}
+		for _, v := range remove {
+			alive[v] = false
+			remaining--
+		}
+		for _, v := range remove {
+			for _, w := range g.Neighbors(v) {
+				if alive[w] {
+					deg[w]--
+				}
+			}
+		}
+	}
+	return out
+}
+
 // degreeSequences returns the bucket and rescan selection sequences.
 func degreeSequences(g *Undirected, wantMin bool) (bucket, rescan []int) {
-	return misByDegreeBucket(g, wantMin, nil), misByDegreeRescan(g, wantMin, nil)
+	return misByDegreeBucket(g, wantMin, nil), misByDegreeRescan(g, wantMin)
 }
 
 func assertSameSequence(t *testing.T, g *Undirected, label string) {
@@ -118,44 +168,6 @@ func TestMISDegreeOrderOracle(t *testing.T) {
 	})
 }
 
-// TestMISDegreeRescanSwitch proves the public switch routes to the
-// reference engine and that both spellings return identical ascending
-// sets, with the decision counters naming the engine that ran.
-func TestMISDegreeRescanSwitch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 70, 0.1)
-	for _, order := range []MISOrder{MISMinDegree, MISMaxDegree} {
-		trBucket, trRescan := obs.New(), obs.New()
-		bucket := MaximalIndependentSetWith(g, order, MISConfig{Tracer: trBucket})
-		rescan := MaximalIndependentSetWith(g, order, MISConfig{Rescan: true, Tracer: trRescan})
-		if len(bucket) != len(rescan) {
-			t.Fatalf("%v: set sizes differ: %d vs %d", order, len(bucket), len(rescan))
-		}
-		for i := range bucket {
-			if bucket[i] != rescan[i] {
-				t.Fatalf("%v: sets differ at %d: %v vs %v", order, i, bucket, rescan)
-			}
-		}
-		if c := trBucket.Report().Counters; c["mis.degree.bucket"] != 1 || c["mis.degree.rescan"] != 0 {
-			t.Errorf("%v: bucket run counters = %v", order, c)
-		}
-		if c := trRescan.Report().Counters; c["mis.degree.rescan"] != 1 || c["mis.degree.bucket"] != 0 {
-			t.Errorf("%v: rescan run counters = %v", order, c)
-		}
-		// Both engines record the nested sub-spans.
-		for _, tr := range []*obs.Tracer{trBucket, trRescan} {
-			r := tr.Report()
-			seen := map[string]bool{}
-			for _, st := range r.Stages {
-				seen[st.Name] = true
-			}
-			if !seen[obs.StageMISSelect] || !seen[obs.StageMISUpdate] {
-				t.Errorf("%v: missing nested mis spans in %v", order, r.Stages)
-			}
-		}
-	}
-}
-
 // TestMISRandomComputesPermOncePerBranch is the regression test for the
 // MISRandom double-perm bug: the fixed-seed fallback permutation used to
 // be computed unconditionally and thrown away whenever a source was
@@ -240,15 +252,17 @@ func BenchmarkMISDegree(b *testing.B) {
 			pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 		}
 		g := UnitDisk(pts, 2.7)
-		for _, engine := range []string{"bucket", "rescan"} {
-			b.Run(fmt.Sprintf("%s/n=%d", engine, n), func(b *testing.B) {
-				rescan := engine == "rescan"
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = MaximalIndependentSetWith(g, MISMaxDegree, MISConfig{Rescan: rescan})
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("bucket/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = MaximalIndependentSetWith(g, MISMaxDegree, MISConfig{})
+			}
+		})
+		b.Run(fmt.Sprintf("rescan/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = misByDegreeRescan(g, false)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 func randomGraph(rng *rand.Rand, n int, p float64) *Undirected {
@@ -106,6 +107,23 @@ func TestMISUnitDiskPairwiseDistance(t *testing.T) {
 					t.Fatalf("MIS nodes %d,%d at distance %v <= gamma", set[i], set[j], d)
 				}
 			}
+		}
+	}
+}
+
+// TestMISDegreeRecordsSubSpans: a traced degree-ordered selection
+// attributes its time to the nested mis/select and mis/update spans.
+func TestMISDegreeRecordsSubSpans(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(5)), 70, 0.1)
+	for _, order := range []MISOrder{MISMinDegree, MISMaxDegree} {
+		tr := obs.New()
+		MaximalIndependentSetWith(g, order, MISConfig{Tracer: tr})
+		seen := map[string]bool{}
+		for _, st := range tr.Report().Stages {
+			seen[st.Name] = true
+		}
+		if !seen[obs.StageMISSelect] || !seen[obs.StageMISUpdate] {
+			t.Errorf("%v: missing nested mis spans in %v", order, tr.Report().Stages)
 		}
 	}
 }

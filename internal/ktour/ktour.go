@@ -51,12 +51,6 @@ type Input struct {
 	// Workers bounds the goroutines the restarts fan across; <= 0 means
 	// GOMAXPROCS. It affects speed only, never the result.
 	Workers int
-	// Sparse tunes the input sizes at which the grand-tour kernels (MST,
-	// odd-vertex matching, 2-opt) switch from their exact quadratic
-	// implementations to the subquadratic ones; the zero value keeps the
-	// tsp package defaults, under which every paper-scale instance
-	// (n <= 1200) runs the exact kernels. See tsp.Thresholds.
-	Sparse tsp.Thresholds
 }
 
 // Builder names a grand-tour construction heuristic.
@@ -142,13 +136,14 @@ func TourDelay(in Input, tour []int) float64 {
 }
 
 // MinMax computes K node-disjoint closed tours covering all nodes with
-// near-minimal longest delay. It runs in O(n^2) time dominated by the TSP
-// construction.
+// near-minimal longest delay.
 //
 // MinMax honors ctx between its phases (grand-tour construction, the
 // binary search, the balance pass) and returns an error wrapping
 // ctx.Err() on cancellation. Its total runtime is recorded under the
-// kminmax span when ctx carries an obs.Tracer.
+// kminmax span when ctx carries an obs.Tracer; inside it the split search
+// is recorded under kminmax/split, and each tour's balance-pass 2-opt
+// under kminmax/2opt.
 func MinMax(ctx context.Context, in Input) (*Solution, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -204,6 +199,7 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 		}
 	}
 	parts := splitAtTarget(in, order, hi)
+	splitSpan.End()
 	for k, part := range parts {
 		sol.Tours[k] = part
 	}
@@ -211,12 +207,10 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 	// (cannot increase any delay, so the max cannot increase).
 	for k := range sol.Tours {
 		if err := ctx.Err(); err != nil {
-			splitSpan.End()
 			return nil, fmt.Errorf("ktour: %w", err)
 		}
-		improveTour(in, sol.Tours[k])
+		improveTour(ctx, in, sol.Tours[k])
 	}
-	splitSpan.End()
 	for k := range sol.Tours {
 		sol.Delays[k] = TourDelay(in, sol.Tours[k])
 		if sol.Delays[k] > sol.Longest {
@@ -246,13 +240,13 @@ func GrandTourOrder(ctx context.Context, in Input) []int {
 	var tour tsp.Tour
 	switch in.Builder {
 	case BuilderMST:
-		tour = tsp.MSTApproxWith(ctx, pts, 0, in.Sparse)
+		tour = tsp.MSTApprox(ctx, pts, 0)
 	case BuilderNearestNeighbor:
 		tour = tsp.NearestNeighbor(pts, 0)
-		tsp.TwoOptRestartsWith(ctx, &tour, pts, in.Restarts, in.Workers, in.Sparse)
+		tsp.TwoOptRestarts(ctx, &tour, pts, in.Restarts, in.Workers)
 	default: // BuilderChristofides and the zero value
-		tour = tsp.ChristofidesWith(ctx, pts, 0, in.Sparse)
-		tsp.TwoOptRestartsWith(ctx, &tour, pts, in.Restarts, in.Workers, in.Sparse)
+		tour = tsp.Christofides(ctx, pts, 0)
+		tsp.TwoOptRestarts(ctx, &tour, pts, in.Restarts, in.Workers)
 	}
 	tour.RotateToStart(0)
 	order := make([]int, 0, n)
@@ -323,11 +317,12 @@ func splitCountAtTarget(in Input, order []int, target float64) int {
 }
 
 // improveTour runs 2-opt on a single tour's nodes (with the depot pinned)
-// in place.
-func improveTour(in Input, tour []int) {
+// in place, under the kminmax/2opt span of any tracer in ctx.
+func improveTour(ctx context.Context, in Input, tour []int) {
 	if len(tour) < 3 {
 		return
 	}
+	defer obs.FromContext(ctx).Start(obs.StageKMinMaxTwoOpt).End()
 	pts := make([]geom.Point, 0, len(tour)+1)
 	pts = append(pts, in.Depot)
 	for _, v := range tour {
@@ -338,8 +333,7 @@ func improveTour(in Input, tour []int) {
 		order[i] = i
 	}
 	t := tsp.Tour{Order: order}
-	tsp.TwoOptWith(&t, pts, 0, in.Sparse)
-	t.RotateToStart(0)
+	tsp.TwoOpt(&t, pts, 0)
 	orig := append([]int(nil), tour...)
 	for i := 1; i < len(t.Order); i++ {
 		tour[i-1] = orig[t.Order[i]-1]

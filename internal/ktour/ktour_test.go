@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 func randInput(rng *rand.Rand, n, k int) Input {
@@ -172,6 +173,35 @@ func TestMinMaxSymmetricSplit(t *testing.T) {
 	}
 	if sol2.Longest > 0.75*sol1.Longest {
 		t.Errorf("K=2 longest %v not much below K=1 longest %v", sol2.Longest, sol1.Longest)
+	}
+}
+
+// TestMinMaxTimesBalancePassAsTwoOpt pins the span attribution inside
+// kminmax: the grand-tour refinement and each tour's balance-pass 2-opt
+// record kminmax/2opt (1+K spans when every tour has >= 3 nodes), and the
+// split search records kminmax/split once.
+func TestMinMaxTimesBalancePassAsTwoOpt(t *testing.T) {
+	const k = 3
+	in := randInput(rand.New(rand.NewSource(17)), 60, k)
+	tr := obs.New()
+	sol, err := MinMax(obs.WithTracer(context.Background(), tr), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tour := range sol.Tours {
+		if len(tour) < 3 {
+			t.Fatalf("tour %d has %d nodes; the case needs >= 3 per tour", i, len(tour))
+		}
+	}
+	counts := map[string]int64{}
+	for _, st := range tr.Report().Stages {
+		counts[st.Name] = st.Count
+	}
+	if got := counts[obs.StageKMinMaxTwoOpt]; got != 1+k {
+		t.Errorf("kminmax/2opt recorded %d spans, want %d", got, 1+k)
+	}
+	if got := counts[obs.StageKMinMaxSplit]; got != 1 {
+		t.Errorf("kminmax/split recorded %d spans, want 1", got)
 	}
 }
 

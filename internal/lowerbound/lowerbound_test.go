@@ -340,6 +340,20 @@ func TestComputeMatchesQuadraticReference(t *testing.T) {
 		cases = append(cases, tc{fmt.Sprintf("gamma-%v", gamma), in})
 	}
 
+	// Requests on a line whose y coordinates differ only by rounding (0.3
+	// against 0.1+0.2): grid cells sized by area alone came out near a
+	// micrometre, and the MST's bridging search crossed ~1e14 of them.
+	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
+	nearLine := &core.Instance{Depot: geom.Pt(0, 0.3), Gamma: 2.7, Speed: 1, K: 1}
+	for i := 1; i <= 60; i++ {
+		y := 0.3
+		if i%2 == 1 {
+			y = a + b
+		}
+		nearLine.Requests = append(nearLine.Requests, core.Request{Pos: geom.Pt(50*float64(i), y), Duration: dur()})
+	}
+	cases = append(cases, tc{"near-collinear", nearLine})
+
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, wantPacked := computeReference(c.in)

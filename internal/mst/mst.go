@@ -60,47 +60,6 @@ func (t *Tree) PreorderDFS() []int {
 	return order
 }
 
-// Euclidean computes the MST of the complete graph over pts with Euclidean
-// edge weights, rooted at root, using Prim's algorithm in O(n^2) time —
-// optimal for complete geometric graphs. It returns nil when pts is empty
-// or root is out of range.
-func Euclidean(pts []geom.Point, root int) *Tree {
-	n := len(pts)
-	if n == 0 || root < 0 || root >= n {
-		return nil
-	}
-	const unseen = -1
-	parent := make([]int, n)
-	dist := make([]float64, n)
-	inTree := make([]bool, n)
-	for i := range parent {
-		parent[i] = unseen
-		dist[i] = math.Inf(1)
-	}
-	dist[root] = 0
-	total := 0.0
-	for iter := 0; iter < n; iter++ {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && (best < 0 || dist[v] < dist[best]) {
-				best = v
-			}
-		}
-		inTree[best] = true
-		total += dist[best]
-		for v := 0; v < n; v++ {
-			if inTree[v] {
-				continue
-			}
-			if d := geom.Dist(pts[best], pts[v]); d < dist[v] {
-				dist[v] = d
-				parent[v] = best
-			}
-		}
-	}
-	return buildTree(root, parent, total)
-}
-
 // EuclideanPrimHeap is a heap-based Prim over an explicit neighbor graph:
 // pts gives coordinates and neighbors the candidate edges (e.g. a unit-disk
 // graph). It runs in O(m log n).

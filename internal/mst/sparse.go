@@ -10,9 +10,10 @@ import (
 
 // EuclideanSparse computes the MST of the complete Euclidean graph over
 // pts, rooted at root, without ever materializing the O(n^2) edge set. It
-// returns a tree whose total weight equals Euclidean's exactly (when edge
-// weights are distinct the tree itself is identical); only the kernel's
-// complexity changes, so the K-minMax approximation argument is untouched.
+// returns a tree whose total weight equals the dense O(n^2) Prim's exactly
+// (when edge weights are distinct the tree itself is identical; the dense
+// Prim is the oracle in the tests), so the K-minMax approximation argument
+// is untouched. It returns nil when pts is empty or root is out of range.
 //
 // The construction has two phases:
 //
@@ -41,11 +42,6 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 	n := len(pts)
 	if n == 0 || root < 0 || root >= n {
 		return nil
-	}
-	if n <= 3 {
-		// Too small for pruning to buy anything; the dense kernel is exact
-		// and allocation-free at this size.
-		return Euclidean(pts, root)
 	}
 	grid, off, adj := candidateGraph(pts)
 	neighbors := func(v int) []int32 { return adj[off[v]:off[v+1]] }
@@ -167,23 +163,13 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 // candidateGraph builds the grid and the CSR adjacency of the pruned
 // candidate edge set: all pairs within a radius chosen so a vertex sees a
 // small constant number of neighbors at the point set's average density
-// (r = 2*sqrt(area/n) covers ~12 expected neighbors for uniform points,
-// enough for connectivity at planning densities while keeping the edge
-// count linear).
+// (r = geom.CellFor, which is 2*sqrt(area/n) for uniform points and
+// covers ~12 expected neighbors, enough for connectivity at planning
+// densities while keeping the edge count linear). Correctness never
+// depends on r, only the edge count does.
 func candidateGraph(pts []geom.Point) (*geom.Grid, []int32, []int32) {
 	n := len(pts)
-	b := geom.Bounds(pts)
-	ex, ey := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
-	r := 2 * math.Sqrt(ex*ey/float64(n))
-	if !(r > 0) {
-		// Degenerate extents: collinear sets have zero area, coincident
-		// sets zero extent. Fall back to a spacing-derived, then a unit,
-		// radius; correctness never depends on r, only edge count does.
-		r = 2 * (ex + ey) / float64(n)
-	}
-	if !(r > 0) {
-		r = 1
-	}
+	r := geom.CellFor(geom.Bounds(pts), n)
 	grid := geom.NewGrid(pts, r)
 	off := make([]int32, n+1)
 	var buf []int

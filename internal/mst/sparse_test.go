@@ -76,7 +76,8 @@ func TestEuclideanSparseOracleRandom(t *testing.T) {
 
 // TestEuclideanSparseOracleAdversarial pins the degenerate geometries the
 // grid heuristics have to survive: collinear sets (zero-height bounding
-// box), duplicate coordinates (zero-length edges), a tight cluster at
+// box), near-collinear sets (a bounding box whose height is a rounding
+// error), duplicate coordinates (zero-length edges), a tight cluster at
 // float scale, and far-apart clusters whose candidate graphs are
 // disconnected, forcing the Boruvka bridging rounds.
 func TestEuclideanSparseOracleAdversarial(t *testing.T) {
@@ -113,6 +114,9 @@ func TestEuclideanSparseOracleAdversarial(t *testing.T) {
 			}
 			return pts
 		},
+		"near-collinear-2":  func() []geom.Point { return nearCollinear(2) },
+		"near-collinear-3":  func() []geom.Point { return nearCollinear(3) },
+		"near-collinear-60": func() []geom.Point { return nearCollinear(60) },
 		"tight-cluster": func() []geom.Point {
 			pts := make([]geom.Point, 80)
 			for i := range pts {
@@ -154,6 +158,24 @@ func TestEuclideanSparseOracleAdversarial(t *testing.T) {
 			assertWeightEqual(t, dense.Weight, sparse.Weight)
 		})
 	}
+}
+
+// nearCollinear returns n points 50 apart on the line y = 0.3, point 0
+// (a plan's depot) first, with every odd point at y = 0.1+0.2, one ulp
+// above 0.3. The bounding box's height is that rounding error, so a grid
+// cell sized by area alone collapses to about a micrometre and a ring
+// search has to cross tens of millions of empty cells between neighbors.
+func nearCollinear(n int) []geom.Point {
+	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		y := 0.3
+		if i%2 == 1 {
+			y = a + b
+		}
+		pts[i] = geom.Pt(50*float64(i), y)
+	}
+	return pts
 }
 
 // TestEuclideanSparseEdgeCases mirrors the dense kernel's degenerate-input

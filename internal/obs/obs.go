@@ -39,12 +39,9 @@ const (
 	StageMIS = "mis"
 	// The mis/* spans are sub-stages nested INSIDE the mis span when a
 	// degree-ordered strategy runs — they attribute its time to the
-	// extreme-degree vertex selection (bucket-queue pops or reference
-	// rescans) versus the residual-degree bookkeeping after each removal,
-	// and must not be added to the top-level stages when summing a plan's
-	// runtime. A mis.degree.bucket / mis.degree.rescan counter tick
-	// records which selection engine ran (see internal/graph's
-	// MISConfig.Rescan).
+	// extreme-degree vertex selection (bucket-queue pops) versus the
+	// residual-degree bookkeeping after each removal, and must not be
+	// added to the top-level stages when summing a plan's runtime.
 	StageMISSelect = "mis/select"
 	StageMISUpdate = "mis/update"
 	// StageKMinMax covers the K-minMax closed-tour subroutine.
@@ -54,12 +51,10 @@ const (
 	StageInsertion = "insertion"
 	// The kminmax/* spans are per-kernel sub-stages nested INSIDE the
 	// kminmax span — they attribute its time to the MST construction, the
-	// Christofides odd-vertex matching, the 2-opt refinement and the
-	// tour-splitting search, and therefore must not be added to the
-	// top-level stages when summing a plan's runtime. Each kernel span
-	// comes with a tsp.<kernel>.dense / tsp.<kernel>.sparse (or
-	// tsp.2opt.full / tsp.2opt.neighbor) counter tick recording which
-	// implementation ran (see internal/tsp's Thresholds).
+	// Christofides odd-vertex matching, the 2-opt refinements (the grand
+	// tour's and each split tour's balance pass) and the tour-splitting
+	// search, and therefore must not be added to the top-level stages
+	// when summing a plan's runtime.
 	StageKMinMaxMST    = "kminmax/mst"
 	StageKMinMaxMatch  = "kminmax/match"
 	StageKMinMaxTwoOpt = "kminmax/2opt"

@@ -18,8 +18,7 @@ import (
 // hashes differently (no false hits between distinct problems), and
 // (3) perturbing any plan-changing core.Options field (TourRestarts,
 // MISOrder, NoSortByFinishTime, TourBuilder, the seed under MISRandom)
-// changes the key, while the speed-only Workers field and the
-// engine-only MISRescan field never do.
+// changes the key, while the speed-only Workers field never does.
 func FuzzPlanCacheKey(f *testing.F) {
 	f.Add(int64(1), uint8(0), 1.0)
 	f.Add(int64(2), uint8(3), -0.5)
@@ -62,8 +61,8 @@ func FuzzPlanCacheKey(f *testing.F) {
 		// Mutate exactly one instance or options field, verifying float
 		// perturbations actually changed the stored value (tiny deltas can
 		// round away). Fields 0-6 perturb the instance, 7-11 the options;
-		// fields 12-13 perturb Workers and MISRescan, which must NOT
-		// change the key (speed-only and engine-only respectively).
+		// field 12 perturbs Workers, which is speed-only and must NOT
+		// change the key.
 		var mutOpts *core.Options
 		wantEqual := false
 		ri := rng.Intn(n)
@@ -73,7 +72,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 			*v += delta
 			changed = *v != old
 		}
-		switch field % 14 {
+		switch field % 13 {
 		case 0:
 			bump(&mutated.Requests[ri].Pos.X)
 		case 1:
@@ -97,12 +96,9 @@ func FuzzPlanCacheKey(f *testing.F) {
 		case 10:
 			mutOpts = &core.Options{TourBuilder: ktour.BuilderMST}
 		case 11:
-			mutOpts = &core.Options{MISOrder: graph.MISRandom, Seed: 1 + rng.Int63n(1 << 30)}
+			mutOpts = &core.Options{MISOrder: graph.MISRandom, Seed: 1 + rng.Int63n(1<<30)}
 		case 12:
 			mutOpts = &core.Options{Workers: 1 + rng.Intn(16)}
-			wantEqual = true
-		case 13:
-			mutOpts = &core.Options{MISRescan: true}
 			wantEqual = true
 		}
 		if !changed {
@@ -114,7 +110,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 				t.Fatal("Workers is speed-only and must not change the key")
 			}
 		} else if mutKey == baseKey {
-			t.Fatalf("inputs differing in field %d hashed equal", field%14)
+			t.Fatalf("inputs differing in field %d hashed equal", field%13)
 		}
 
 		// A warm cache must hit the equal input and behave per the

@@ -101,14 +101,6 @@ func Identity(p core.Planner) (name string, opts *core.Options) {
 //   - TourBuilder zero means ktour.BuilderChristofides.
 //   - TourRestarts <= 1 all mean the single sequential descent.
 //   - Workers affects speed only, never the schedule, and is dropped.
-//   - MISRescan routes the degree-ordered MIS selection through the
-//     reference rescan engine, which picks the identical vertex sequence
-//     as the bucket queue; it never changes the schedule and is dropped.
-//   - Sparse canonicalizes per tsp.Thresholds.Canon: zero fields mean the
-//     package-default crossovers and every negative value pins that
-//     kernel dense. The thresholds can change the schedule above the
-//     crossovers (the 2-opt and matching kernels are approximate there),
-//     so the canonical values are keyed.
 func canonOptions(opts *core.Options) core.Options {
 	var o core.Options
 	if opts != nil {
@@ -127,8 +119,6 @@ func canonOptions(opts *core.Options) core.Options {
 		o.TourRestarts = 1
 	}
 	o.Workers = 0
-	o.MISRescan = false
-	o.Sparse = o.Sparse.Canon()
 	return o
 }
 
@@ -161,9 +151,6 @@ func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
 	}
 	u(uint64(o.TourBuilder))
 	u(uint64(o.TourRestarts))
-	u(uint64(int64(o.Sparse.MST)))
-	u(uint64(int64(o.Sparse.TwoOpt)))
-	u(uint64(int64(o.Sparse.Match)))
 	f(in.Depot.X)
 	f(in.Depot.Y)
 	f(in.Gamma)

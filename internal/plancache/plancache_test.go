@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ktour"
 	"repro/internal/obs"
-	"repro/internal/tsp"
 )
 
 func testInstance(n int, seed int64) *core.Instance {
@@ -69,16 +68,12 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 
 	// Any plan-changing option field must change the key.
 	planChanging := map[string]*core.Options{
-		"restarts":     {TourRestarts: 8},
-		"mis-order":    {MISOrder: graph.MISMinDegree},
-		"no-sort":      {NoSortByFinishTime: true},
-		"builder":      {TourBuilder: ktour.BuilderMST},
-		"mis-random":   {MISOrder: graph.MISRandom, Seed: 1},
-		"mis-luby":     {MISOrder: graph.MISLuby, Seed: 1},
-		"sparse-mst":   {Sparse: tsp.Thresholds{MST: 10}},
-		"sparse-2opt":  {Sparse: tsp.Thresholds{TwoOpt: 10}},
-		"sparse-match": {Sparse: tsp.Thresholds{Match: 10}},
-		"sparse-never": {Sparse: tsp.Thresholds{MST: -1, TwoOpt: -1, Match: -1}},
+		"restarts":   {TourRestarts: 8},
+		"mis-order":  {MISOrder: graph.MISMinDegree},
+		"no-sort":    {NoSortByFinishTime: true},
+		"builder":    {TourBuilder: ktour.BuilderMST},
+		"mis-random": {MISOrder: graph.MISRandom, Seed: 1},
+		"mis-luby":   {MISOrder: graph.MISLuby, Seed: 1},
 	}
 	base := KeyOf("Appro", nil, in)
 	for name, o := range planChanging {
@@ -96,11 +91,6 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 	if KeyOf("Appro", l1, in) == KeyOf("Appro", l2, in) {
 		t.Error("under MISLuby the seed changes the plan, so it must change the key")
 	}
-	s1 := &core.Options{Sparse: tsp.Thresholds{MST: -1, TwoOpt: -2, Match: -3}}
-	s2 := &core.Options{Sparse: tsp.Thresholds{MST: -9, TwoOpt: -1, Match: -1}}
-	if KeyOf("Appro", s1, in) != KeyOf("Appro", s2, in) {
-		t.Error(`every "never" spelling of a threshold is plan-equivalent and must share a key`)
-	}
 
 	// Options inside one plan-equivalence class must keep sharing an
 	// entry: defaults spelled explicitly, restart counts <= 1, the
@@ -113,9 +103,6 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 		"restarts-neg":     {TourRestarts: -3},
 		"workers":          {Workers: 7},
 		"unused-seed":      {Seed: 42},
-		"mis-rescan":       {MISRescan: true},
-		"sparse-defaults-explicit": {Sparse: tsp.Thresholds{
-			MST: tsp.DefaultMSTThreshold, TwoOpt: tsp.DefaultTwoOptThreshold, Match: tsp.DefaultMatchThreshold}},
 	}
 	for name, o := range equivalent {
 		if KeyOf("Appro", o, in) != base {

@@ -160,6 +160,9 @@ func TestPlanBadRequests(t *testing.T) {
 		{"zero K", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":0}`},
 		{"unknown planner", `{"planner":"Dijkstra","instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}`},
 		{"trailing garbage", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1} tail`},
+		// Options fields that no longer exist are unknown fields.
+		{"retired Sparse option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Sparse":{"MST":1}}}`},
+		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+"/v1/plan", []byte(tc.body))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/mst"
@@ -43,116 +42,32 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 // MSTApprox builds a tour by the classic MST-doubling construction: compute
 // the Euclidean MST rooted at start and shortcut its preorder walk. The
 // resulting tour is at most twice the optimal TSP tour length (triangle
-// inequality).
-func MSTApprox(pts []geom.Point, start int) Tour {
-	return MSTApproxWith(context.Background(), pts, start, Thresholds{})
-}
-
-// MSTApproxWith is MSTApprox with explicit kernel thresholds and per-kernel
-// observability: the MST construction is recorded under the kminmax/mst
-// span with a tsp.mst.dense or tsp.mst.sparse counter tick when ctx
-// carries a tracer. Above th's MST crossover the grid-pruned
-// mst.EuclideanSparse runs; it is weight-exact, so the 2-approximation
-// bound is unchanged at every size.
-func MSTApproxWith(ctx context.Context, pts []geom.Point, start int, th Thresholds) Tour {
-	tree := buildMST(ctx, pts, start, th)
+// inequality). The MST construction is recorded under the kminmax/mst span
+// when ctx carries a tracer.
+func MSTApprox(ctx context.Context, pts []geom.Point, start int) Tour {
+	tree := buildMST(ctx, pts, start)
 	if tree == nil {
 		return Tour{}
 	}
 	return Tour{Order: tree.PreorderDFS()}
 }
 
-// buildMST runs the dense or the grid-pruned exact MST kernel per th,
-// recording the choice on any tracer in ctx.
-func buildMST(ctx context.Context, pts []geom.Point, start int, th Thresholds) *mst.Tree {
-	tr := obs.FromContext(ctx)
-	defer tr.Start(obs.StageKMinMaxMST).End()
-	if th.SparseMST(len(pts)) {
-		tr.Add("tsp.mst.sparse", 1)
-		return mst.EuclideanSparse(pts, start)
-	}
-	tr.Add("tsp.mst.dense", 1)
-	return mst.Euclidean(pts, start)
-}
-
-// CheapestInsertion builds a tour by starting from the start vertex and
-// its nearest neighbor and repeatedly inserting the unvisited point whose
-// best insertion position increases the tour length the least. O(n^2 log n)
-// in spirit, implemented as O(n^3 / something) simple scans — fine for the
-// sizes this library plans. For metric instances the construction is a
-// 2-approximation.
-func CheapestInsertion(pts []geom.Point, start int) Tour {
-	n := len(pts)
-	if n == 0 || start < 0 || start >= n {
-		return Tour{}
-	}
-	if n <= 2 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = (start + i) % n
-		}
-		return Tour{Order: order}
-	}
-	visited := make([]bool, n)
-	visited[start] = true
-	// Seed with the nearest neighbor of start.
-	second, bestD := -1, math.Inf(1)
-	for v := 0; v < n; v++ {
-		if v == start {
-			continue
-		}
-		if d := geom.Dist(pts[start], pts[v]); d < bestD {
-			second, bestD = v, d
-		}
-	}
-	visited[second] = true
-	order := []int{start, second}
-	for len(order) < n {
-		bestV, bestPos, bestCost := -1, 0, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if visited[v] {
-				continue
-			}
-			for i := range order {
-				a := order[i]
-				b := order[(i+1)%len(order)]
-				cost := geom.Dist(pts[a], pts[v]) + geom.Dist(pts[v], pts[b]) -
-					geom.Dist(pts[a], pts[b])
-				if cost < bestCost {
-					bestV, bestPos, bestCost = v, i+1, cost
-				}
-			}
-		}
-		visited[bestV] = true
-		order = append(order, 0)
-		copy(order[bestPos+1:], order[bestPos:])
-		order[bestPos] = bestV
-	}
-	t := Tour{Order: order}
-	t.RotateToStart(start)
-	return t
+// buildMST runs the grid-pruned exact MST kernel under the kminmax/mst
+// span of any tracer in ctx.
+func buildMST(ctx context.Context, pts []geom.Point, start int) *mst.Tree {
+	defer obs.FromContext(ctx).Start(obs.StageKMinMaxMST).End()
+	return mst.EuclideanSparse(pts, start)
 }
 
 // Christofides builds a tour in the style of Christofides' algorithm: MST,
 // then a matching on the odd-degree MST vertices, then an Euler circuit of
 // the union, shortcut to a Hamiltonian tour. The odd-vertex matching here
-// is the greedy shortest-edge-first matching rather than an exact
-// minimum-weight perfect matching, so the guarantee is the MST-doubling
-// bound of 2 rather than 1.5; in practice it produces noticeably shorter
-// tours than MSTApprox.
-func Christofides(pts []geom.Point, start int) Tour {
-	return ChristofidesWith(context.Background(), pts, start, Thresholds{})
-}
-
-// ChristofidesWith is Christofides with explicit kernel thresholds and
-// per-kernel observability: the MST and the odd-vertex matching are
-// recorded under the kminmax/mst and kminmax/match spans, each with a
-// dense/sparse counter tick, when ctx carries a tracer. Above th's MST
-// crossover the (weight-exact) grid-pruned MST runs; above th's Match
-// crossover the odd vertices are paired by the grid-bucketed
-// nearest-available greedy instead of the sorted-pair greedy — a
-// different (but still valid) matching, so tours can differ there.
-func ChristofidesWith(ctx context.Context, pts []geom.Point, start int, th Thresholds) Tour {
+// is a nearest-available greedy (greedyMatchingSparse) rather than an
+// exact minimum-weight perfect matching, so Christofides' 1.5 guarantee
+// does not carry over; in practice it produces noticeably shorter tours
+// than MSTApprox. The MST and the matching are recorded under the
+// kminmax/mst and kminmax/match spans when ctx carries a tracer.
+func Christofides(ctx context.Context, pts []geom.Point, start int) Tour {
 	n := len(pts)
 	if n == 0 || start < 0 || start >= n {
 		return Tour{}
@@ -164,7 +79,7 @@ func ChristofidesWith(ctx context.Context, pts []geom.Point, start int, th Thres
 		}
 		return Tour{Order: order}
 	}
-	tree := buildMST(ctx, pts, start, th)
+	tree := buildMST(ctx, pts, start)
 	// Multigraph edge list: MST edges plus matching edges.
 	edges := make([][2]int, 0, n+n/2)
 	degree := make([]int, n)
@@ -185,16 +100,8 @@ func ChristofidesWith(ctx context.Context, pts []geom.Point, start int, th Thres
 			odd = append(odd, v)
 		}
 	}
-	tr := obs.FromContext(ctx)
-	msp := tr.Start(obs.StageKMinMaxMatch)
-	var match [][2]int
-	if th.SparseMatch(len(odd)) {
-		tr.Add("tsp.match.sparse", 1)
-		match = greedyMatchingSparse(pts, odd)
-	} else {
-		tr.Add("tsp.match.dense", 1)
-		match = greedyMatching(pts, odd)
-	}
+	msp := obs.FromContext(ctx).Start(obs.StageKMinMaxMatch)
+	match := greedyMatchingSparse(pts, odd)
 	msp.End()
 	for _, e := range match {
 		addEdge(e[0], e[1])
@@ -212,41 +119,12 @@ func ChristofidesWith(ctx context.Context, pts []geom.Point, start int, th Thres
 	return Tour{Order: order}
 }
 
-// greedyMatching pairs up the given vertices by repeatedly taking the
-// shortest remaining edge between two unmatched vertices. len(odd) must be
-// even (always true for odd-degree vertices of a graph).
-func greedyMatching(pts []geom.Point, odd []int) [][2]int {
-	type cand struct {
-		i, j int // indices into odd
-		d    float64
-	}
-	var cands []cand
-	for i := 0; i < len(odd); i++ {
-		for j := i + 1; j < len(odd); j++ {
-			cands = append(cands, cand{i, j, geom.Dist(pts[odd[i]], pts[odd[j]])})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	matched := make([]bool, len(odd))
-	var out [][2]int
-	for _, c := range cands {
-		if matched[c.i] || matched[c.j] {
-			continue
-		}
-		matched[c.i], matched[c.j] = true, true
-		out = append(out, [2]int{odd[c.i], odd[c.j]})
-	}
-	return out
-}
-
 // greedyMatchingSparse pairs up the given vertices by scanning them in
 // ascending order and matching each still-unmatched vertex to its nearest
 // still-unmatched partner, found by grid ring expansion — O(o) bounded
-// searches instead of the O(o^2 log o) candidate-pair slab the sorted
-// greedy builds. len(odd) must be even. The pairing is deterministic
-// (ascending scan, lowest-index distance ties) but generally different
-// from greedyMatching's; both are valid perfect matchings, so Christofides
-// stays within its construction bound either way.
+// searches instead of the O(o^2 log o) candidate-pair slab a sorted
+// shortest-edge-first greedy builds. len(odd) must be even. The pairing
+// is deterministic: ascending scan, lowest-index distance ties.
 func greedyMatchingSparse(pts []geom.Point, odd []int) [][2]int {
 	if len(odd) < 2 {
 		return nil
@@ -255,12 +133,7 @@ func greedyMatchingSparse(pts []geom.Point, odd []int) [][2]int {
 	for i, v := range odd {
 		oddPts[i] = pts[v]
 	}
-	b := geom.Bounds(oddPts)
-	cell := 2 * math.Sqrt((b.Max.X-b.Min.X)*(b.Max.Y-b.Min.Y)/float64(len(odd)))
-	if !(cell > 0) {
-		cell = 1
-	}
-	grid := geom.NewGrid(oddPts, cell)
+	grid := geom.NewGrid(oddPts, geom.CellFor(geom.Bounds(oddPts), len(odd)))
 	matched := make([]bool, len(odd))
 	unmatched := func(i int) bool { return !matched[i] }
 	out := make([][2]int, 0, len(odd)/2)

@@ -9,73 +9,6 @@ import (
 	"repro/internal/par"
 )
 
-// TwoOpt improves the tour in place with 2-opt moves until no improving
-// move exists or maxRounds passes complete (maxRounds <= 0 means no cap).
-// It never lengthens the tour, and returns the number of improving moves
-// applied.
-//
-// Below Thresholds' TwoOpt crossover (default DefaultTwoOptThreshold)
-// this is the exact quadratic descent TwoOptFull; at or above it the
-// neighbor-list descent TwoOptNeighborList runs instead. Small tours —
-// everything the paper's figures plan — therefore keep the seed's exact
-// kernel and byte-identical results.
-func TwoOpt(t *Tour, pts []geom.Point, maxRounds int) int {
-	return twoOptDispatch(t, pts, maxRounds, Thresholds{})
-}
-
-// TwoOptWith is TwoOpt with explicit kernel thresholds: the exact
-// quadratic descent below th's TwoOpt crossover, the neighbor-list
-// descent at or above it.
-func TwoOptWith(t *Tour, pts []geom.Point, maxRounds int, th Thresholds) int {
-	return twoOptDispatch(t, pts, maxRounds, th)
-}
-
-// twoOptDispatch routes a descent to the exact or the neighbor-list
-// kernel per th.
-func twoOptDispatch(t *Tour, pts []geom.Point, maxRounds int, th Thresholds) int {
-	if th.SparseTwoOpt(len(t.Order)) {
-		return TwoOptNeighborList(t, pts, DefaultNeighborK, maxRounds)
-	}
-	return TwoOptFull(t, pts, maxRounds)
-}
-
-// TwoOptFull is the exact quadratic 2-opt descent: every vertex pair is a
-// candidate exchange. It is the kernel TwoOpt runs below the sparse
-// threshold, exported for oracle tests and ablations.
-func TwoOptFull(t *Tour, pts []geom.Point, maxRounds int) int {
-	n := len(t.Order)
-	if n < 4 {
-		return 0
-	}
-	moves := 0
-	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
-		improved := false
-		for i := 0; i < n-1; i++ {
-			a, b := t.Order[i], t.Order[i+1]
-			for j := i + 2; j < n; j++ {
-				// Skip the move that would touch the closing edge twice.
-				if i == 0 && j == n-1 {
-					continue
-				}
-				c := t.Order[j]
-				d := t.Order[(j+1)%n]
-				delta := geom.Dist(pts[a], pts[c]) + geom.Dist(pts[b], pts[d]) -
-					geom.Dist(pts[a], pts[b]) - geom.Dist(pts[c], pts[d])
-				if delta < -1e-12 {
-					reverse(t.Order, i+1, j)
-					b = t.Order[i+1]
-					improved = true
-					moves++
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return moves
-}
-
 // TwoOptRestarts runs restarts independent 2-opt descents — the first
 // from the tour as given, each subsequent one from a double-bridge
 // perturbation of it seeded by the restart index — across at most
@@ -91,29 +24,15 @@ func TwoOptFull(t *Tour, pts []geom.Point, maxRounds int) int {
 // Returns the number of improving moves the winning descent applied.
 // Cancelling ctx stops undispatched restarts; the best among the descents
 // that did run (always including none-yet = the input tour) still wins, so
-// TwoOptRestarts degrades to a weaker optimizer rather than failing.
+// TwoOptRestarts degrades to a weaker optimizer rather than failing. The
+// whole refinement is recorded under the obs kminmax/2opt span when ctx
+// carries a tracer.
 func TwoOptRestarts(ctx context.Context, t *Tour, pts []geom.Point, restarts, workers int) int {
-	return TwoOptRestartsWith(ctx, t, pts, restarts, workers, Thresholds{})
-}
-
-// TwoOptRestartsWith is TwoOptRestarts with explicit kernel thresholds:
-// each descent runs the exact quadratic kernel below th's TwoOpt
-// crossover and the neighbor-list kernel at or above it. The whole
-// refinement is recorded under the obs kminmax/2opt span with a
-// tsp.2opt.full or tsp.2opt.neighbor counter tick, when ctx carries a
-// tracer.
-func TwoOptRestartsWith(ctx context.Context, t *Tour, pts []geom.Point, restarts, workers int, th Thresholds) int {
-	tr := obs.FromContext(ctx)
-	if n := len(t.Order); n >= 4 {
-		defer tr.Start(obs.StageKMinMaxTwoOpt).End()
-		if th.SparseTwoOpt(n) {
-			tr.Add("tsp.2opt.neighbor", 1)
-		} else {
-			tr.Add("tsp.2opt.full", 1)
-		}
+	if len(t.Order) >= 4 {
+		defer obs.FromContext(ctx).Start(obs.StageKMinMaxTwoOpt).End()
 	}
 	if restarts <= 1 {
-		return twoOptDispatch(t, pts, 0, th)
+		return TwoOpt(t, pts, 0)
 	}
 	type candidate struct {
 		order []int
@@ -126,7 +45,7 @@ func TwoOptRestartsWith(ctx context.Context, t *Tour, pts []geom.Point, restarts
 		if r > 0 {
 			doubleBridge(c.Order, rand.New(rand.NewSource(int64(r))))
 		}
-		moves := twoOptDispatch(&c, pts, 0, th)
+		moves := TwoOpt(&c, pts, 0)
 		return candidate{order: c.Order, len: c.Length(pts), moves: moves, ran: true}, nil
 	})
 	best := candidate{order: t.Order, len: t.Length(pts)}
@@ -175,85 +94,4 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// OrOpt improves the tour in place by relocating chains of 1..3 consecutive
-// vertices to better positions (Or-opt moves). It complements 2-opt, which
-// cannot perform segment relocation. Returns the number of improving moves.
-func OrOpt(t *Tour, pts []geom.Point, maxRounds int) int {
-	n := len(t.Order)
-	if n < 5 {
-		return 0
-	}
-	dist := func(i, j int) float64 { return geom.Dist(pts[t.Order[i]], pts[t.Order[j]]) }
-	moves := 0
-	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
-		improved := false
-		for segLen := 1; segLen <= 3; segLen++ {
-			for i := 1; i+segLen <= n; i++ { // keep Order[0] (depot) fixed
-				j := i + segLen - 1 // segment [i..j]
-				prev := i - 1
-				next := (j + 1) % n
-				removeGain := dist(prev, i) + dist(j, next) - dist(prev, next)
-				if removeGain <= 1e-12 {
-					continue
-				}
-				// Try inserting between every other consecutive pair.
-				for p := 0; p < n; p++ {
-					q := (p + 1) % n
-					if p >= prev && p <= j { // overlapping positions
-						continue
-					}
-					insertCost := dist(p, i) + dist(j, q) - dist(p, q)
-					if insertCost < removeGain-1e-12 {
-						relocate(t.Order, i, j, p)
-						improved = true
-						moves++
-						// Indices shifted; restart this segment length.
-						i = 0
-						break
-					}
-				}
-				if improved {
-					break
-				}
-			}
-			if improved {
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return moves
-}
-
-// reverse reverses order[i..j] inclusive.
-func reverse(order []int, i, j int) {
-	for i < j {
-		order[i], order[j] = order[j], order[i]
-		i++
-		j--
-	}
-}
-
-// relocate moves the segment order[i..j] (inclusive) to just after position
-// p, where p is outside [i-1, j].
-func relocate(order []int, i, j, p int) {
-	seg := append([]int(nil), order[i:j+1]...)
-	rest := append([]int(nil), order[:i]...)
-	rest = append(rest, order[j+1:]...)
-	// Position of the element originally at p within rest.
-	var pos int
-	if p < i {
-		pos = p
-	} else {
-		pos = p - (j - i + 1)
-	}
-	out := make([]int, 0, len(order))
-	out = append(out, rest[:pos+1]...)
-	out = append(out, seg...)
-	out = append(out, rest[pos+1:]...)
-	copy(order, out)
 }

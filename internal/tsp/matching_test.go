@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // checkPerfectMatching fails unless match pairs every vertex of odd
@@ -89,6 +90,22 @@ func TestGreedyMatchingSparseTable(t *testing.T) {
 			}
 			return pts, odd
 		},
+		"near-collinear": func() ([]geom.Point, []int) {
+			// y alternates between 0.3 and 0.1+0.2 (one ulp above): the
+			// bounding box's height is a rounding error, not zero.
+			a, b := 0.1, 0.2
+			pts := make([]geom.Point, 20)
+			odd := make([]int, 20)
+			for i := range pts {
+				y := 0.3
+				if i%2 == 1 {
+					y = a + b
+				}
+				pts[i] = geom.Pt(50*float64(i), y)
+				odd[i] = i
+			}
+			return pts, odd
+		},
 		"duplicates": func() ([]geom.Point, []int) {
 			pts := make([]geom.Point, 16)
 			odd := make([]int, 16)
@@ -155,24 +172,55 @@ func TestGreedyMatchingSparseNearOptimal(t *testing.T) {
 	}
 }
 
-// TestChristofidesWithSparseMatchValid: with the sparse matching forced
-// on, Christofides must still emit a valid Hamiltonian tour within its
-// construction bound's ballpark of the dense variant.
+// TestChristofidesWithSparseMatchValid: with the nearest-available
+// matching, Christofides must still emit a valid Hamiltonian tour from the
+// start vertex, no longer than 1.25 times the tour the same construction
+// gives with the shortest-edge-first greedyMatching. On the MST's
+// odd-degree vertices the nearest-available matching may weigh at most
+// 1.25 times the shortest-edge-first one summed over the trials. Single
+// instances run up to ~1.45 here, and up to ~1.8 over 300 such trials,
+// so the per-instance bound is on the tour, not on the matching.
 func TestChristofidesWithSparseMatchValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
+	var sumSparse, sumGreedy float64
 	for trial := 0; trial < 10; trial++ {
 		n := 20 + rng.Intn(180)
 		pts := rngPoints(rng, n, 300)
-		sparse := ChristofidesWith(t.Context(), pts, 0, Thresholds{Match: 1})
-		if err := sparse.Validate(n); err != nil {
-			t.Fatalf("trial %d: invalid sparse-match tour: %v", trial, err)
+		tour := Christofides(t.Context(), pts, 0)
+		if err := tour.Validate(n); err != nil || tour.Order[0] != 0 {
+			t.Fatalf("trial %d: invalid tour %v (%v)", trial, tour.Order, err)
 		}
-		dense := Christofides(pts, 0)
-		ls, ld := sparse.Length(pts), dense.Length(pts)
-		if ls > ld*1.25 {
-			t.Fatalf("trial %d (n=%d): sparse-match tour %.3f vs dense %.3f exceeds 1.25 ratio", trial, n, ls, ld)
+		ls, lg := tour.Length(pts), christofidesGreedy(pts, 0).Length(pts)
+		if ls > lg*1.25 {
+			t.Fatalf("trial %d (n=%d): tour %.3f vs shortest-edge-first matching's %.3f exceeds 1.25 ratio", trial, n, ls, lg)
+		}
+		odd := mstOddVertices(pts)
+		sumSparse += matchingWeight(pts, greedyMatchingSparse(pts, odd))
+		sumGreedy += matchingWeight(pts, greedyMatching(pts, odd))
+	}
+	if sumSparse > sumGreedy*1.25 {
+		t.Fatalf("nearest-available matchings weigh %.3f in total vs shortest-edge-first %.3f: exceeds 1.25 ratio", sumSparse, sumGreedy)
+	}
+	t.Logf("matching weight ratio over the trials %.4f", sumSparse/sumGreedy)
+}
+
+// mstOddVertices returns the odd-degree vertices of the Euclidean MST of
+// pts, ascending: the set Christofides matches.
+func mstOddVertices(pts []geom.Point) []int {
+	deg := make([]int, len(pts))
+	for v, p := range mst.EuclideanSparse(pts, 0).Parent {
+		if p >= 0 {
+			deg[v]++
+			deg[p]++
 		}
 	}
+	var odd []int
+	for v, d := range deg {
+		if d%2 == 1 {
+			odd = append(odd, v)
+		}
+	}
+	return odd
 }
 
 // refMatchingNearestAvailable is the brute-force O(o^2) reference for

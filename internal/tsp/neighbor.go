@@ -7,28 +7,38 @@ import (
 	"repro/internal/geom"
 )
 
-// TwoOptNeighborList improves the tour in place with 2-opt moves, like
-// TwoOptFull, but only attempts exchanges whose new edge connects a vertex
-// to one of its k nearest neighbors (symmetrized: a candidate pair is kept
-// if either endpoint ranks the other). Together with don't-look bits and
-// first-improvement sweeps this makes a descent O(n·k) per sweep instead
-// of O(n^2), at the cost of possibly missing long-range exchanges — the
-// never-worsens invariant still holds because every applied move strictly
-// shortens the tour. k <= 0 means DefaultNeighborK; maxRounds <= 0 means
-// no sweep cap. Returns the number of improving moves applied.
+// DefaultNeighborK is the neighbor-list size of the 2-opt descent:
+// exchanges are only attempted between a stop and its k nearest (or
+// their) neighbors.
+const DefaultNeighborK = 10
+
+// TwoOpt improves the tour in place with 2-opt moves until no improving
+// move exists or maxRounds sweeps complete (maxRounds <= 0 means no cap),
+// and returns the number of improving moves applied. It only attempts
+// exchanges whose new edge connects a vertex to one of its
+// DefaultNeighborK nearest neighbors (symmetrized: a candidate pair is
+// kept if either endpoint ranks the other). Together with don't-look bits
+// and first-improvement sweeps this makes a sweep O(n·k) instead of
+// O(n^2), at the cost of possibly missing long-range exchanges.
+//
+// A move is accepted only when it shortens the tour by more than 1e-12
+// times the length of the two edges it removes. The four distances of an
+// improving move are each at most that sum, so their rounding cannot fake
+// an improvement: every accepted move strictly shortens the tour, the
+// descent never lengthens it and always terminates, whatever the
+// coordinates' magnitude.
 //
 // The descent is sequential and deterministic: vertices are scanned in
-// ascending index order, candidate neighbors in ascending (distance,
-// index) order, and the first improving move is taken.
-func TwoOptNeighborList(t *Tour, pts []geom.Point, k, maxRounds int) int {
+// tour order, candidate neighbors in ascending (distance, index) order,
+// and the first improving move is taken. Order[0] is the start vertex
+// before and after.
+func TwoOpt(t *Tour, pts []geom.Point, maxRounds int) int {
 	n := len(t.Order)
 	if n < 4 {
 		return 0
 	}
-	if k <= 0 {
-		k = DefaultNeighborK
-	}
-	off, adj := neighborLists(pts, k)
+	start := t.Order[0]
+	off, adj := neighborLists(pts)
 	pos := make([]int, len(pts))
 	for i, v := range t.Order {
 		pos[v] = i
@@ -53,6 +63,13 @@ func TwoOptNeighborList(t *Tour, pts []geom.Point, k, maxRounds int) int {
 			break
 		}
 	}
+	// A move reverses the shorter cyclic side, which can carry the start
+	// vertex anywhere; rotate it back to the front.
+	if s := pos[start]; s != 0 {
+		slices.Reverse(t.Order[:s])
+		slices.Reverse(t.Order[s:])
+		slices.Reverse(t.Order)
+	}
 	return moves
 }
 
@@ -62,8 +79,9 @@ func TwoOptNeighborList(t *Tour, pts []geom.Point, k, maxRounds int) int {
 // d(a, c) reaches the removed edge's length — a standard neighbor-list
 // bound: any improving move has its shorter new edge discovered from one
 // of its four endpoints, all of which are scanned. It applies the first
-// improving move, clears the don't-look bits of the four endpoints, and
-// reports whether a move was applied.
+// move that passes TwoOpt's relative acceptance test, clears the
+// don't-look bits of the four endpoints, and reports whether a move was
+// applied.
 func tryNeighborMoves(t *Tour, pts []geom.Point, pos []int, dontlook []bool, off, adj []int32, a int) bool {
 	n := len(t.Order)
 	i := pos[a]
@@ -82,8 +100,8 @@ func tryNeighborMoves(t *Tour, pts []geom.Point, pos []int, dontlook []bool, off
 		if dac < dab && c != b {
 			d := t.Order[(j+1)%n]
 			if d != a {
-				delta := dac + geom.Dist(pts[b], pts[d]) - dab - geom.Dist(pts[c], pts[d])
-				if delta < -1e-12 {
+				dcd := geom.Dist(pts[c], pts[d])
+				if dac+geom.Dist(pts[b], pts[d])-dab-dcd < -1e-12*(dab+dcd) {
 					apply2opt(t, pos, i, j)
 					dontlook[a], dontlook[b], dontlook[c], dontlook[d] = false, false, false, false
 					return true
@@ -94,8 +112,8 @@ func tryNeighborMoves(t *Tour, pts []geom.Point, pos []int, dontlook []bool, off
 		if dac < dpa && c != p {
 			e := t.Order[(j-1+n)%n]
 			if e != a {
-				delta := dac + geom.Dist(pts[p], pts[e]) - dpa - geom.Dist(pts[e], pts[c])
-				if delta < -1e-12 {
+				dec := geom.Dist(pts[e], pts[c])
+				if dac+geom.Dist(pts[p], pts[e])-dpa-dec < -1e-12*(dpa+dec) {
 					apply2opt(t, pos, (j-1+n)%n, (i-1+n)%n)
 					dontlook[a], dontlook[p], dontlook[c], dontlook[e] = false, false, false, false
 					return true
@@ -145,23 +163,17 @@ func reverseCyclic(order []int, pos []int, from, count int) {
 }
 
 // neighborLists builds the symmetrized k-nearest-neighbor candidate CSR
-// over pts: row v holds the union of v's k nearest and every vertex that
-// ranks v among its own k nearest, sorted by (distance from v, index).
-// Neighbors are found by grid ring expansion, so construction is
-// O(n·k log k) at bounded density.
-func neighborLists(pts []geom.Point, k int) ([]int32, []int32) {
+// over pts, k = DefaultNeighborK: row v holds the union of v's k nearest
+// and every vertex that ranks v among its own k nearest, sorted by
+// (distance from v, index). Neighbors are found by grid ring expansion,
+// so construction is O(n·k log k) at bounded density.
+func neighborLists(pts []geom.Point) ([]int32, []int32) {
+	const k = DefaultNeighborK
 	n := len(pts)
 	b := geom.Bounds(pts)
-	ex, ey := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
-	r := 2 * math.Sqrt(ex*ey/float64(n))
-	if !(r > 0) {
-		r = 2 * (ex + ey) / float64(n)
-	}
-	if !(r > 0) {
-		r = 1
-	}
+	r := geom.CellFor(b, n)
 	grid := geom.NewGrid(pts, r)
-	maxR := math.Hypot(ex, ey)
+	maxR := math.Hypot(b.Width(), b.Height())
 	type cand struct {
 		d2 float64
 		v  int32

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 func rngPoints(rng *rand.Rand, n int, side float64) []geom.Point {
@@ -28,7 +27,7 @@ func identityTour(n int) Tour {
 
 // TestTwoOptNeighborListNeverWorsens: every applied move strictly shortens
 // the tour, so the descent can never return a longer tour than it was
-// given — on any input, any neighbor count.
+// given, and the start vertex stays in front.
 func TestTwoOptNeighborListNeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -37,17 +36,19 @@ func TestTwoOptNeighborListNeverWorsens(t *testing.T) {
 		tour := identityTour(n)
 		rng.Shuffle(n-1, func(i, j int) { tour.Order[i+1], tour.Order[j+1] = tour.Order[j+1], tour.Order[i+1] })
 		before := tour.Length(pts)
-		k := 3 + rng.Intn(12)
-		moves := TwoOptNeighborList(&tour, pts, k, 0)
+		moves := TwoOpt(&tour, pts, 0)
 		after := tour.Length(pts)
 		if after > before+1e-9 {
-			t.Fatalf("trial %d (n=%d, k=%d): length worsened %v -> %v", trial, n, k, before, after)
+			t.Fatalf("trial %d (n=%d): length worsened %v -> %v", trial, n, before, after)
 		}
 		if moves > 0 && after >= before-1e-12 {
 			t.Fatalf("trial %d: %d moves reported but no improvement (%v -> %v)", trial, moves, before, after)
 		}
 		if err := tour.Validate(n); err != nil {
 			t.Fatalf("trial %d: invalid tour after descent: %v", trial, err)
+		}
+		if tour.Order[0] != 0 {
+			t.Fatalf("trial %d: start vertex moved to %d", trial, tour.Order[0])
 		}
 	}
 }
@@ -60,7 +61,7 @@ func TestTwoOptNeighborListFixesPlantedCrossing(t *testing.T) {
 	// perimeter 4, the crossing order costs 2+2*sqrt(2).
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
 	tour := Tour{Order: []int{0, 2, 1, 3}}
-	TwoOptNeighborList(&tour, pts, 3, 0)
+	TwoOpt(&tour, pts, 0)
 	if got := tour.Length(pts); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("square crossing not fixed: length %v, want 4", got)
 	}
@@ -81,7 +82,7 @@ func TestTwoOptNeighborListFixesPlantedCrossing(t *testing.T) {
 	if tour.Length(pts) <= perimeter {
 		t.Fatal("planting failed to lengthen the tour")
 	}
-	TwoOptNeighborList(&tour, pts, 8, 0)
+	TwoOpt(&tour, pts, 0)
 	if got := tour.Length(pts); math.Abs(got-perimeter) > 1e-9 {
 		t.Fatalf("circle crossing not fixed: length %v, want perimeter %v", got, perimeter)
 	}
@@ -95,7 +96,7 @@ func TestTwoOptNeighborListTinyTours(t *testing.T) {
 		pts := rngPoints(rng, n, 10)
 		tour := identityTour(n)
 		orig := append([]int(nil), tour.Order...)
-		if moves := TwoOptNeighborList(&tour, pts, 5, 0); moves != 0 {
+		if moves := TwoOpt(&tour, pts, 0); moves != 0 {
 			t.Fatalf("n=%d: %d moves on a tiny tour", n, moves)
 		}
 		for i := range orig {
@@ -106,17 +107,16 @@ func TestTwoOptNeighborListTinyTours(t *testing.T) {
 	}
 }
 
-// TestTwoOptRestartsWithWorkerInvariance: with the neighbor-list kernel
-// forced on, the restart winner must be byte-identical at any worker
-// count — the (length, lexicographic) tiebreak is worker-order free.
+// TestTwoOptRestartsWithWorkerInvariance: the restart winner must be
+// byte-identical at any worker count — the (length, lexicographic)
+// tiebreak is worker-order free.
 func TestTwoOptRestartsWithWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := rngPoints(rng, 150, 100)
-	th := Thresholds{TwoOpt: 50} // force the neighbor-list kernel
 	var want []int
 	for _, workers := range []int{1, 2, 8} {
 		tour := identityTour(len(pts))
-		TwoOptRestartsWith(context.Background(), &tour, pts, 6, workers, th)
+		TwoOptRestarts(context.Background(), &tour, pts, 6, workers)
 		if want == nil {
 			want = append([]int(nil), tour.Order...)
 			continue
@@ -145,7 +145,7 @@ func TestTwoOptNeighborListQualityVsFull(t *testing.T) {
 		full := start.Clone()
 		TwoOptFull(&full, pts, 0)
 		sparse := start.Clone()
-		TwoOptNeighborList(&sparse, pts, DefaultNeighborK, 0)
+		TwoOpt(&sparse, pts, 0)
 
 		lf, ls := full.Length(pts), sparse.Length(pts)
 		if ls > lf*1.05 {
@@ -155,59 +155,5 @@ func TestTwoOptNeighborListQualityVsFull(t *testing.T) {
 		if err := sparse.Validate(n); err != nil {
 			t.Fatalf("seed %d: invalid tour: %v", seed, err)
 		}
-	}
-}
-
-// TestTwoOptDispatchThresholds checks the crossover routing via the
-// kernel counters: thresholds at or below the tour size pick the
-// neighbor-list kernel, negative thresholds pin the exact kernel, and
-// the zero value keeps paper-scale tours exact.
-func TestTwoOptDispatchThresholds(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	pts := rngPoints(rng, 40, 50)
-	cases := []struct {
-		th   Thresholds
-		want string
-	}{
-		{Thresholds{TwoOpt: 10}, "tsp.2opt.neighbor"},
-		{Thresholds{TwoOpt: -1}, "tsp.2opt.full"},
-		{Thresholds{}, "tsp.2opt.full"}, // default crossover is 3000 > 40
-	}
-	for _, c := range cases {
-		tr := obs.New()
-		ctx := obs.WithTracer(context.Background(), tr)
-		tour := identityTour(len(pts))
-		TwoOptRestartsWith(ctx, &tour, pts, 0, 1, c.th)
-		if got := tr.Report().Counters[c.want]; got != 1 {
-			t.Errorf("th=%+v: counter %s = %d, want 1 (counters: %v)", c.th, c.want, got, tr.Report().Counters)
-		}
-	}
-}
-
-// TestThresholdsCanon pins the equivalence-class canonicalization the
-// plan-cache key relies on: zero means the package default, every
-// negative value means "never".
-func TestThresholdsCanon(t *testing.T) {
-	got := Thresholds{}.Canon()
-	want := Thresholds{MST: DefaultMSTThreshold, TwoOpt: DefaultTwoOptThreshold, Match: DefaultMatchThreshold}
-	if got != want {
-		t.Errorf("zero Canon = %+v, want %+v", got, want)
-	}
-	got = Thresholds{MST: -7, TwoOpt: -1, Match: -100}.Canon()
-	want = Thresholds{MST: -1, TwoOpt: -1, Match: -1}
-	if got != want {
-		t.Errorf("negative Canon = %+v, want %+v", got, want)
-	}
-	if th := (Thresholds{MST: 42, TwoOpt: 7, Match: 9}); th.Canon() != th {
-		t.Errorf("positive Canon must be identity, got %+v", th.Canon())
-	}
-	if !(Thresholds{TwoOpt: 5}).SparseTwoOpt(5) || (Thresholds{TwoOpt: 5}).SparseTwoOpt(4) {
-		t.Error("SparseTwoOpt crossover is >=")
-	}
-	if (Thresholds{MST: -1}).SparseMST(1 << 20) {
-		t.Error("negative threshold must never go sparse")
-	}
-	if !(Thresholds{}).SparseMatch(DefaultMatchThreshold) {
-		t.Error("zero threshold must use the package default")
 	}
 }

@@ -1,8 +1,8 @@
 // Package tsp provides traveling-salesman tour construction and improvement
 // heuristics over Euclidean point sets: nearest-neighbor, MST-doubling
 // (2-approximation), a Christofides-style construction with greedy
-// odd-vertex matching, and 2-opt / Or-opt local search. These tours are the
-// input to min-max tour splitting in package ktour.
+// odd-vertex matching, and neighbor-list 2-opt local search. These tours
+// are the input to min-max tour splitting in package ktour.
 package tsp
 
 import (
