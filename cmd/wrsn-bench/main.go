@@ -45,7 +45,6 @@ func main() {
 		fig        = flag.String("fig", "all", `figure to regenerate: "3", "4", "5" (paper), "C" (clustering extension), "F" (MCV breakdown-rate sweep), "all" or "ablation"`)
 		scaling    = flag.String("scaling", "", `instead of figures, run the BENCH_scaling.json ladder: comma-separated request counts (e.g. "1000,10000"), one cold Appro plan each on a density-scaled field, verified and bounded, with per-stage timings and the lower-bound gap; a feasibility violation exits nonzero`)
 		scalingK   = flag.Int("scaling-k", 4, "chargers per scaling rung")
-		scalingR   = flag.Int("scaling-restarts", 0, "2-opt restarts per scaling rung (<=1 = single descent)")
 		budget     = flag.String("budget", "", `per-stage time budgets asserted on every scaling rung, e.g. "kminmax=30,mis=20" (seconds; stage names validated against the tracer vocabulary); a breach exits nonzero`)
 		instances  = flag.Int("instances", 10, "random networks per sweep point (paper: 100)")
 		days       = flag.Float64("days", 365, "monitored period in days (paper: one year)")
@@ -100,7 +99,7 @@ func main() {
 	}
 
 	if *scaling != "" {
-		err = runScaling(ctx, *scaling, *scalingK, *seed, *scalingR, *budget, *csv)
+		err = runScaling(ctx, *scaling, *scalingK, *seed, *budget, *csv)
 	} else {
 		err = run(ctx, *fig, opt, *csv, *svgDir, *jsonDir)
 	}
@@ -136,7 +135,7 @@ func run(ctx context.Context, fig string, opt experiments.Options, csv bool, svg
 			}
 		}
 	case "ablation":
-		for _, id := range []string{experiments.AblationMIS, experiments.AblationInsertion, experiments.AblationTourBuilder, experiments.AblationDispatch, experiments.AblationPartial, experiments.AblationContender} {
+		for _, id := range []string{experiments.AblationMIS, experiments.AblationInsertion, experiments.AblationDispatch, experiments.AblationPartial, experiments.AblationContender} {
 			if err := runAblation(ctx, id, opt, csv); err != nil {
 				return err
 			}

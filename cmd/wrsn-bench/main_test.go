@@ -99,10 +99,10 @@ func TestParseBudget(t *testing.T) {
 // rung is planned, verified and bounded, and budgets on the verify and
 // lowerbound spans are enforced like any planning stage's.
 func TestRunScalingChecksEveryRung(t *testing.T) {
-	if err := runScaling(context.Background(), "120,240", 2, 1, 0, "verify=60,lowerbound=60", true); err != nil {
+	if err := runScaling(context.Background(), "120,240", 2, 1, "verify=60,lowerbound=60", true); err != nil {
 		t.Fatal(err)
 	}
-	err := runScaling(context.Background(), "120", 2, 1, 0, "lowerbound=1e-12", true)
+	err := runScaling(context.Background(), "120", 2, 1, "lowerbound=1e-12", true)
 	if err == nil || !strings.Contains(err.Error(), "stage lowerbound took") {
 		t.Fatalf("lowerbound budget breach not reported: %v", err)
 	}

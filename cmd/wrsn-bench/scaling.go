@@ -26,8 +26,8 @@ const scalingDensity = 0.12
 // per rung of the comma-separated n ladder on a density-scaled field,
 // reporting per-stage timings from the obs tracer — including the
 // mis/select and mis/update sub-spans that attribute the MIS stage to
-// selection and bookkeeping, and the kminmax/mst, kminmax/match, kminmax/2opt
-// and kminmax/split sub-spans that attribute the K-minMax stage to its
+// selection and bookkeeping, and the kminmax/mst, kminmax/2opt and
+// kminmax/split sub-spans that attribute the K-minMax stage to its
 // kernels. Every plan is then checked: the feasibility verifier and the
 // lower bound run under the verify and lowerbound spans, outside the
 // plan's total, and the table reports the plan's gap to the bound. budget
@@ -37,7 +37,7 @@ const scalingDensity = 0.12
 // names are a hard error, never a silently-passing no-op. A budget
 // breach or a feasibility violation fails the run after the table
 // prints, so CI can hold both out.
-func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts int, budget string, csv bool) error {
+func runScaling(ctx context.Context, ladder string, k int, seed int64, budget string, csv bool) error {
 	ns, err := parseLadder(ladder)
 	if err != nil {
 		return err
@@ -48,21 +48,21 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, restarts 
 	}
 	stages := []string{
 		obs.StageChargingGraph, obs.StageMIS, obs.StageMISSelect, obs.StageMISUpdate, obs.StageKMinMax,
-		obs.StageKMinMaxMST, obs.StageKMinMaxMatch, obs.StageKMinMaxTwoOpt, obs.StageKMinMaxSplit,
+		obs.StageKMinMaxMST, obs.StageKMinMaxTwoOpt, obs.StageKMinMaxSplit,
 		obs.StageInsertion, obs.StageVerify, obs.StageLowerBound,
 	}
 	tb := export.NewTable(
 		fmt.Sprintf("Appro scaling ladder, density %.2f sensors/unit^2, K=%d, seed %d", scalingDensity, k, seed),
-		"n", "field", "total (s)", "graph", "mis", "..select", "..update", "kminmax", "..mst", "..match", "..2opt", "..split", "insertion",
+		"n", "field", "total (s)", "graph", "mis", "..select", "..update", "kminmax", "..mst", "..2opt", "..split", "insertion",
 		"verify", "lowerbound", "gap")
+	planner, err := repro.NewPlanner("Appro")
+	if err != nil {
+		return err
+	}
 	var failures []string
 	for _, n := range ns {
 		side := math.Sqrt(float64(n) / scalingDensity)
 		in := scalingInstance(n, k, seed, side)
-		planner, err := repro.NewPlannerWithOptions("Appro", repro.ApproOptions{TourRestarts: restarts})
-		if err != nil {
-			return err
-		}
 		tracer := obs.New()
 		start := time.Now()
 		s, err := planner.Plan(obs.WithTracer(ctx, tracer), in)

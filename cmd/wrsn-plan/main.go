@@ -35,7 +35,6 @@ func main() {
 		field      = flag.Float64("field", 100, "side of the square deployment field in meters (scale ~ sqrt(n) to keep the paper's density at large n)")
 		misFlag    = flag.String("mis", "", `MIS strategy for options-capable planners: "max-degree" (default), "min-degree", "lexicographic", "random", "luby"`)
 		misSeed    = flag.Int64("mis-seed", 1, `seed for the seeded MIS strategies ("random", "luby")`)
-		restarts   = flag.Int("restarts", 0, "independent 2-opt descents inside the K-minMax tour refinement (<=1 = single sequential descent)")
 		svgPath    = flag.String("svg", "", "write an SVG rendering of the tours to this file")
 		gantt      = flag.String("gantt", "", "write an SVG timeline of charger activity to this file")
 		compare    = flag.Bool("compare", false, "plan with every registered algorithm and compare objectives")
@@ -63,7 +62,7 @@ func main() {
 		ctx = repro.WithTracer(ctx, tracer)
 	}
 
-	opts, err := plannerOptions(*misFlag, *misSeed, *restarts, *workers)
+	opts, err := plannerOptions(*misFlag, *misSeed, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
 		os.Exit(1)
@@ -97,8 +96,8 @@ func main() {
 // plannerOptions folds the option flags into core options for the
 // options-capable planners. An empty -mis keeps the planner's default
 // (max-degree for Appro).
-func plannerOptions(mis string, misSeed int64, restarts, workers int) (repro.ApproOptions, error) {
-	opts := repro.ApproOptions{Seed: misSeed, TourRestarts: restarts, Workers: workers}
+func plannerOptions(mis string, misSeed int64, workers int) (repro.ApproOptions, error) {
+	opts := repro.ApproOptions{Seed: misSeed, Workers: workers}
 	switch strings.ToLower(mis) {
 	case "":
 	case "max-degree":

@@ -49,10 +49,10 @@ func TestGoldenObjectives(t *testing.T) {
 // any planner registered without an entry here, so the table always
 // covers the full registry.
 var goldenObjectives = map[string]float64{
-	"Appro":    131.2335,
+	"Appro":    130.0211,
 	"K-EDF":    171.1694,
 	"NETWRAP":  170.8549,
-	"AA":       173.6519,
-	"K-minMax": 169.1916,
-	"BiLevel":  129.2291,
+	"AA":       173.6585,
+	"K-minMax": 169.4567,
+	"BiLevel":  129.3508,
 }

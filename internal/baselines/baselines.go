@@ -254,7 +254,8 @@ func (p AA) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, error)
 }
 
 // tourOrder returns the group's sensors in a short closed-tour order from
-// the depot (Christofides-style + 2-opt).
+// the depot: the MST-doubling tour refined by 2-opt, as in ktour's grand
+// tour.
 func tourOrder(in *core.Instance, group []int) []int {
 	pts := make([]geom.Point, 0, len(group)+1)
 	pts = append(pts, in.Depot)
@@ -262,7 +263,7 @@ func tourOrder(in *core.Instance, group []int) []int {
 		pts = append(pts, in.Requests[u].Pos)
 	}
 	// Untraced: these are AA's per-group tours, not K-minMax kernels.
-	t := tsp.Christofides(context.Background(), pts, 0)
+	t := tsp.MSTApprox(context.Background(), pts, 0)
 	tsp.TwoOpt(&t, pts, 0)
 	out := make([]int, 0, len(group))
 	for _, v := range t.Order {

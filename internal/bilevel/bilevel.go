@@ -11,10 +11,7 @@
 //     perturbation over the MIS candidate pool, keeping max-degree's
 //     hub bias while exploring nearby candidate sets.
 //   - Inner level: K min-max closed tours over each candidate set via
-//     ktour.MinMax, whose grand-tour refinement runs
-//     tsp.TwoOptRestarts with Options.TourRestarts independent descents
-//     (default DefaultTourRestarts, a stronger inner search than
-//     Appro's single descent).
+//     ktour.MinMax, the same single grand-tour descent Appro runs.
 //
 // Each candidate schedule is finalized and executed (conflict-free by
 // core.Execute); the winner is the one with the smallest executed
@@ -49,17 +46,12 @@ import (
 // perturbations.
 const OuterRounds = 8
 
-// DefaultTourRestarts is the inner level's 2-opt restart count when
-// Options.TourRestarts is unset (<= 0).
-const DefaultTourRestarts = 4
-
 // Planner is the bi-level metaheuristic as a core.Planner.
 type Planner struct {
 	// Opts tunes the search. Seed drives the outer perturbation;
-	// TourRestarts (default DefaultTourRestarts) the inner descents;
-	// TourBuilder the grand-tour construction; Workers the outer
-	// fan-out (speed only). MISOrder and NoSortByFinishTime are
-	// ignored: the stop-set strategy is the algorithm itself.
+	// Workers the outer fan-out (speed only). MISOrder and
+	// NoSortByFinishTime are ignored: the stop-set strategy is the
+	// algorithm itself.
 	Opts core.Options
 }
 
@@ -76,9 +68,6 @@ func (p Planner) PlanOptions() core.Options {
 	o := p.Opts
 	o.MISOrder = graph.MISRandom
 	o.NoSortByFinishTime = false
-	if o.TourRestarts <= 0 {
-		o.TourRestarts = DefaultTourRestarts
-	}
 	o.Workers = 0
 	return o
 }
@@ -215,22 +204,13 @@ func (p Planner) planRound(ctx context.Context, in *core.Instance, pts []geom.Po
 		}
 	}
 
-	// Inner level: K min-max closed tours over the stop set, with the
-	// multi-restart grand-tour refinement. The inner solver runs on one
-	// worker: the outer level already fans the rounds.
-	restarts := p.Opts.TourRestarts
-	if restarts <= 0 {
-		restarts = DefaultTourRestarts
-	}
+	// Inner level: K min-max closed tours over the stop set.
 	sol, err := ktour.MinMax(ctx, ktour.Input{
-		Depot:    in.Depot,
-		Nodes:    nodes,
-		Service:  service,
-		Speed:    in.Speed,
-		K:        in.K,
-		Builder:  p.Opts.TourBuilder,
-		Restarts: restarts,
-		Workers:  1,
+		Depot:   in.Depot,
+		Nodes:   nodes,
+		Service: service,
+		Speed:   in.Speed,
+		K:       in.K,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("k-minmax inner level: %w", err)

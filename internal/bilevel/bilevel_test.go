@@ -89,9 +89,6 @@ func TestPlanOptionsCacheIdentity(t *testing.T) {
 	if o.Workers != 0 {
 		t.Errorf("PlanOptions kept Workers (speed-only, must not split cache keys): %+v", o)
 	}
-	if o.TourRestarts != DefaultTourRestarts {
-		t.Errorf("PlanOptions() TourRestarts = %d, want the %d default", o.TourRestarts, DefaultTourRestarts)
-	}
 }
 
 func TestEmptyInstance(t *testing.T) {

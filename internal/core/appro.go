@@ -29,18 +29,9 @@ type Options struct {
 	// (Algorithm 1, line 9) and processes them in index order instead.
 	// Used only by ablation studies.
 	NoSortByFinishTime bool
-	// TourBuilder selects the grand-tour construction inside the
-	// K-minMax subroutine (step 5); zero means Christofides + 2-opt.
-	// Used by ablation studies.
-	TourBuilder ktour.Builder
-	// TourRestarts is the number of independent 2-opt descents the
-	// K-minMax grand-tour refinement runs; <= 1 means the single
-	// sequential descent. Restarts pick their winner by a stable (length,
-	// lexicographic) tiebreak, so any value stays deterministic at any
-	// worker count.
-	TourRestarts int
-	// Workers bounds the goroutines those restarts fan across; <= 0 means
-	// GOMAXPROCS. Affects speed only, never the schedule.
+	// Workers bounds the goroutines BiLevel fans its outer rounds across;
+	// <= 0 means GOMAXPROCS. Appro ignores it. It affects speed only,
+	// never the schedule.
 	Workers int
 }
 
@@ -156,14 +147,11 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	// Step 5: K node-disjoint closed tours over V'_H via the K-minMax
 	// closed tour approximation.
 	kt, err := ktour.MinMax(ctx, ktour.Input{
-		Depot:    in.Depot,
-		Nodes:    vhPts,
-		Service:  service,
-		Speed:    in.Speed,
-		K:        in.K,
-		Builder:  opts.TourBuilder,
-		Restarts: opts.TourRestarts,
-		Workers:  opts.Workers,
+		Depot:   in.Depot,
+		Nodes:   vhPts,
+		Service: service,
+		Speed:   in.Speed,
+		K:       in.K,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: k-minmax subroutine: %w", err)

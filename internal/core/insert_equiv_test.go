@@ -58,14 +58,11 @@ func approOrderedReference(ctx context.Context, in *Instance, opts Options) (*Sc
 	}
 
 	kt, err := ktour.MinMax(ctx, ktour.Input{
-		Depot:    in.Depot,
-		Nodes:    vhPts,
-		Service:  service,
-		Speed:    in.Speed,
-		K:        in.K,
-		Builder:  opts.TourBuilder,
-		Restarts: opts.TourRestarts,
-		Workers:  opts.Workers,
+		Depot:   in.Depot,
+		Nodes:   vhPts,
+		Service: service,
+		Speed:   in.Speed,
+		K:       in.K,
 	})
 	if err != nil {
 		return nil, err
@@ -239,7 +236,6 @@ func TestInsertionMatchesReference(t *testing.T) {
 		{"random", 250, 2, 8, 100, Options{MISOrder: graph.MISRandom, Seed: 11}},
 		{"luby", 250, 2, 9, 100, Options{MISOrder: graph.MISLuby, Seed: 5}},
 		{"nosort", 250, 2, 10, 100, Options{NoSortByFinishTime: true}},
-		{"restarts", 200, 2, 11, 100, Options{TourRestarts: 4}},
 	}
 	if !testing.Short() {
 		cfgs = append(cfgs,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -24,8 +25,8 @@ import (
 //   - gamma = 0 collapses multi-node charging to one-to-one charging, so
 //     every sensor must get its own dedicated stop.
 //
-// These tests run in CI under -race (they exercise the parallel restart
-// path too via TourRestarts).
+// These tests run in CI under -race (they exercise the goroutine-parallel
+// Luby MIS too).
 
 func metaInstance(n int, seed int64) *Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -213,53 +214,28 @@ func TestMetamorphicGammaZeroDegenerates(t *testing.T) {
 	}
 }
 
-// TestMetamorphicPropertiesWithRestarts re-checks permutation invariance
-// on the parallel-restart configuration, tying the metamorphic suite to
-// the new concurrency layer.
-func TestMetamorphicPropertiesWithRestarts(t *testing.T) {
-	in := metaInstance(100, 9)
-	opts := Options{TourRestarts: 4, Workers: 8}
-	base, err := Appro(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perm := rand.New(rand.NewSource(99)).Perm(len(in.Requests))
-	shuffled := *in
-	shuffled.Requests = make([]Request, len(in.Requests))
-	for newIdx, oldIdx := range perm {
-		shuffled.Requests[newIdx] = in.Requests[oldIdx]
-	}
-	got, err := Appro(context.Background(), &shuffled, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Longest != base.Longest {
-		t.Fatalf("restarts: permutation changed longest delay: %v vs %v", got.Longest, base.Longest)
-	}
-}
-
 // TestMetamorphicPropertiesWithLubyMIS extends the suite to the
 // goroutine-parallel MIS strategy: for a fixed seed the plan must be
-// byte-identical at any worker count (Luby's rounds are internally
-// parallel but seed-deterministic), and permuting the requests must only
-// relabel the schedule, exactly like the greedy orders.
+// byte-identical at any GOMAXPROCS (Luby's rounds fan across
+// min(GOMAXPROCS, 8) goroutines but are seed-deterministic), and permuting
+// the requests must only relabel the schedule, exactly like the greedy
+// orders.
 func TestMetamorphicPropertiesWithLubyMIS(t *testing.T) {
 	in := metaInstance(150, 3)
-	opts := Options{MISOrder: graph.MISLuby, Seed: 7, TourRestarts: 4, Workers: 1}
-	base, err := Appro(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range []int{1, 2, 8} {
-		o := opts
-		o.Workers = w
-		got, err := Appro(context.Background(), in, o)
+	opts := Options{MISOrder: graph.MISLuby, Seed: 7}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var base *Schedule
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Appro(context.Background(), in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d: Luby-MIS plan differs from the workers=1 plan", w)
+		if base == nil {
+			base = got
+		} else if !reflect.DeepEqual(got, base) {
+			t.Fatalf("GOMAXPROCS=%d: Luby-MIS plan differs from the GOMAXPROCS=1 plan", procs)
 		}
 	}
 

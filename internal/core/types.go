@@ -162,8 +162,8 @@ func (p ApproPlanner) Name() string { return "Appro" }
 
 // PlanOptions exposes the options the planner plans under. Consumers that
 // memoize schedules (internal/plancache) fold these into their keys, so
-// two ApproPlanners differing in a plan-changing option (TourRestarts,
-// MISOrder, ...) never alias to one cached entry.
+// two ApproPlanners differing in a plan-changing option (MISOrder,
+// Seed, ...) never alias to one cached entry.
 func (p ApproPlanner) PlanOptions() Options { return p.Opts }
 
 // Plan implements Planner by running Algorithm Appro and then executing the

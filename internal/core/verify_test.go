@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/ktour"
 )
 
 // handSchedule builds a minimal feasible schedule by hand for a two-sensor
@@ -469,8 +468,9 @@ func TestOverlapMatchesQuadratic(t *testing.T) {
 //     only by rounding (0.3 against the float sum 0.1+0.2) span a
 //     bounding box of height ~5e-17, so grid cells sized by area alone
 //     came out near a micrometre and one nearest-neighbor search walked
-//     ~1e14 empty cells. Both grand-tour constructions must plan it, from
-//     one request (MST-doubling over two points) up.
+//     ~1e14 empty cells. Appro must plan it from one request
+//     (MST-doubling over two points) up; the case name ends in the
+//     grand-tour construction, MST-doubling.
 func TestApproTerminates(t *testing.T) {
 	type tc struct {
 		name string
@@ -489,9 +489,7 @@ func TestApproTerminates(t *testing.T) {
 			}
 			in.Requests = append(in.Requests, Request{Pos: geom.Pt(50*float64(i), y), Duration: 600})
 		}
-		for _, builder := range []ktour.Builder{ktour.BuilderChristofides, ktour.BuilderMST} {
-			cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/%v", n, builder), in, Options{TourBuilder: builder}})
-		}
+		cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/mst-doubling", n), in, Options{}})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

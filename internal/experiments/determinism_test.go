@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -93,9 +94,10 @@ func TestSweepPlanCacheDoesNotChangeResults(t *testing.T) {
 
 // TestSimTraceByteIdenticalAcrossPlannerWorkers drives the simulator's
 // JSONL trace — the full ordered event stream — with the planner's internal
-// parallelism (tour-improvement restarts) at several worker counts. The
-// trace is keyed by simulation time only, so any divergence in event
-// ordering or content is a determinism bug in the parallel layer.
+// parallelism (BiLevel's outer rounds, the fan-out Options.Workers bounds)
+// at several worker counts. The trace is keyed by simulation time only, so
+// any divergence in event ordering or content is a determinism bug in the
+// parallel layer.
 func TestSimTraceByteIdenticalAcrossPlannerWorkers(t *testing.T) {
 	nw, err := workload.Generate(workload.NewParams(60), 7)
 	if err != nil {
@@ -104,7 +106,7 @@ func TestSimTraceByteIdenticalAcrossPlannerWorkers(t *testing.T) {
 	var ref []byte
 	for _, w := range []int{1, 2, 8} {
 		var buf bytes.Buffer
-		planner := core.ApproPlanner{Opts: core.Options{TourRestarts: 3, Workers: w}}
+		planner := registry.MustNew("BiLevel", &core.Options{Seed: 1, Workers: w})
 		if _, err := sim.Run(context.Background(), nw, 2, planner, sim.Config{
 			Duration: 5 * 86400,
 			Trace:    &buf,

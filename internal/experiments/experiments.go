@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/ktour"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/plancache"
@@ -410,9 +409,6 @@ const (
 	// AblationInsertion compares the paper's latest-finish-time-sorted
 	// insertion order against arbitrary order.
 	AblationInsertion = "insertion"
-	// AblationTourBuilder compares grand-tour constructions inside the
-	// K-minMax subroutine.
-	AblationTourBuilder = "tourbuilder"
 	// AblationDispatch compares the paper's synchronized round-based
 	// dispatch against independent per-charger dispatch over a full
 	// simulated year (unlike the other ablations, which plan single
@@ -422,9 +418,9 @@ const (
 	// paper's reference [15]) over year-long simulations.
 	AblationPartial = "partial"
 	// AblationContender pits Algorithm Appro against the registered
-	// bi-level metaheuristic contender (and its seed/restart variants)
-	// on dense single rounds — the judge for extensions that are not
-	// part of the paper's five figure curves.
+	// bi-level metaheuristic contender under two seeds on dense single
+	// rounds — the judge for extensions that are not part of the paper's
+	// five figure curves.
 	AblationContender = "contender"
 )
 
@@ -487,18 +483,11 @@ func RunAblation(ctx context.Context, id string, opt Options) ([]AblationResult,
 			variant{name: "sorted-by-finish-time", planner: appro(core.Options{})},
 			variant{name: "arbitrary-order", planner: appro(core.Options{NoSortByFinishTime: true})},
 		)
-	case AblationTourBuilder:
-		for _, b := range []ktour.Builder{
-			ktour.BuilderChristofides, ktour.BuilderMST, ktour.BuilderNearestNeighbor,
-		} {
-			variants = append(variants, variant{name: "tour-" + b.String(), planner: appro(core.Options{TourBuilder: b})})
-		}
 	case AblationContender:
 		variants = append(variants,
 			variant{name: "appro", planner: appro(core.Options{})},
 			variant{name: "bilevel-seed-1", planner: registry.MustNew("BiLevel", &core.Options{Seed: 1})},
 			variant{name: "bilevel-seed-2", planner: registry.MustNew("BiLevel", &core.Options{Seed: 2})},
-			variant{name: "bilevel-restarts-8", planner: registry.MustNew("BiLevel", &core.Options{Seed: 1, TourRestarts: 8})},
 		)
 	default:
 		return nil, fmt.Errorf("experiments: unknown ablation %q", id)

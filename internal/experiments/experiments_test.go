@@ -138,7 +138,7 @@ func TestPlannersSeeSameNetworks(t *testing.T) {
 }
 
 func TestRunAblations(t *testing.T) {
-	for _, id := range []string{AblationMIS, AblationInsertion, AblationTourBuilder} {
+	for _, id := range []string{AblationMIS, AblationInsertion} {
 		rows, err := RunAblation(context.Background(), id, fastOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -6,11 +6,12 @@
 // is its travel time plus the service times of its nodes.
 //
 // The implementation follows the classic tour-splitting recipe behind the
-// published 5-approximation: construct a single near-optimal TSP tour over
-// depot + nodes (Christofides-style construction refined by 2-opt), then
-// split it into at most K consecutive segments via binary search on the
-// target delay with a greedy packing feasibility test (Frederickson-style
-// k-SPLITOUR generalized to node service times).
+// published 5-approximation: construct a single TSP tour over depot +
+// nodes (MST-doubling, the construction that analysis assumes, refined by
+// one 2-opt descent that never lengthens it), then split it into at most K
+// consecutive segments via binary search on the target delay with a
+// greedy packing feasibility test (Frederickson-style k-SPLITOUR
+// generalized to node service times).
 package ktour
 
 import (
@@ -38,49 +39,6 @@ type Input struct {
 	Speed float64
 	// K is the number of vehicles. Must be >= 1.
 	K int
-	// Builder selects the grand-tour construction the splitter works on;
-	// zero means BuilderChristofides. Exposed for ablation studies.
-	Builder Builder
-	// Restarts is the number of independent 2-opt descents the grand-tour
-	// refinement runs (tsp.TwoOptRestarts); values <= 1 mean the single
-	// deterministic descent the sequential seed used. The winner is chosen
-	// by a stable (length, lexicographic) tiebreak, so any value is
-	// deterministic at any worker count. Ignored by BuilderMST, which by
-	// design runs no local search.
-	Restarts int
-	// Workers bounds the goroutines the restarts fan across; <= 0 means
-	// GOMAXPROCS. It affects speed only, never the result.
-	Workers int
-}
-
-// Builder names a grand-tour construction heuristic.
-type Builder int
-
-const (
-	// BuilderChristofides is the Christofides-style construction refined
-	// by 2-opt — the default and the strongest of the three.
-	BuilderChristofides Builder = iota + 1
-	// BuilderMST is the plain MST-doubling 2-approximation, no local
-	// search: the construction the published 5-approximation analysis
-	// assumes.
-	BuilderMST
-	// BuilderNearestNeighbor is the greedy nearest-neighbor tour refined
-	// by 2-opt.
-	BuilderNearestNeighbor
-)
-
-// String implements fmt.Stringer.
-func (b Builder) String() string {
-	switch b {
-	case BuilderChristofides:
-		return "christofides+2opt"
-	case BuilderMST:
-		return "mst-doubling"
-	case BuilderNearestNeighbor:
-		return "nearest-neighbor+2opt"
-	default:
-		return "unknown"
-	}
 }
 
 func (in Input) validate() error {
@@ -141,9 +99,10 @@ func TourDelay(in Input, tour []int) float64 {
 // MinMax honors ctx between its phases (grand-tour construction, the
 // binary search, the balance pass) and returns an error wrapping
 // ctx.Err() on cancellation. Its total runtime is recorded under the
-// kminmax span when ctx carries an obs.Tracer; inside it the split search
-// is recorded under kminmax/split, and each tour's balance-pass 2-opt
-// under kminmax/2opt.
+// kminmax span when ctx carries an obs.Tracer; inside it the grand tour's
+// MST is recorded under kminmax/mst, the split search under kminmax/split,
+// and the grand tour's 2-opt and each tour's balance-pass 2-opt under
+// kminmax/2opt.
 func MinMax(ctx context.Context, in Input) (*Solution, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -222,13 +181,11 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 
 // GrandTourOrder builds the single TSP tour over depot + nodes used as the
 // splitting backbone, returning node indices (0..len(Nodes)-1) in visit
-// order starting from the depot's successor. Exposed for ablation studies.
-//
-// With Input.Restarts > 1 the 2-opt refinement runs that many independent
-// seeded descents across Input.Workers goroutines and keeps the best by
-// the stable (length, lexicographic) tiebreak; ctx then bounds the fan-out
-// (cancellation falls back to the weakest completed descent). Restarts <= 1
-// is the sequential seed behavior and never spawns a goroutine.
+// order starting from the depot's successor. The tour is the MST-doubling
+// tour from the depot followed by one 2-opt descent, recorded under the
+// kminmax/2opt span; the descent never lengthens a tour, so the result is
+// at most twice the MST's weight. Exported so callers can time or inspect
+// the grand tour on its own.
 func GrandTourOrder(ctx context.Context, in Input) []int {
 	n := len(in.Nodes)
 	if n == 0 {
@@ -237,23 +194,16 @@ func GrandTourOrder(ctx context.Context, in Input) []int {
 	pts := make([]geom.Point, 0, n+1)
 	pts = append(pts, in.Depot)
 	pts = append(pts, in.Nodes...)
-	var tour tsp.Tour
-	switch in.Builder {
-	case BuilderMST:
-		tour = tsp.MSTApprox(ctx, pts, 0)
-	case BuilderNearestNeighbor:
-		tour = tsp.NearestNeighbor(pts, 0)
-		tsp.TwoOptRestarts(ctx, &tour, pts, in.Restarts, in.Workers)
-	default: // BuilderChristofides and the zero value
-		tour = tsp.Christofides(ctx, pts, 0)
-		tsp.TwoOptRestarts(ctx, &tour, pts, in.Restarts, in.Workers)
+	tour := tsp.MSTApprox(ctx, pts, 0)
+	if len(tour.Order) >= 4 {
+		sp := obs.FromContext(ctx).Start(obs.StageKMinMaxTwoOpt)
+		tsp.TwoOpt(&tour, pts, 0)
+		sp.End()
 	}
-	tour.RotateToStart(0)
-	order := make([]int, 0, n)
-	for _, v := range tour.Order {
-		if v != 0 {
-			order = append(order, v-1)
-		}
+	// Both calls keep the depot at Order[0].
+	order := make([]int, n)
+	for i, v := range tour.Order[1:] {
+		order[i] = v - 1
 	}
 	return order
 }

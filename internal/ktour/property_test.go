@@ -82,33 +82,6 @@ func TestMinMaxServiceMonotonicity(t *testing.T) {
 	}
 }
 
-// TestBuildersAllValid runs every grand-tour builder through the solver.
-func TestBuildersAllValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	in := randInput(rng, 60, 3)
-	for _, b := range []Builder{BuilderChristofides, BuilderMST, BuilderNearestNeighbor, Builder(0)} {
-		in.Builder = b
-		sol, err := MinMax(context.Background(), in)
-		if err != nil {
-			t.Fatalf("builder %v: %v", b, err)
-		}
-		checkPartition(t, in, sol)
-	}
-}
-
-func TestBuilderString(t *testing.T) {
-	for b, want := range map[Builder]string{
-		BuilderChristofides:    "christofides+2opt",
-		BuilderMST:             "mst-doubling",
-		BuilderNearestNeighbor: "nearest-neighbor+2opt",
-		Builder(99):            "unknown",
-	} {
-		if got := b.String(); got != want {
-			t.Errorf("Builder(%d).String() = %q, want %q", b, got, want)
-		}
-	}
-}
-
 func absDiff(a, b float64) float64 {
 	if a > b {
 		return a - b

@@ -50,13 +50,11 @@ const (
 	// loop (steps 6-24).
 	StageInsertion = "insertion"
 	// The kminmax/* spans are per-kernel sub-stages nested INSIDE the
-	// kminmax span — they attribute its time to the MST construction, the
-	// Christofides odd-vertex matching, the 2-opt refinements (the grand
-	// tour's and each split tour's balance pass) and the tour-splitting
-	// search, and therefore must not be added to the top-level stages
-	// when summing a plan's runtime.
+	// kminmax span — they attribute its time to the grand tour's MST, the
+	// 2-opt descents (the grand tour's and each split tour's balance pass)
+	// and the tour-splitting search, and therefore must not be added to
+	// the top-level stages when summing a plan's runtime.
 	StageKMinMaxMST    = "kminmax/mst"
-	StageKMinMaxMatch  = "kminmax/match"
 	StageKMinMaxTwoOpt = "kminmax/2opt"
 	StageKMinMaxSplit  = "kminmax/split"
 	// StageExecute covers the conflict-aware schedule executor.
@@ -77,7 +75,7 @@ func KnownStages() []string {
 	return []string{
 		StageChargingGraph,
 		StageMIS, StageMISSelect, StageMISUpdate,
-		StageKMinMax, StageKMinMaxMST, StageKMinMaxMatch, StageKMinMaxTwoOpt, StageKMinMaxSplit,
+		StageKMinMax, StageKMinMaxMST, StageKMinMaxTwoOpt, StageKMinMaxSplit,
 		StageInsertion,
 		StageExecute,
 		StageVerify,

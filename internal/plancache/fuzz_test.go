@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/ktour"
 )
 
 // FuzzPlanCacheKey checks the cache key's contractual properties on
@@ -16,18 +15,18 @@ import (
 // same network hits), (2) an instance mutated in any single field — a
 // coordinate, a duration, a lifetime, gamma, speed, K or the depot —
 // hashes differently (no false hits between distinct problems), and
-// (3) perturbing any plan-changing core.Options field (TourRestarts,
-// MISOrder, NoSortByFinishTime, TourBuilder, the seed under MISRandom)
-// changes the key, while the speed-only Workers field never does.
+// (3) perturbing any plan-changing core.Options field (MISOrder,
+// NoSortByFinishTime, the seed under MISRandom) changes the key, while
+// the speed-only Workers field never does.
 func FuzzPlanCacheKey(f *testing.F) {
 	f.Add(int64(1), uint8(0), 1.0)
 	f.Add(int64(2), uint8(3), -0.5)
 	f.Add(int64(3), uint8(6), 1e-9)
 	f.Add(int64(42), uint8(5), 123.456)
 	f.Add(int64(7), uint8(7), 2.0)
-	f.Add(int64(8), uint8(9), 1.0)
-	f.Add(int64(9), uint8(11), 3.0)
-	f.Add(int64(10), uint8(12), 4.0)
+	f.Add(int64(8), uint8(8), 1.0)
+	f.Add(int64(9), uint8(9), 3.0)
+	f.Add(int64(10), uint8(10), 4.0)
 	f.Fuzz(func(t *testing.T, seed int64, field uint8, delta float64) {
 		if math.IsNaN(delta) || math.IsInf(delta, 0) || delta == 0 {
 			t.Skip("delta must be a usable perturbation")
@@ -60,8 +59,8 @@ func FuzzPlanCacheKey(f *testing.F) {
 
 		// Mutate exactly one instance or options field, verifying float
 		// perturbations actually changed the stored value (tiny deltas can
-		// round away). Fields 0-6 perturb the instance, 7-11 the options;
-		// field 12 perturbs Workers, which is speed-only and must NOT
+		// round away). Fields 0-6 perturb the instance, 7-9 the options;
+		// field 10 perturbs Workers, which is speed-only and must NOT
 		// change the key.
 		var mutOpts *core.Options
 		wantEqual := false
@@ -72,7 +71,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 			*v += delta
 			changed = *v != old
 		}
-		switch field % 13 {
+		switch field % 11 {
 		case 0:
 			bump(&mutated.Requests[ri].Pos.X)
 		case 1:
@@ -88,16 +87,12 @@ func FuzzPlanCacheKey(f *testing.F) {
 		case 6:
 			mutated.K++
 		case 7:
-			mutOpts = &core.Options{TourRestarts: 2 + rng.Intn(16)}
-		case 8:
 			mutOpts = &core.Options{NoSortByFinishTime: true}
-		case 9:
+		case 8:
 			mutOpts = &core.Options{MISOrder: graph.MISMinDegree}
-		case 10:
-			mutOpts = &core.Options{TourBuilder: ktour.BuilderMST}
-		case 11:
+		case 9:
 			mutOpts = &core.Options{MISOrder: graph.MISRandom, Seed: 1 + rng.Int63n(1<<30)}
-		case 12:
+		case 10:
 			mutOpts = &core.Options{Workers: 1 + rng.Intn(16)}
 			wantEqual = true
 		}
@@ -110,7 +105,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 				t.Fatal("Workers is speed-only and must not change the key")
 			}
 		} else if mutKey == baseKey {
-			t.Fatalf("inputs differing in field %d hashed equal", field%13)
+			t.Fatalf("inputs differing in field %d hashed equal", field%11)
 		}
 
 		// A warm cache must hit the equal input and behave per the

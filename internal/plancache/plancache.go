@@ -13,7 +13,7 @@
 // travel speed, K and every request's position, duration and lifetime, in
 // request order. Any single difference that can change the plan — one
 // coordinate nudged, a different gamma, one more charger, a different
-// TourRestarts — therefore changes the key (see FuzzPlanCacheKey).
+// MISOrder — therefore changes the key (see FuzzPlanCacheKey).
 // Fields that affect only speed, never the schedule (Options.Workers),
 // are deliberately excluded so equivalent requests still share an entry.
 //
@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/ktour"
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
@@ -64,8 +63,8 @@ func (k Key) Hash64() uint64 {
 // Optioned is the optional interface a core.Planner implements to expose
 // the core.Options shaping its plans. Identity consults it so two
 // planners that share a Name but differ in plan-changing options (e.g.
-// two ApproPlanners with different TourRestarts) never alias to one
-// cache entry.
+// two ApproPlanners with different MISOrders) never alias to one cache
+// entry.
 type Optioned interface {
 	// PlanOptions returns the options the planner plans under.
 	PlanOptions() core.Options
@@ -98,8 +97,6 @@ func Identity(p core.Planner) (name string, opts *core.Options) {
 //   - MISOrder zero means graph.MISMaxDegree (Appro's documented default).
 //   - Seed only matters under the seeded orders graph.MISRandom and
 //     graph.MISLuby; it is zeroed under the deterministic ones.
-//   - TourBuilder zero means ktour.BuilderChristofides.
-//   - TourRestarts <= 1 all mean the single sequential descent.
 //   - Workers affects speed only, never the schedule, and is dropped.
 func canonOptions(opts *core.Options) core.Options {
 	var o core.Options
@@ -111,12 +108,6 @@ func canonOptions(opts *core.Options) core.Options {
 	}
 	if o.MISOrder != graph.MISRandom && o.MISOrder != graph.MISLuby {
 		o.Seed = 0
-	}
-	if o.TourBuilder == 0 {
-		o.TourBuilder = ktour.BuilderChristofides
-	}
-	if o.TourRestarts < 1 {
-		o.TourRestarts = 1
 	}
 	o.Workers = 0
 	return o
@@ -149,8 +140,6 @@ func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
 	} else {
 		h.Write([]byte{0})
 	}
-	u(uint64(o.TourBuilder))
-	u(uint64(o.TourRestarts))
 	f(in.Depot.X)
 	f(in.Depot.Y)
 	f(in.Gamma)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/ktour"
 	"repro/internal/obs"
 )
 
@@ -61,17 +60,15 @@ func TestKeyOfSensitivity(t *testing.T) {
 // TestOptionsNoLongerAlias is the regression test for the option-aliasing
 // bug: the cache used to key on planner name + instance only, so two
 // ApproPlanners sharing the name "Appro" but planning under different
-// core.Options (e.g. TourRestarts) aliased to one entry, and the second
+// core.Options (e.g. MISOrder) aliased to one entry, and the second
 // planner was served the first one's stale schedule.
 func TestOptionsNoLongerAlias(t *testing.T) {
 	in := testInstance(30, 9)
 
 	// Any plan-changing option field must change the key.
 	planChanging := map[string]*core.Options{
-		"restarts":   {TourRestarts: 8},
 		"mis-order":  {MISOrder: graph.MISMinDegree},
 		"no-sort":    {NoSortByFinishTime: true},
-		"builder":    {TourBuilder: ktour.BuilderMST},
 		"mis-random": {MISOrder: graph.MISRandom, Seed: 1},
 		"mis-luby":   {MISOrder: graph.MISLuby, Seed: 1},
 	}
@@ -93,16 +90,13 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 	}
 
 	// Options inside one plan-equivalence class must keep sharing an
-	// entry: defaults spelled explicitly, restart counts <= 1, the
-	// speed-only Workers field, and Seed under a deterministic MIS order.
+	// entry: defaults spelled explicitly, the speed-only Workers field,
+	// and Seed under a deterministic MIS order.
 	equivalent := map[string]*core.Options{
-		"zero":             {},
-		"explicit-mis":     {MISOrder: graph.MISMaxDegree},
-		"explicit-builder": {TourBuilder: ktour.BuilderChristofides},
-		"restarts-one":     {TourRestarts: 1},
-		"restarts-neg":     {TourRestarts: -3},
-		"workers":          {Workers: 7},
-		"unused-seed":      {Seed: 42},
+		"zero":         {},
+		"explicit-mis": {MISOrder: graph.MISMaxDegree},
+		"workers":      {Workers: 7},
+		"unused-seed":  {Seed: 42},
 	}
 	for name, o := range equivalent {
 		if KeyOf("Appro", o, in) != base {
@@ -114,7 +108,7 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 	// warm plan equals its own cold plan, not the other planner's.
 	c := New(8)
 	fast := Wrap(core.ApproPlanner{}, c)
-	tuned := Wrap(core.ApproPlanner{Opts: core.Options{TourRestarts: 6}}, c)
+	tuned := Wrap(core.ApproPlanner{Opts: core.Options{MISOrder: graph.MISMinDegree}}, c)
 	ctx := context.Background()
 	coldFast, err := fast.Plan(ctx, in)
 	if err != nil {

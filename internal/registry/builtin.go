@@ -18,12 +18,11 @@ func init() {
 		Summary: "the paper's Algorithm 1: MIS sojourn selection, K-minMax tours, finish-time-sorted insertion",
 		Paper:   true,
 		Caps: Capabilities{
-			Context:      true,
-			Options:      true,
-			TourRestarts: true,
-			Seeded:       true,
-			MultiNode:    true,
-			ParallelMIS:  true,
+			Context:     true,
+			Options:     true,
+			Seeded:      true,
+			MultiNode:   true,
+			ParallelMIS: true,
 		},
 		New: func(o core.Options) core.Planner { return core.ApproPlanner{Opts: o} },
 	})
@@ -60,13 +59,12 @@ func init() {
 	Register(Entry{
 		Name:    "BiLevel",
 		Aliases: []string{"bi-level", "blm"},
-		Summary: "bi-level metaheuristic: seeded MIS stop-subset perturbation outside, multi-restart min-max tours inside",
+		Summary: "bi-level metaheuristic: seeded MIS stop-subset perturbation outside, min-max tours inside",
 		Caps: Capabilities{
-			Context:      true,
-			Options:      true,
-			TourRestarts: true,
-			Seeded:       true,
-			MultiNode:    true,
+			Context:   true,
+			Options:   true,
+			Seeded:    true,
+			MultiNode: true,
 		},
 		New: func(o core.Options) core.Planner { return bilevel.Planner{Opts: o} },
 	})

@@ -33,9 +33,6 @@ type Capabilities struct {
 	// Options: plan-shaping core.Options fields change the schedule
 	// (and therefore join the plan-cache key via plancache.Optioned).
 	Options bool `json:"options"`
-	// TourRestarts: Options.TourRestarts selects multi-restart tour
-	// improvement (tsp.TwoOptRestarts) inside the planner.
-	TourRestarts bool `json:"tour_restarts"`
 	// Seeded: Options.Seed shapes the plan (randomized MIS orders or
 	// seeded perturbation); the planner stays deterministic per seed.
 	Seeded bool `json:"seeded"`
@@ -58,7 +55,6 @@ func (c Capabilities) list() []string {
 	}
 	add(c.Context, "ctx")
 	add(c.Options, "options")
-	add(c.TourRestarts, "restarts")
 	add(c.Seeded, "seeded")
 	add(c.MultiNode, "multi-node")
 	add(c.ParallelMIS, "parallel-mis")

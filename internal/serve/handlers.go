@@ -30,8 +30,8 @@ type PlanRequest struct {
 	// Instance is the problem to plan.
 	Instance *core.Instance `json:"instance"`
 	// Options tunes Appro (field names as in core.Options: MISOrder,
-	// Seed, NoSortByFinishTime, TourBuilder, TourRestarts, Workers).
-	// Decoding is strict, so any other field is a 400.
+	// Seed, NoSortByFinishTime, Workers). Decoding is strict, so any
+	// other field, a retired option included, is a 400.
 	Options *core.Options `json:"options,omitempty"`
 	// TimeoutMS is the per-request planning deadline in milliseconds,
 	// clamped to the server's MaxTimeout; 0 means the server default.

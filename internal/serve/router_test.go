@@ -75,7 +75,9 @@ func wantBytes(t *testing.T, in *core.Instance) []byte {
 // TestRouterFailoverBlackholedBackend is the satellite acceptance test:
 // two backends, one blackholed at the transport layer, yet every request
 // succeeds via retry/failover, with every schedule byte-identical to
-// single-process serving.
+// single-process serving. The blackholed backend is the rendezvous owner
+// of the first request's key, so that request must fail over whichever
+// loopback ports the backends drew.
 func TestRouterFailoverBlackholedBackend(t *testing.T) {
 	b1 := startBackend(t, Config{})
 	b2 := startBackend(t, Config{})
@@ -85,7 +87,14 @@ func TestRouterFailoverBlackholedBackend(t *testing.T) {
 		Transport: chaos,
 	}, true)
 
-	chaos.Blackhole(b1.Addr(), true)
+	planner, err := DefaultPlanner("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, opts := plancache.Identity(planner)
+	prefs := s.router.rank(plancache.KeyOf(name, opts, testInstance(30, 2, 100)))
+	dead, survivor := prefs[0].host, prefs[1].host
+	chaos.Blackhole(dead, true)
 
 	for i := 0; i < 8; i++ {
 		in := testInstance(30+i, 2, int64(100+i))
@@ -101,8 +110,8 @@ func TestRouterFailoverBlackholedBackend(t *testing.T) {
 		if d := resp.Header.Get("X-Plan-Degraded"); d != "" {
 			t.Fatalf("request %d: degraded to local (%q) despite a live backend", i, d)
 		}
-		if be := resp.Header.Get("X-Plan-Backend"); be != b2.Addr() {
-			t.Fatalf("request %d: answered by %q, want blackhole survivor %q", i, be, b2.Addr())
+		if be := resp.Header.Get("X-Plan-Backend"); be != survivor {
+			t.Fatalf("request %d: answered by %q, want blackhole survivor %q", i, be, survivor)
 		}
 	}
 	if s.router.retries.Load() == 0 {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/registry"
 )
 
@@ -130,8 +131,8 @@ func TestPlanEnvelope(t *testing.T) {
 		t.Errorf("got %d tours, want %d", len(sched.Tours), in.K)
 	}
 
-	// Appro options shape the plan: restarts request must still verify.
-	env = PlanRequest{Instance: in, Options: &core.Options{TourRestarts: 4}}
+	// Appro options shape the plan: an options request must still verify.
+	env = PlanRequest{Instance: in, Options: &core.Options{MISOrder: graph.MISMinDegree}}
 	body, _ = json.Marshal(env)
 	if resp, out = postJSON(t, ts.URL+"/v1/plan", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("options plan: status %d: %s", resp.StatusCode, out)
@@ -163,6 +164,8 @@ func TestPlanBadRequests(t *testing.T) {
 		// Options fields that no longer exist are unknown fields.
 		{"retired Sparse option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Sparse":{"MST":1}}}`},
 		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
+		{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
+		{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+"/v1/plan", []byte(tc.body))

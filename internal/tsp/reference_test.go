@@ -1,14 +1,9 @@
 package tsp
 
-import (
-	"sort"
+import "repro/internal/geom"
 
-	"repro/internal/geom"
-	"repro/internal/mst"
-)
-
-// The quadratic references the kernel tests compare against. Production
-// runs only the neighbor-list TwoOpt and greedyMatchingSparse.
+// The quadratic reference the kernel tests compare against. Production
+// runs only the neighbor-list TwoOpt.
 
 // TwoOptFull is the exact quadratic 2-opt descent: every vertex pair is a
 // candidate exchange, and Order[0] never moves. It is the quality
@@ -54,69 +49,4 @@ func reverse(order []int, i, j int) {
 		i++
 		j--
 	}
-}
-
-// greedyMatching pairs up the given vertices by repeatedly taking the
-// shortest remaining edge between two unmatched vertices. len(odd) must be
-// even (always true for odd-degree vertices of a graph).
-func greedyMatching(pts []geom.Point, odd []int) [][2]int {
-	type cand struct {
-		i, j int // indices into odd
-		d    float64
-	}
-	var cands []cand
-	for i := 0; i < len(odd); i++ {
-		for j := i + 1; j < len(odd); j++ {
-			cands = append(cands, cand{i, j, geom.Dist(pts[odd[i]], pts[odd[j]])})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	matched := make([]bool, len(odd))
-	var out [][2]int
-	for _, c := range cands {
-		if matched[c.i] || matched[c.j] {
-			continue
-		}
-		matched[c.i], matched[c.j] = true, true
-		out = append(out, [2]int{odd[c.i], odd[c.j]})
-	}
-	return out
-}
-
-// christofidesGreedy is Christofides with the shortest-edge-first
-// greedyMatching on the odd-degree MST vertices in place of the
-// nearest-available greedyMatchingSparse: the tour the production
-// construction is compared against.
-func christofidesGreedy(pts []geom.Point, start int) Tour {
-	n := len(pts)
-	degree := make([]int, n)
-	var edges [][2]int
-	addEdge := func(u, v int) {
-		edges = append(edges, [2]int{u, v})
-		degree[u]++
-		degree[v]++
-	}
-	for v, p := range mst.EuclideanSparse(pts, start).Parent {
-		if p >= 0 {
-			addEdge(v, p)
-		}
-	}
-	var odd []int
-	for v := 0; v < n; v++ {
-		if degree[v]%2 == 1 {
-			odd = append(odd, v)
-		}
-	}
-	for _, e := range greedyMatching(pts, odd) {
-		addEdge(e[0], e[1])
-	}
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	for _, v := range eulerCircuit(n, degree, edges, start) {
-		if !seen[v] {
-			seen[v] = true
-			order = append(order, v)
-		}
-	}
-	return Tour{Order: order}
 }

@@ -1,8 +1,7 @@
-// Package tsp provides traveling-salesman tour construction and improvement
-// heuristics over Euclidean point sets: nearest-neighbor, MST-doubling
-// (2-approximation), a Christofides-style construction with greedy
-// odd-vertex matching, and neighbor-list 2-opt local search. These tours
-// are the input to min-max tour splitting in package ktour.
+// Package tsp builds traveling-salesman tours over Euclidean point sets:
+// one construction, MST-doubling (at most twice the MST's weight, so a
+// 2-approximation), and one improvement, the neighbor-list 2-opt descent.
+// These tours are the input to min-max tour splitting in package ktour.
 package tsp
 
 import (
@@ -48,28 +47,4 @@ func (t Tour) Validate(n int) error {
 		seen[v] = true
 	}
 	return nil
-}
-
-// RotateToStart rotates the tour in place so that it begins at vertex start.
-// It is a no-op if start is not in the tour.
-func (t *Tour) RotateToStart(start int) {
-	pos := -1
-	for i, v := range t.Order {
-		if v == start {
-			pos = i
-			break
-		}
-	}
-	if pos <= 0 {
-		return
-	}
-	rotated := make([]int, 0, len(t.Order))
-	rotated = append(rotated, t.Order[pos:]...)
-	rotated = append(rotated, t.Order[:pos]...)
-	t.Order = rotated
-}
-
-// Clone returns a deep copy of the tour.
-func (t Tour) Clone() Tour {
-	return Tour{Order: append([]int(nil), t.Order...)}
 }

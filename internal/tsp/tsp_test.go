@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -55,72 +56,37 @@ func TestTourValidate(t *testing.T) {
 	}
 }
 
-func TestRotateToStart(t *testing.T) {
-	tour := Tour{Order: []int{3, 1, 4, 0, 2}}
-	tour.RotateToStart(0)
-	want := []int{0, 2, 3, 1, 4}
-	for i := range want {
-		if tour.Order[i] != want[i] {
-			t.Fatalf("rotated = %v, want %v", tour.Order, want)
-		}
-	}
-	before := append([]int(nil), tour.Order...)
-	tour.RotateToStart(99) // absent: no-op
-	for i := range before {
-		if tour.Order[i] != before[i] {
-			t.Fatal("RotateToStart(absent) modified tour")
-		}
-	}
-}
-
-// withCtx adapts a traced constructor to the plain builder signature.
-func withCtx(build func(context.Context, []geom.Point, int) Tour) func([]geom.Point, int) Tour {
-	return func(pts []geom.Point, start int) Tour { return build(context.Background(), pts, start) }
-}
-
 func TestConstructorsProduceValidTours(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	builders := map[string]func([]geom.Point, int) Tour{
-		"nearest-neighbor": NearestNeighbor,
-		"mst-approx":       withCtx(MSTApprox),
-		"christofides":     withCtx(Christofides),
-	}
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(120)
 		pts := randPts(rng, n)
 		start := rng.Intn(n)
-		for name, build := range builders {
-			tour := build(pts, start)
-			if err := tour.Validate(n); err != nil {
-				t.Fatalf("%s trial %d: %v", name, trial, err)
-			}
-			if tour.Order[0] != start {
-				t.Fatalf("%s trial %d: starts at %d, want %d", name, trial, tour.Order[0], start)
-			}
+		tour := MSTApprox(context.Background(), pts, start)
+		if err := tour.Validate(n); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if tour.Order[0] != start {
+			t.Fatalf("trial %d: starts at %d, want %d", trial, tour.Order[0], start)
 		}
 	}
 }
 
 func TestConstructorsEdgeCases(t *testing.T) {
-	for name, build := range map[string]func([]geom.Point, int) Tour{
-		"nearest-neighbor": NearestNeighbor,
-		"mst-approx":       withCtx(MSTApprox),
-		"christofides":     withCtx(Christofides),
-	} {
-		if tour := build(nil, 0); len(tour.Order) != 0 {
-			t.Errorf("%s: empty pts should give empty tour", name)
-		}
-		if tour := build(randPts(rand.New(rand.NewSource(1)), 5), -1); len(tour.Order) != 0 {
-			t.Errorf("%s: bad start should give empty tour", name)
-		}
-		one := build([]geom.Point{geom.Pt(5, 5)}, 0)
-		if len(one.Order) != 1 || one.Order[0] != 0 {
-			t.Errorf("%s: single point tour = %v", name, one.Order)
-		}
-		two := build([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
-		if err := two.Validate(2); err != nil || two.Order[0] != 1 {
-			t.Errorf("%s: two point tour = %v (%v)", name, two.Order, err)
-		}
+	ctx := context.Background()
+	if tour := MSTApprox(ctx, nil, 0); len(tour.Order) != 0 {
+		t.Errorf("empty pts should give empty tour")
+	}
+	if tour := MSTApprox(ctx, randPts(rand.New(rand.NewSource(1)), 5), -1); len(tour.Order) != 0 {
+		t.Errorf("bad start should give empty tour")
+	}
+	one := MSTApprox(ctx, []geom.Point{geom.Pt(5, 5)}, 0)
+	if len(one.Order) != 1 || one.Order[0] != 0 {
+		t.Errorf("single point tour = %v", one.Order)
+	}
+	two := MSTApprox(ctx, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
+	if err := two.Validate(2); err != nil || two.Order[0] != 1 {
+		t.Errorf("two point tour = %v (%v)", two.Order, err)
 	}
 }
 
@@ -132,14 +98,8 @@ func TestMSTApproxWithinTwiceOptimal(t *testing.T) {
 		n := 4 + rng.Intn(4) // 4..7
 		pts := randPts(rng, n)
 		opt := bruteForceOptimal(pts)
-		for name, build := range map[string]func([]geom.Point, int) Tour{
-			"mst-approx":   withCtx(MSTApprox),
-			"christofides": withCtx(Christofides),
-		} {
-			got := build(pts, 0).Length(pts)
-			if got > 2*opt+1e-9 {
-				t.Errorf("trial %d: %s length %v > 2*opt %v", trial, name, got, 2*opt)
-			}
+		if got := MSTApprox(context.Background(), pts, 0).Length(pts); got > 2*opt+1e-9 {
+			t.Errorf("trial %d: length %v > 2*opt %v", trial, got, 2*opt)
 		}
 	}
 }
@@ -174,7 +134,7 @@ func TestTwoOptNeverWorsens(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 4 + rng.Intn(100)
 		pts := randPts(rng, n)
-		tour := NearestNeighbor(pts, 0)
+		tour := Tour{Order: rng.Perm(n)}
 		before := tour.Length(pts)
 		TwoOpt(&tour, pts, 0)
 		after := tour.Length(pts)
@@ -207,32 +167,23 @@ func TestTwoOptTinyTours(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	a := Tour{Order: []int{0, 1, 2}}
-	b := a.Clone()
-	b.Order[0] = 9
-	if a.Order[0] != 0 {
-		t.Error("Clone shares backing array")
-	}
-}
-
-func BenchmarkChristofides1000(b *testing.B) {
+func BenchmarkMSTApprox1000(b *testing.B) {
 	pts := randPts(rand.New(rand.NewSource(1)), 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Christofides(context.Background(), pts, 0)
+		_ = MSTApprox(context.Background(), pts, 0)
 	}
 }
 
 func BenchmarkTwoOpt200(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randPts(rng, 200)
-	base := NearestNeighbor(pts, 0)
+	base := rng.Perm(len(pts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tour := base.Clone()
+		tour := Tour{Order: slices.Clone(base)}
 		TwoOpt(&tour, pts, 0)
 	}
 }
