@@ -89,7 +89,7 @@ func (p Planner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 	}
 	pts := in.Positions()
 	gc := graph.UnitDisk(pts, in.Gamma)
-	grid := geom.NewGrid(pts, cellSize(in.Gamma))
+	grid := geom.NewGrid(pts, in.Gamma)
 
 	// Outer level: one candidate schedule per round, fanned across
 	// Workers but indexed by round, so the scan below is deterministic.
@@ -227,14 +227,6 @@ func (p Planner) planRound(ctx context.Context, in *core.Instance, pts []geom.Po
 	}
 	core.Finalize(in, s)
 	return core.Execute(ctx, in, s), nil
-}
-
-// cellSize clamps grid cell sizes away from zero for degenerate gammas.
-func cellSize(gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	return gamma
 }
 
 // mix decorrelates (seed, round) into an rng seed (splitmix64 finalizer)

@@ -116,7 +116,7 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	// covOff[i+1]], each segment ascending — instead of len(si) separate
 	// allocations.
 	sp = tr.Start(obs.StageChargingGraph)
-	grid := geom.NewGrid(pts, maxCell(in.Gamma))
+	grid := geom.NewGrid(pts, in.Gamma)
 	covOff := make([]int32, len(si)+1)
 	covArena := make([]int32, 0, 4*len(si))
 	var buf []int
@@ -175,14 +175,6 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	eng.materialize(sched)
 	sched.refreshLongest()
 	return sched, nil
-}
-
-// maxCell clamps grid cell sizes away from zero for degenerate gammas.
-func maxCell(gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	return gamma
 }
 
 // insertStop inserts st at position pos in the tour's stop list.

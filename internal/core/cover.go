@@ -17,7 +17,7 @@ type coverGrid struct {
 func newCoverGrid(in *Instance) *coverGrid {
 	return &coverGrid{
 		in:    in,
-		grid:  geom.NewGrid(in.Positions(), maxCell(in.Gamma)),
+		grid:  geom.NewGrid(in.Positions(), in.Gamma),
 		cache: make(map[int][]int),
 	}
 }
@@ -29,8 +29,7 @@ func (c *coverGrid) cover(node int) []int {
 	if cs, ok := c.cache[node]; ok {
 		return cs
 	}
-	found := c.grid.Neighbors(c.in.Requests[node].Pos, c.in.Gamma, nil)
-	cs := append([]int(nil), found...)
+	cs := c.grid.Neighbors(c.in.Requests[node].Pos, c.in.Gamma, nil)
 	sort.Ints(cs)
 	c.cache[node] = cs
 	return cs

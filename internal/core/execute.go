@@ -59,14 +59,13 @@ func Execute(ctx context.Context, in *Instance, planned *Schedule) *Schedule {
 	// Stops conflict when some sensor is within gamma of both sojourn
 	// locations, i.e. N_c+(a) and N_c+(b) intersect. Coverage sets are
 	// computed on demand via a spatial grid and cached per node.
-	grid := geom.NewGrid(in.Positions(), maxCell(in.Gamma))
+	grid := geom.NewGrid(in.Positions(), in.Gamma)
 	coverCache := make(map[int][]int)
 	coverOf := func(node int) []int {
 		if cs, ok := coverCache[node]; ok {
 			return cs
 		}
-		found := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
-		cs := append([]int(nil), found...)
+		cs := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
 		sort.Ints(cs)
 		coverCache[node] = cs
 		return cs

@@ -35,7 +35,7 @@ func approOrderedReference(ctx context.Context, in *Instance, opts Options) (*Sc
 	h := graph.IntersectionGraph(pts, si, in.Gamma)
 	vh := graph.MaximalIndependentSet(h, opts.MISOrder, rng)
 
-	grid := geom.NewGrid(pts, maxCell(in.Gamma))
+	grid := geom.NewGrid(pts, in.Gamma)
 	cover := make([][]int, len(si))
 	var buf []int
 	for i, node := range si {

@@ -185,7 +185,7 @@ func overlapViolations(in *Instance, s *Schedule) []Violation {
 		stop  Stop
 		cover []int
 	}
-	grid := geom.NewGrid(in.Positions(), maxCell(in.Gamma))
+	grid := geom.NewGrid(in.Positions(), in.Gamma)
 	var flat []flatStop
 	var pos []geom.Point
 	for k, tour := range s.Tours {

@@ -332,7 +332,7 @@ func overlapViolationsQuadratic(in *Instance, s *Schedule) []Violation {
 		stop  Stop
 		cover []int
 	}
-	grid := geom.NewGrid(in.Positions(), maxCell(in.Gamma))
+	grid := geom.NewGrid(in.Positions(), in.Gamma)
 	var flat []flatStop
 	for k, tour := range s.Tours {
 		for _, stop := range tour.Stops {
@@ -471,6 +471,9 @@ func TestOverlapMatchesQuadratic(t *testing.T) {
 //     ~1e14 empty cells. Appro must plan it from one request
 //     (MST-doubling over two points) up; the case name ends in the
 //     grand-tour construction, MST-doubling.
+//   - far-clusters: two 2,000-request clusters (sigma 20 m) 10 km apart
+//     give the gamma grids far more cells than requests, so every stage
+//     that queries them runs on hashed buckets.
 func TestApproTerminates(t *testing.T) {
 	type tc struct {
 		name string
@@ -491,6 +494,16 @@ func TestApproTerminates(t *testing.T) {
 		}
 		cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/mst-doubling", n), in, Options{}})
 	}
+	rng := rand.New(rand.NewSource(5))
+	far := &Instance{Depot: geom.Pt(3000, 4000), Gamma: 2.7, Speed: 1, K: 4}
+	for i := 0; i < 4000; i++ {
+		c := geom.Pt(float64(i%2)*6000, float64(i%2)*8000)
+		far.Requests = append(far.Requests, Request{
+			Pos:      geom.Pt(c.X+rng.NormFloat64()*20, c.Y+rng.NormFloat64()*20),
+			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
+		})
+	}
+	cases = append(cases, tc{"far-clusters", far, Options{}})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			type result struct {

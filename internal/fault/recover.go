@@ -68,13 +68,13 @@ func Redistribute(in *core.Instance, s *core.Schedule, dead map[int]bool, frozen
 	}
 
 	// Coverage sets N_c+(v) over the instance, cached per node.
-	grid := geom.NewGrid(in.Positions(), gridCell(in.Gamma))
+	grid := geom.NewGrid(in.Positions(), in.Gamma)
 	coverCache := make(map[int][]int)
 	coverOf := func(node int) []int {
 		if cs, ok := coverCache[node]; ok {
 			return cs
 		}
-		cs := append([]int(nil), grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)...)
+		cs := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
 		sort.Ints(cs)
 		coverCache[node] = cs
 		return cs
@@ -128,14 +128,6 @@ func Redistribute(in *core.Instance, s *core.Schedule, dead map[int]bool, frozen
 	}
 	core.Finalize(in, s)
 	return len(orphans)
-}
-
-// gridCell clamps grid cell sizes away from zero for degenerate gammas.
-func gridCell(gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	return gamma
 }
 
 func intersectSorted(a, b []int) bool {

@@ -1,11 +1,28 @@
 package geom
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
-// Grid is a spatial hash over a fixed point set that answers fixed-radius
+// Grid is a spatial index over a fixed point set that answers fixed-radius
 // neighbor queries in expected O(1 + k) time, where k is the number of
 // results. It is the workhorse behind unit-disk graph construction: building
 // the charging graph G_c over n sensors costs O(n + m) instead of O(n^2).
+//
+// The points live in one bucket table of O(n) entries, counting-sorted in
+// ascending point order. When the grid has at most 2n cells, each cell is
+// its own bucket, so a row of cells is one run of the table. That serves
+// the grids CellFor sizes and gamma-grids over large request sets at the
+// paper's density. Otherwise a multiplicative hash sends each cell key
+// into a power-of-two table of at least 2n buckets (spatial hashing,
+// Teschner et al., VMV 2003), and the points inside a bucket are grouped
+// by cell. That serves gamma-grids over a few hundred requests spread
+// across a field, such as one simulation round's, and far-apart clusters.
+// The dense table is used only where it is no larger than the hashed one
+// would be. Either way a cell's points are one ascending run, and memory
+// stays O(n) whatever the extent of the points.
 //
 // The grid is immutable after construction; rebuild it if the point set
 // changes. A zero Grid is not usable — construct one with NewGrid.
@@ -16,22 +33,28 @@ type Grid struct {
 	minY float64
 	cols int
 	rows int
-	// Buckets live in one flat arena rather than a slice per cell: slot
-	// maps an occupied cell's key to a slot s, and the point indices of
-	// that cell are idx[off[s]:off[s+1]], ascending. Empty cells have no
-	// slot. This keeps NewGrid at O(1) allocations instead of one per
-	// occupied cell.
-	slot map[int]int32
-	off  []int32
-	idx  []int32
+	// Bucket b holds the point indices idx[off[b]:off[b+1]]. A dense
+	// table (ckey == nil) has one bucket per cell, keyed cy*cols+cx. A
+	// hashed table sends key k to bucket (k*hashMul)>>shift, and ckey[j]
+	// is the cell key of idx[j]; each bucket is sorted by (key, index).
+	off   []int32
+	idx   []int32
+	ckey  []int32
+	shift uint
 }
 
-// maxGridCells bounds cols*rows. Beyond it the cell-key arithmetic
-// cy*cols+cx could overflow int (extreme coordinate extents with a tiny
-// cell size make cols and rows each ~1e15, whose product wraps int64 and
-// lands distinct cells on one key), and the bucket map would be
-// pathologically sparse anyway. NewGrid coarsens the cell size until the
-// grid fits; queries stay correct — cells just hold more candidates.
+// hashMul is 2^64 divided by the golden ratio (Fibonacci hashing), which
+// spreads the arithmetic progressions of a grid row's keys evenly over
+// the table.
+const hashMul = 0x9E3779B97F4A7C15
+
+// maxGridCells bounds cols*rows. It guards the cell-key arithmetic: with
+// extreme coordinate extents and a tiny cell size, cols and rows could
+// each be ~1e15, whose product wraps int64 and lands distinct cells on one
+// key. Cell keys are stored as int32, which the bound also keeps them
+// inside. Memory does not depend on it: the bucket table has O(n) entries
+// at any cell count. NewGrid coarsens the cell size until the grid fits;
+// queries stay correct — cells just hold more candidates.
 const maxGridCells = 1 << 26
 
 // NewGrid indexes pts with square cells of the given size. The cell size
@@ -45,13 +68,9 @@ func NewGrid(pts []Point, cell float64) *Grid {
 	if !(cell > 0) {
 		cell = 1
 	}
-	g := &Grid{
-		cell: cell,
-		pts:  pts,
-		slot: make(map[int]int32, len(pts)),
-	}
-	if len(pts) == 0 {
-		g.cols, g.rows = 1, 1
+	g := &Grid{cell: cell, pts: pts, cols: 1, rows: 1}
+	n := len(pts)
+	if n == 0 {
 		return g
 	}
 	b := Bounds(pts)
@@ -74,47 +93,93 @@ func NewGrid(pts []Point, cell float64) *Grid {
 	}
 	g.cols = int(fc)
 	g.rows = int(fr)
-	// Two passes: assign slots and count, then fill the arena with a
-	// cursor per slot. Filling in ascending point order reproduces the
-	// within-bucket order incremental appends would give, which query
-	// iteration (and therefore downstream deterministic tiebreaks)
-	// observes.
-	slots := make([]int32, len(pts))
-	counts := make([]int32, 0, 64)
+	nb := g.cols * g.rows
+	if nb > 2*n {
+		lg := bits.Len(uint(2*n - 1))
+		nb = 1 << lg
+		g.shift = uint(64 - lg)
+		g.ckey = make([]int32, n)
+	}
+	// Counting sort by bucket: count, prefix-sum, then fill in ascending
+	// point order with off[b] as bucket b's cursor, which leaves off[b]
+	// at bucket b's end; one shift turns the ends back into starts.
+	key := make([]int32, n)
+	g.off = make([]int32, nb+1)
 	for i, p := range pts {
-		key := g.key(p)
-		s, ok := g.slot[key]
-		if !ok {
-			s = int32(len(counts))
-			g.slot[key] = s
-			counts = append(counts, 0)
-		}
-		slots[i] = s
-		counts[s]++
+		key[i] = int32(g.key(p))
+		g.off[g.bucket(int(key[i]))+1]++
 	}
-	g.off = make([]int32, len(counts)+1)
-	for s, c := range counts {
-		g.off[s+1] = g.off[s] + c
+	for b := range nb {
+		g.off[b+1] += g.off[b]
 	}
-	g.idx = make([]int32, len(pts))
-	cur := counts[:0] // reuse as cursors; counts is dead after the prefix sum
-	cur = append(cur, g.off[:len(counts)]...)
-	for i := range pts {
-		s := slots[i]
-		g.idx[cur[s]] = int32(i)
-		cur[s]++
+	g.idx = make([]int32, n)
+	for i, k := range key {
+		b := g.bucket(int(k))
+		g.idx[g.off[b]] = int32(i)
+		g.off[b]++
+	}
+	copy(g.off[1:], g.off[:nb])
+	g.off[0] = 0
+	if g.ckey != nil {
+		g.groupBuckets(key)
 	}
 	return g
 }
 
-// cellPoints returns the indices bucketed in the cell with the given key,
-// ascending, or nil for an empty cell.
-func (g *Grid) cellPoints(key int) []int32 {
-	s, ok := g.slot[key]
-	if !ok {
-		return nil
+// groupBuckets fills ckey and sorts every bucket that holds more than one
+// cell by (cell key, point index), so each cell's points form one
+// ascending run. A bucket with a single cell is already in that order.
+func (g *Grid) groupBuckets(key []int32) {
+	var run []uint64
+	for b := range len(g.off) - 1 {
+		lo, hi := g.off[b], g.off[b+1]
+		mixed := false
+		for j := lo; j < hi; j++ {
+			g.ckey[j] = key[g.idx[j]]
+			mixed = mixed || g.ckey[j] != g.ckey[lo]
+		}
+		if !mixed {
+			continue
+		}
+		run = run[:0]
+		for j := lo; j < hi; j++ {
+			run = append(run, uint64(g.ckey[j])<<32|uint64(g.idx[j]))
+		}
+		slices.Sort(run)
+		for j, e := range run {
+			g.ckey[lo+int32(j)] = int32(e >> 32)
+			g.idx[lo+int32(j)] = int32(uint32(e))
+		}
 	}
-	return g.idx[g.off[s]:g.off[s+1]]
+}
+
+// bucket returns the bucket that holds the cell with key k.
+func (g *Grid) bucket(k int) int {
+	if g.ckey == nil {
+		return k
+	}
+	return int((uint64(k) * hashMul) >> g.shift)
+}
+
+// cells returns the points of the cells keyed k through end, which lie in
+// one grid row, as one run in ascending cell then ascending index order,
+// and the first key it did not cover. A dense table keeps a row's cells
+// side by side, so one call covers the whole range; a hashed table
+// returns one cell per call.
+func (g *Grid) cells(k, end int) ([]int32, int) {
+	if g.ckey == nil {
+		return g.idx[g.off[k]:g.off[end+1]], end + 1
+	}
+	b := g.bucket(k)
+	lo, hi := g.off[b], g.off[b+1]
+	for lo < hi && g.ckey[lo] < int32(k) {
+		lo++
+	}
+	e := lo
+	for e < hi && g.ckey[e] == int32(k) {
+		e++
+	}
+	return g.idx[lo:e], k + 1
 }
 
 // Len returns the number of indexed points.
@@ -142,39 +207,43 @@ func cellIndex(v, min, cell float64) int {
 	return int(f)
 }
 
-// key computes the bucket key of p's cell. With cols*rows bounded by
-// maxGridCells and the per-axis indices clamped, cy*cols+cx stays far
-// inside the int range.
+// key computes the cell key cy*cols+cx of an indexed point. Finite
+// coordinates always fall inside the grid; the clamp gives a point with a
+// NaN coordinate (or one past an overflowing extent) a valid cell too.
 func (g *Grid) key(p Point) int {
-	cx := cellIndex(p.X, g.minX, g.cell)
-	cy := cellIndex(p.Y, g.minY, g.cell)
+	cx := clampInt(cellIndex(p.X, g.minX, g.cell), 0, g.cols-1)
+	cy := clampInt(cellIndex(p.Y, g.minY, g.cell), 0, g.rows-1)
 	return cy*g.cols + cx
 }
 
 // Neighbors returns the indices of all indexed points within radius r of q,
-// including any indexed point coincident with q. The result order is
-// unspecified. The caller may pass a reusable buffer via dst to avoid
-// allocation; pass nil otherwise.
+// including any indexed point coincident with q, in a fixed order: the
+// cells in row-major order, then ascending index within a cell. The caller
+// may pass a reusable buffer via dst to avoid allocation; pass nil
+// otherwise.
 func (g *Grid) Neighbors(q Point, r float64, dst []int) []int {
 	dst = dst[:0]
 	if r < 0 || len(g.pts) == 0 {
 		return dst
 	}
 	r2 := r * r
-	// The scan window [c-span, c+span] is computed in float space and
-	// clamped to the grid per axis, so a huge radius/cell ratio or a query
-	// point far outside the indexed bounds can neither overflow the index
-	// arithmetic nor widen the loop beyond the grid itself.
-	span := math.Ceil(r/g.cell) + 1
-	cx := cellIndex(q.X, g.minX, g.cell)
-	cy := cellIndex(q.Y, g.minY, g.cell)
-	y0, y1 := cellScanRange(cy, span, g.rows)
-	x0, x1 := cellScanRange(cx, span, g.cols)
+	// Scan the cells of q ± w. The relative 1e-9 covers DistSq's rounding.
+	// The 1e-150 floor covers its underflow: a subnormal or zero r*r
+	// admits points up to ~1.5e-154 apart. An overflowing r*r admits
+	// every point, so the window is the whole grid.
+	x0, x1, y0, y1 := 0, g.cols-1, 0, g.rows-1
+	if !math.IsInf(r2, 1) {
+		w := math.Max(r, 1e-150) * (1 + 1e-9)
+		x0, x1 = scanRange(q.X, w, g.minX, g.cell, g.cols)
+		y0, y1 = scanRange(q.Y, w, g.minY, g.cell, g.rows)
+	}
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, idx := range g.cellPoints(y*g.cols + x) {
-				if DistSq(q, g.pts[idx]) <= r2 {
-					dst = append(dst, int(idx))
+		for k, end := y*g.cols+x0, y*g.cols+x1; k <= end; {
+			var run []int32
+			run, k = g.cells(k, end)
+			for _, i := range run {
+				if DistSq(q, g.pts[i]) <= r2 {
+					dst = append(dst, int(i))
 				}
 			}
 		}
@@ -182,22 +251,18 @@ func (g *Grid) Neighbors(q Point, r float64, dst []int) []int {
 	return dst
 }
 
-// cellScanRange clamps the inclusive cell window [c-span, c+span] to
-// [0, n), returning an empty range (1, 0) when they do not intersect.
-// span is kept in float space until after clamping so extreme values
-// never reach an int conversion.
-func cellScanRange(c int, span float64, n int) (int, int) {
-	lo, hi := float64(c)-span, float64(c)+span
-	if hi < 0 || lo > float64(n-1) || math.IsNaN(span) {
+// scanRange returns the inclusive range of cells along one axis that
+// covers [v-w, v+w], clamped to [0, n), or an empty range (1, 0) when it
+// misses the grid. Both ends are floored in float space and clamped before
+// the int conversion, so neither a huge w nor a far or NaN v can overflow
+// the index arithmetic.
+func scanRange(v, w, min, cell float64, n int) (int, int) {
+	lo := math.Floor((v - w - min) / cell)
+	hi := math.Floor((v + w - min) / cell)
+	if !(hi >= 0 && lo <= float64(n-1)) { // also catches NaN
 		return 1, 0
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > float64(n-1) {
-		hi = float64(n - 1)
-	}
-	return int(lo), int(hi)
+	return int(math.Max(lo, 0)), int(math.Min(hi, float64(n-1)))
 }
 
 // PairRadius returns a query radius (and cell size) at which Neighbors
@@ -206,12 +271,12 @@ func cellScanRange(c int, span float64, n int) (int, int) {
 // a common point under Within. A caller can then use the grid purely as a
 // prefilter and let its own predicate decide, which reproduces an
 // all-pairs scan exactly. d is inflated by a relative 1e-9, far above the
-// rounding either judgement can incur; floored at 1e-150, so the squared
-// radius Neighbors compares against stays a normal float even for d = 0;
-// and capped at MaxFloat64, because an infinite radius on an infinite cell
-// scans no cells at all.
+// rounding either judgement can incur, and floored at 1e-150, so the
+// squared radius Neighbors compares against stays a normal float even for
+// d = 0. An infinite d needs no cap: its square overflows, and Neighbors
+// then scans the whole grid.
 func PairRadius(d float64) float64 {
-	return math.Min(math.Max(d*(1+1e-9), 1e-150), math.MaxFloat64)
+	return math.Max(d*(1+1e-9), 1e-150)
 }
 
 // CellFor returns a grid cell size (and starting query radius) at which n
@@ -232,7 +297,8 @@ func CellFor(b Rect, n int) float64 {
 }
 
 // NeighborsOf returns the indices of all indexed points within radius r of
-// the i-th indexed point, excluding i itself.
+// the i-th indexed point, excluding i itself. The order is Neighbors'
+// order, except that the last result moves into i's place.
 func (g *Grid) NeighborsOf(i int, r float64, dst []int) []int {
 	dst = g.Neighbors(g.pts[i], r, dst)
 	for j, idx := range dst {
@@ -283,7 +349,8 @@ func (g *Grid) NearestWhere(q Point, maxDist float64, accept func(i int) bool) (
 		maxSpan = g.rows
 	}
 	scan := func(x, y int) {
-		for _, idx := range g.cellPoints(y*g.cols + x) {
+		run, _ := g.cells(y*g.cols+x, y*g.cols+x)
+		for _, idx := range run {
 			if accept != nil && !accept(int(idx)) {
 				continue
 			}

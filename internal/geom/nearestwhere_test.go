@@ -8,9 +8,12 @@ import (
 
 // bruteNearestWhere is the linear-scan oracle for NearestWhere's contract:
 // nearest accepted point within maxDist (inclusive), ties to the lowest
-// index.
+// index, and nothing for a negative or NaN maxDist.
 func bruteNearestWhere(pts []Point, q Point, maxDist float64, accept func(int) bool) (int, float64) {
 	best, bestD2 := -1, math.Inf(1)
+	if !(maxDist >= 0) {
+		return best, bestD2
+	}
 	maxD2 := maxDist * maxDist
 	for i, p := range pts {
 		if accept != nil && !accept(i) {

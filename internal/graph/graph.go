@@ -158,11 +158,7 @@ func UnitDisk(pts []geom.Point, radius float64) *Undirected {
 	if radius < 0 || n == 0 {
 		return emptyGraph(n)
 	}
-	cell := radius
-	if cell <= 0 {
-		cell = 1
-	}
-	grid := geom.NewGrid(pts, cell)
+	grid := geom.NewGrid(pts, radius)
 	deg := make([]int32, n)
 	var buf []int
 	for u := range pts {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,13 +91,81 @@ func checkAgainstReference(t *testing.T, g *Undirected, ref [][]int32) {
 	}
 }
 
+// cellOrder enumerates neighbours the way geom.Grid orders them, without
+// using the grid: the points within r of a query, sorted by (cell row,
+// cell column, index) over square cells of the given size anchored at the
+// points' bounding box. A grid that reorders its results therefore
+// changes the CSR rows but not this reference.
+type cellOrder struct {
+	pts    []geom.Point
+	cx, cy []float64
+}
+
+func newCellOrder(t *testing.T, pts []geom.Point, cell float64) *cellOrder {
+	t.Helper()
+	o := &cellOrder{pts: pts}
+	if len(pts) == 0 {
+		return o
+	}
+	b := geom.Bounds(pts)
+	// The grid coarsens its cells past 2^26 of them; the fixtures stay
+	// below that so the requested size is the one in use.
+	if (math.Floor(b.Width()/cell)+1)*(math.Floor(b.Height()/cell)+1) > 1<<26 {
+		t.Fatalf("fixture needs more than 2^26 cells of size %v", cell)
+	}
+	for _, p := range pts {
+		o.cx = append(o.cx, math.Floor((p.X-b.Min.X)/cell))
+		o.cy = append(o.cy, math.Floor((p.Y-b.Min.Y)/cell))
+	}
+	return o
+}
+
+// neighborsOf returns the points within r of point u other than u, in
+// grid order, with u dropped as geom.Grid.NeighborsOf drops it: the last
+// entry moves into its slot.
+func (o *cellOrder) neighborsOf(u int, r float64) []int {
+	var out []int
+	for v, p := range o.pts {
+		if geom.Within(o.pts[u], p, r) {
+			out = append(out, v)
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		i, j := out[a], out[b]
+		if o.cy[i] != o.cy[j] {
+			return o.cy[i] < o.cy[j]
+		}
+		return o.cx[i] < o.cx[j]
+	})
+	for j, v := range out {
+		if v == u {
+			out[j] = out[len(out)-1]
+			return out[:len(out)-1]
+		}
+	}
+	return out
+}
+
+// farClusters draws n points in two Gaussian clusters of sigma 3 m whose
+// centres are 5 km apart, so a grid at a cell of a few metres has far
+// more cells than points and hashes them.
+func farClusters(rng *rand.Rand, n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		c := float64(i%2) * 3535.5
+		pts[i] = geom.Pt(c+rng.NormFloat64()*3, c+rng.NormFloat64()*3)
+	}
+	return pts
+}
+
 // TestUnitDiskCSRMatchesReferenceOrder property-tests that the two-pass
 // CSR UnitDisk reproduces the incremental builder's adjacency byte for
 // byte — including within-row neighbor order, which downstream tiebreaks
-// (latestNeighborFinish in core) observe.
+// (latestNeighborFinish in core) observe. The last trial puts the points
+// in two far-apart clusters.
 func TestUnitDiskCSRMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 26; trial++ {
 		n := rng.Intn(300)
 		side := 5 + rng.Float64()*60
 		pts := make([]geom.Point, n)
@@ -104,14 +173,14 @@ func TestUnitDiskCSRMatchesReferenceOrder(t *testing.T) {
 			pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 		}
 		r := 0.5 + rng.Float64()*6
+		if trial == 25 {
+			pts, r = farClusters(rng, 300), 2.7
+		}
 		g := UnitDisk(pts, r)
-		cell := r
-		grid := geom.NewGrid(pts, cell)
-		var buf []int
-		ref := referenceAdjacency(n, func(emit func(u, v int)) {
+		order := newCellOrder(t, pts, r)
+		ref := referenceAdjacency(len(pts), func(emit func(u, v int)) {
 			for u := range pts {
-				buf = grid.NeighborsOf(u, r, buf)
-				for _, v := range buf {
+				for _, v := range order.neighborsOf(u, r) {
 					if v > u {
 						emit(u, v)
 					}
@@ -127,7 +196,7 @@ func TestUnitDiskCSRMatchesReferenceOrder(t *testing.T) {
 // cover-set intersection condition, appended incrementally.
 func TestIntersectionGraphCSRMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 26; trial++ {
 		n := rng.Intn(250)
 		side := 5 + rng.Float64()*50
 		pts := make([]geom.Point, n)
@@ -135,6 +204,9 @@ func TestIntersectionGraphCSRMatchesReferenceOrder(t *testing.T) {
 			pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 		}
 		r := 0.5 + rng.Float64()*4
+		if trial == 25 {
+			pts, r = farClusters(rng, 250), 2.7
+		}
 		var nodes []int
 		for i := range pts {
 			if rng.Float64() < 0.4 {
@@ -142,34 +214,28 @@ func TestIntersectionGraphCSRMatchesReferenceOrder(t *testing.T) {
 			}
 		}
 		h := IntersectionGraph(pts, nodes, r)
-		grid := geom.NewGrid(pts, r)
 		coverSets := make([][]int, len(nodes))
-		var buf []int
 		for i, nd := range nodes {
-			buf = grid.Neighbors(pts[nd], r, buf)
-			cs := make([]int, len(buf))
-			copy(cs, buf)
-			sort.Ints(cs)
-			coverSets[i] = cs
+			for v, p := range pts {
+				if geom.Within(pts[nd], p, r) {
+					coverSets[i] = append(coverSets[i], v)
+				}
+			}
 		}
 		nodePts := make([]geom.Point, len(nodes))
 		for i, nd := range nodes {
 			nodePts[i] = pts[nd]
 		}
-		var ref [][]int32
-		if len(nodes) > 0 {
-			ngrid := geom.NewGrid(nodePts, 2*r)
-			ref = referenceAdjacency(len(nodes), func(emit func(u, v int)) {
-				for i := range nodes {
-					buf = ngrid.NeighborsOf(i, 2*r, buf)
-					for _, j := range buf {
-						if j > i && sortedIntersect(coverSets[i], coverSets[j]) {
-							emit(i, j)
-						}
+		order := newCellOrder(t, nodePts, 2*r)
+		ref := referenceAdjacency(len(nodes), func(emit func(u, v int)) {
+			for i := range nodes {
+				for _, j := range order.neighborsOf(i, 2*r) {
+					if j > i && sortedIntersect(coverSets[i], coverSets[j]) {
+						emit(i, j)
 					}
 				}
-			})
-		}
+			}
+		})
 		checkAgainstReference(t, h, ref)
 	}
 }

@@ -286,13 +286,13 @@ func executeFaulty(inj *fault.Injector, round int, in *core.Instance, planned *c
 		start, end float64
 	}
 	var committed []interval
-	grid := geom.NewGrid(in.Positions(), gridCell(in.Gamma))
+	grid := geom.NewGrid(in.Positions(), in.Gamma)
 	coverCache := make(map[int][]int)
 	coverOf := func(node int) []int {
 		if cs, ok := coverCache[node]; ok {
 			return cs
 		}
-		cs := append([]int(nil), grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)...)
+		cs := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
 		sort.Ints(cs)
 		coverCache[node] = cs
 		return cs

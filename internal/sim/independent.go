@@ -82,11 +82,10 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 	// Under Verify, every interval ever committed is retained for a
 	// global pairwise no-overlap audit at the end.
 	var audit []interval
-	grid := geom.NewGrid(networkPositions(nw), gridCell(nw.Gamma))
+	grid := geom.NewGrid(networkPositions(nw), nw.Gamma)
 
 	coverOf := func(sensorID int) []int {
-		found := grid.Neighbors(nw.Sensors[sensorID].Pos, nw.Gamma, nil)
-		cs := append([]int(nil), found...)
+		cs := grid.Neighbors(nw.Sensors[sensorID].Pos, nw.Gamma, nil)
 		sort.Ints(cs)
 		return cs
 	}
@@ -416,13 +415,6 @@ func networkPositions(nw *wrsn.Network) []geom.Point {
 		pts[i] = nw.Sensors[i].Pos
 	}
 	return pts
-}
-
-func gridCell(gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	return gamma
 }
 
 // sectorOf returns which of k equal angular sectors around the depot the

@@ -84,7 +84,7 @@ func (nw *Network) ComputeStats() Stats {
 		st.MinLifetimeHours = math.Inf(1)
 	}
 	// Charging-graph degree at radius gamma.
-	grid := geom.NewGrid(nw.Positions(), cell(nw.Gamma))
+	grid := geom.NewGrid(nw.Positions(), nw.Gamma)
 	var deg stats.Accumulator
 	var buf []int
 	for i := range nw.Sensors {
@@ -93,11 +93,4 @@ func (nw *Network) ComputeStats() Stats {
 	}
 	st.MeanNeighbors = deg.Mean()
 	return st
-}
-
-func cell(gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	return gamma
 }
