@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -12,8 +11,8 @@ import (
 
 	"repro"
 	"repro/internal/export"
-	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // scalingDensity holds the request density of the scaling ladder at the
@@ -62,7 +61,7 @@ func runScaling(ctx context.Context, ladder string, k int, seed int64, budget st
 	var failures []string
 	for _, n := range ns {
 		side := math.Sqrt(float64(n) / scalingDensity)
-		in := scalingInstance(n, k, seed, side)
+		in := workload.RequestSet(n, k, seed, side)
 		tracer := obs.New()
 		start := time.Now()
 		s, err := planner.Plan(obs.WithTracer(ctx, tracer), in)
@@ -154,25 +153,4 @@ func parseBudget(budget string) (map[string]float64, error) {
 		out[stage] = sec
 	}
 	return out, nil
-}
-
-// scalingInstance synthesizes the ladder's request set exactly as
-// cmd/wrsn-plan's buildInstance does — same generator, same seed
-// stream — so ladder rungs here reproduce the recorded wrsn-plan runs.
-func scalingInstance(n, k int, seed int64, side float64) *repro.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	in := &repro.Instance{
-		Depot: geom.Pt(side/2, side/2),
-		Gamma: 2.7,
-		Speed: 1,
-		K:     k,
-	}
-	for i := 0; i < n; i++ {
-		in.Requests = append(in.Requests, repro.Request{
-			Pos:      geom.Pt(rng.Float64()*side, rng.Float64()*side),
-			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
-			Lifetime: (1 + rng.Float64()*6) * 86400,
-		})
-	}
-	return in
 }

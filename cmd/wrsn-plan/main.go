@@ -13,17 +13,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
 
 	"repro"
 	"repro/internal/export"
-	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/render"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -33,8 +32,8 @@ func main() {
 		name       = flag.String("planner", "Appro", "algorithm: "+strings.Join(repro.PlannerNames(), ", ")+" (case-insensitive, aliases accepted)")
 		seed       = flag.Int64("seed", 1, "request set seed")
 		field      = flag.Float64("field", 100, "side of the square deployment field in meters (scale ~ sqrt(n) to keep the paper's density at large n)")
-		misFlag    = flag.String("mis", "", `MIS strategy for options-capable planners: "max-degree" (default), "min-degree", "lexicographic", "random", "luby"`)
-		misSeed    = flag.Int64("mis-seed", 1, `seed for the seeded MIS strategies ("random", "luby")`)
+		misFlag    = flag.String("mis", "", `MIS strategy for options-capable planners: "max-degree" (default), "min-degree", "lexicographic", "random"`)
+		misSeed    = flag.Int64("mis-seed", 1, `seed for the seeded MIS strategy "random"`)
 		svgPath    = flag.String("svg", "", "write an SVG rendering of the tours to this file")
 		gantt      = flag.String("gantt", "", "write an SVG timeline of charger activity to this file")
 		compare    = flag.Bool("compare", false, "plan with every registered algorithm and compare objectives")
@@ -108,8 +107,6 @@ func plannerOptions(mis string, misSeed int64, workers int) (repro.ApproOptions,
 		opts.MISOrder = graph.MISLexicographic
 	case "random":
 		opts.MISOrder = graph.MISRandom
-	case "luby":
-		opts.MISOrder = graph.MISLuby
 	default:
 		return opts, fmt.Errorf("unknown -mis strategy %q", mis)
 	}
@@ -151,34 +148,8 @@ func writeInstance(path string, in *repro.Instance) error {
 	return nil
 }
 
-// buildInstance synthesizes a request set matching the paper's planning
-// regime: sensors uniform in a side x side field with the depot at its
-// center, each having requested at ~20% residual capacity, so charge
-// durations fall in [1.2 h, 1.5 h]. The paper's field is side = 100; the
-// scaling ladder grows side as sqrt(n) to hold the density constant.
-func buildInstance(n, k int, seed int64, side float64) *repro.Instance {
-	if !(side > 0) {
-		side = 100
-	}
-	rng := rand.New(rand.NewSource(seed))
-	in := &repro.Instance{
-		Depot: geom.Pt(side/2, side/2),
-		Gamma: 2.7,
-		Speed: 1,
-		K:     k,
-	}
-	for i := 0; i < n; i++ {
-		in.Requests = append(in.Requests, repro.Request{
-			Pos:      geom.Pt(rng.Float64()*side, rng.Float64()*side),
-			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
-			Lifetime: (1 + rng.Float64()*6) * 86400,
-		})
-	}
-	return in
-}
-
 func run(ctx context.Context, n, k int, name string, seed int64, field float64, opts repro.ApproOptions, svgPath, ganttPath string, compare bool, workers int, planCache bool, jsonOut bool, dumpInst string) error {
-	in := buildInstance(n, k, seed, field)
+	in := workload.RequestSet(n, k, seed, field)
 	if dumpInst != "" {
 		if err := writeInstance(dumpInst, in); err != nil {
 			return err
@@ -225,7 +196,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 			"algorithm", "longest delay (h)", "stops", "total wait (s)", "violations")
 		for i, p := range ps {
 			s := schedules[i]
-			viol := verifyFor(in, s)
+			viol := len(repro.VerifyScheme(in, s))
 			tb.AddRow(p.Name(), export.F(s.Longest/3600, 2), export.I(s.NumStops()),
 				export.F(s.WaitTime, 1), export.I(viol))
 		}
@@ -248,7 +219,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 	for ki, tour := range s.Tours {
 		fmt.Printf("  charger %d: %d stops, delay %.2f h\n", ki+1, len(tour.Stops), tour.Delay/3600)
 	}
-	if viol := verifyFor(in, s); viol != 0 {
+	if viol := len(repro.VerifyScheme(in, s)); viol != 0 {
 		return fmt.Errorf("%d feasibility violations", viol)
 	}
 	fmt.Println("feasibility: OK (coverage, disjointness, timing, no simultaneous charging)")
@@ -293,30 +264,4 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 		fmt.Printf("wrote %s\n", ganttPath)
 	}
 	return nil
-}
-
-// verifyFor applies multi-node semantics to multi-node schedules and
-// point-charging semantics (no overlap constraint — directional chargers
-// cannot interfere) to one-to-one schedules.
-func verifyFor(in *repro.Instance, s *repro.Schedule) int {
-	oneToOne := true
-	for _, tour := range s.Tours {
-		for _, stop := range tour.Stops {
-			if len(stop.Covers) != 1 || stop.Covers[0] != stop.Node {
-				oneToOne = false
-			}
-		}
-	}
-	if !oneToOne {
-		return len(repro.Verify(in, s))
-	}
-	checkIn := *in
-	checkIn.Gamma = 0
-	count := 0
-	for _, v := range repro.Verify(&checkIn, s) {
-		if v.Kind != "simultaneous-charge" {
-			count++
-		}
-	}
-	return count
 }

@@ -13,10 +13,14 @@ import (
 
 	"repro"
 	"repro/internal/export"
+	"repro/internal/workload"
 )
 
+// TestBuildInstanceShape checks the request set wrsn-plan builds, the
+// one workload.RequestSet shared with wrsn-bench -scaling and wrsn-serve
+// -loadgen.
 func TestBuildInstanceShape(t *testing.T) {
-	in := buildInstance(50, 3, 7, 100)
+	in := workload.RequestSet(50, 3, 7, 100)
 	if len(in.Requests) != 50 || in.K != 3 || in.Gamma != 2.7 {
 		t.Fatalf("instance shape wrong: %d requests K=%d", len(in.Requests), in.K)
 	}
@@ -28,10 +32,10 @@ func TestBuildInstanceShape(t *testing.T) {
 			t.Fatalf("request %d without lifetime", i)
 		}
 	}
-	// Deterministic per seed.
-	again := buildInstance(50, 3, 7, 100)
-	if again.Requests[0].Pos != in.Requests[0].Pos {
-		t.Error("buildInstance not deterministic")
+	// Deterministic per seed, and side <= 0 means the paper's field.
+	again := workload.RequestSet(50, 3, 7, 0)
+	if again.Requests[0].Pos != in.Requests[0].Pos || again.Depot != in.Depot {
+		t.Error("RequestSet not deterministic")
 	}
 }
 
@@ -87,7 +91,7 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 		t.Fatal(runErr)
 	}
 
-	// The dumped instance must decode to exactly what buildInstance made.
+	// The dumped instance must decode to exactly the generated one.
 	data, err := os.ReadFile(instPath)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +100,7 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	want := buildInstance(40, 2, 1, 100)
+	want := workload.RequestSet(40, 2, 1, 100)
 	if !reflect.DeepEqual(&decoded, want) {
 		t.Fatal("dumped instance does not round-trip to the generated one")
 	}

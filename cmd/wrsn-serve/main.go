@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,11 +50,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/export"
-	"repro/internal/geom"
 	"repro/internal/resilience"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -128,20 +126,6 @@ func main() {
 		os.Exit(1)
 	}
 	log.Print("wrsn-serve: drained cleanly")
-}
-
-// loadgenInstance mirrors the wrsn-plan/serve test planning regime.
-func loadgenInstance(n, k int, seed int64) *core.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	in := &core.Instance{Depot: geom.Pt(50, 50), Gamma: 2.7, Speed: 1, K: k}
-	for i := 0; i < n; i++ {
-		in.Requests = append(in.Requests, core.Request{
-			Pos:      geom.Pt(rng.Float64()*100, rng.Float64()*100),
-			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
-			Lifetime: (1 + rng.Float64()*6) * 86400,
-		})
-	}
-	return in
 }
 
 // benchReport is the BENCH_serve.json shape.
@@ -231,7 +215,7 @@ func runLoadgen(cfg serve.Config, n, k, reqs, concurrency, variants int, out str
 
 	bodies := make([][]byte, variants)
 	for i := range bodies {
-		b, err := json.Marshal(loadgenInstance(n, k, int64(i+1)))
+		b, err := json.Marshal(workload.RequestSet(n, k, int64(i+1), 100))
 		if err != nil {
 			return err
 		}
@@ -284,7 +268,7 @@ func runLoadgen(cfg serve.Config, n, k, reqs, concurrency, variants int, out str
 	var drainOK, dropped atomic.Int64
 	var dwg sync.WaitGroup
 	for c := 0; c < inFlight; c++ {
-		body, err := json.Marshal(loadgenInstance(4*n, k, int64(1000+c)))
+		body, err := json.Marshal(workload.RequestSet(4*n, k, int64(1000+c), 100))
 		if err != nil {
 			return err
 		}
@@ -466,7 +450,7 @@ func chaosReplayRun(seed int64, k, reqs int) (digest string, events int, faults 
 	defer topo.stop()
 	url := "http://" + topo.router.Addr() + "/v1/plan"
 	for i := 0; i < reqs; i++ {
-		body, err := json.Marshal(loadgenInstance(60, k, int64(i+1)))
+		body, err := json.Marshal(workload.RequestSet(60, k, int64(i+1), 100))
 		if err != nil {
 			return "", 0, nil, serve.RouterStats{}, err
 		}
@@ -572,7 +556,7 @@ func chaosKillRevive(seed int64, k int) (*killReviveResults, error) {
 		return nil, err
 	}
 	for i := 0; i < nVariants; i++ {
-		in := loadgenInstance(instN, k, int64(i+1))
+		in := workload.RequestSet(instN, k, int64(i+1), 100)
 		if bodies[i], err = json.Marshal(in); err != nil {
 			return nil, err
 		}

@@ -53,12 +53,8 @@ func main() {
 		// One-to-one baselines are held to point-charging semantics; the
 		// multi-node Appro schedule must additionally satisfy the
 		// no-simultaneous-charging constraint.
-		check := *in
-		if oneToOne(s) {
-			check.Gamma = 0
-		}
 		verdict := "OK"
-		if vs := repro.Verify(&check, s); len(vs) > 0 {
+		if vs := repro.VerifyScheme(in, s); len(vs) > 0 {
 			verdict = vs[0].String()
 		}
 		fmt.Printf("%-9s  %17.2f  %5d  %s\n", p.Name(), s.Longest/3600, s.NumStops(), verdict)
@@ -93,15 +89,4 @@ func main() {
 		}
 		fmt.Printf("%-9s  %20.2f  %17.1f\n", p.Name(), res.AvgLongest/3600, res.AvgDeadPerSensor/60)
 	}
-}
-
-func oneToOne(s *repro.Schedule) bool {
-	for _, tour := range s.Tours {
-		for _, stop := range tour.Stops {
-			if len(stop.Covers) != 1 || stop.Covers[0] != stop.Node {
-				return false
-			}
-		}
-	}
-	return true
 }

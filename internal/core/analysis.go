@@ -84,10 +84,10 @@ func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error)
 	out.VH = len(vh)
 	out.DeltaH = h.MaxDegree()
 
-	grid := newCoverGrid(in)
+	cov := NewCoverage(pts, in.Gamma)
 	for _, node := range si {
 		tau := 0.0
-		for _, u := range grid.cover(node) {
+		for _, u := range cov.Cover(node) {
 			if d := in.Requests[u].Duration; d > tau {
 				tau = d
 			}

@@ -234,7 +234,6 @@ func TestInsertionMatchesReference(t *testing.T) {
 		{"lex", 250, 2, 6, 100, Options{MISOrder: graph.MISLexicographic}},
 		{"mindeg", 250, 2, 7, 100, Options{MISOrder: graph.MISMinDegree}},
 		{"random", 250, 2, 8, 100, Options{MISOrder: graph.MISRandom, Seed: 11}},
-		{"luby", 250, 2, 9, 100, Options{MISOrder: graph.MISLuby, Seed: 5}},
 		{"nosort", 250, 2, 10, 100, Options{NoSortByFinishTime: true}},
 	}
 	if !testing.Short() {

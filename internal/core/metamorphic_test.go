@@ -6,12 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
 // Metamorphic properties of Algorithm Appro. The longest-charge-delay
@@ -24,9 +22,6 @@ import (
 //   - permuting the request slice relabels indices and nothing else;
 //   - gamma = 0 collapses multi-node charging to one-to-one charging, so
 //     every sensor must get its own dedicated stop.
-//
-// These tests run in CI under -race (they exercise the goroutine-parallel
-// Luby MIS too).
 
 func metaInstance(n int, seed int64) *Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -211,72 +206,5 @@ func TestMetamorphicGammaZeroDegenerates(t *testing.T) {
 	}
 	if vs := Verify(in, s); len(vs) != 0 {
 		t.Fatalf("gamma=0 schedule infeasible: %v", vs[0])
-	}
-}
-
-// TestMetamorphicPropertiesWithLubyMIS extends the suite to the
-// goroutine-parallel MIS strategy: for a fixed seed the plan must be
-// byte-identical at any GOMAXPROCS (Luby's rounds fan across
-// min(GOMAXPROCS, 8) goroutines but are seed-deterministic), and permuting
-// the requests must only relabel the schedule, exactly like the greedy
-// orders.
-func TestMetamorphicPropertiesWithLubyMIS(t *testing.T) {
-	in := metaInstance(150, 3)
-	opts := Options{MISOrder: graph.MISLuby, Seed: 7}
-	prev := runtime.GOMAXPROCS(0)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	var base *Schedule
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := Appro(context.Background(), in, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = got
-		} else if !reflect.DeepEqual(got, base) {
-			t.Fatalf("GOMAXPROCS=%d: Luby-MIS plan differs from the GOMAXPROCS=1 plan", procs)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 2; trial++ {
-		perm := rng.Perm(len(in.Requests)) // perm[new] = old
-		shuffled := *in
-		shuffled.Requests = make([]Request, len(in.Requests))
-		inv := make([]int, len(perm)) // inv[old] = new
-		for newIdx, oldIdx := range perm {
-			shuffled.Requests[newIdx] = in.Requests[oldIdx]
-			inv[oldIdx] = newIdx
-		}
-		got, err := Appro(context.Background(), &shuffled, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Longest != base.Longest {
-			t.Fatalf("trial %d: permutation changed longest delay under Luby MIS: %v vs %v",
-				trial, got.Longest, base.Longest)
-		}
-		if want := remapForTest(base, inv); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: permuted Luby-MIS schedule is not the relabeled original", trial)
-		}
-	}
-
-	// Translation must keep the tour structure, like the default order.
-	moved := *in
-	moved.Depot = geom.Pt(in.Depot.X+512, in.Depot.Y-64)
-	moved.Requests = append([]Request(nil), in.Requests...)
-	for i := range moved.Requests {
-		moved.Requests[i].Pos = geom.Pt(in.Requests[i].Pos.X+512, in.Requests[i].Pos.Y-64)
-	}
-	got, err := Appro(context.Background(), &moved, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(structure(got), structure(base)) {
-		t.Fatal("translation changed the tour structure under Luby MIS")
-	}
-	if !relTol(got.Longest, base.Longest) {
-		t.Fatalf("translation under Luby MIS: longest %.12f vs %.12f", got.Longest, base.Longest)
 	}
 }

@@ -197,24 +197,40 @@ func TestInsertStopPositions(t *testing.T) {
 	}
 }
 
-func TestCoverGridCaches(t *testing.T) {
-	in := &Instance{
-		Depot: geom.Pt(0, 0),
-		Requests: []Request{
-			{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(1, 0)}, {Pos: geom.Pt(10, 0)},
-		},
-		Gamma: 2.7, Speed: 1, K: 1,
+func TestCoverage(t *testing.T) {
+	pts := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0),
+		// 4 m apart (within 2*gamma) with no sensor in both disks.
+		geom.Pt(14, 0), geom.Pt(18, 0),
+		// 4 m apart sharing the sensor between them.
+		geom.Pt(30, 0), geom.Pt(34, 0), geom.Pt(32, 0),
 	}
-	cg := newCoverGrid(in)
-	a := cg.cover(0)
+	cov := NewCoverage(pts, 2.7)
+	a := cov.Cover(0)
 	if len(a) != 2 || a[0] != 0 || a[1] != 1 {
-		t.Fatalf("cover(0) = %v", a)
+		t.Fatalf("Cover(0) = %v", a)
 	}
-	b := cg.cover(0)
+	b := cov.Cover(0)
 	if &a[0] != &b[0] {
-		t.Error("cover not cached")
+		t.Error("Cover not cached")
 	}
-	if c := cg.cover(2); len(c) != 1 || c[0] != 2 {
-		t.Errorf("cover(2) = %v", c)
+	if c := cov.Cover(2); len(c) != 1 || c[0] != 2 {
+		t.Errorf("Cover(2) = %v", c)
+	}
+	if c := cov.Cover(6); len(c) != 2 || c[0] != 6 || c[1] != 7 {
+		t.Errorf("Cover(6) = %v, want ascending [6 7]", c)
+	}
+	for _, tc := range []struct {
+		a, b int
+		want bool
+	}{
+		{0, 1, true}, {1, 0, true}, {0, 0, true},
+		{0, 2, false}, // beyond 2*gamma
+		{3, 4, false}, // within 2*gamma, no shared sensor
+		{5, 6, true},  // a shared sensor between them
+	} {
+		if got := cov.Conflict(tc.a, tc.b); got != tc.want {
+			t.Errorf("Conflict(%d, %d) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
 	}
 }

@@ -17,6 +17,41 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 
+// VerifyScheme verifies s under its own charging scheme. A one-to-one
+// schedule (every stop covers exactly the sensor it parks at) is checked
+// under point charging, gamma = 0, with the overlap constraint dropped:
+// directional one-to-one charging cannot interfere, even between
+// coincident sensors. A multi-node schedule is checked by Verify under
+// the instance's gamma, overlap constraint included.
+func VerifyScheme(in *Instance, s *Schedule) []Violation {
+	if !isOneToOne(s) {
+		return Verify(in, s)
+	}
+	point := *in
+	point.Gamma = 0
+	vs := Verify(&point, s)
+	kept := vs[:0]
+	for _, v := range vs {
+		if v.Kind != "simultaneous-charge" {
+			kept = append(kept, v)
+		}
+	}
+	return kept
+}
+
+// isOneToOne reports whether every stop covers exactly the sensor it parks
+// at.
+func isOneToOne(s *Schedule) bool {
+	for _, tour := range s.Tours {
+		for _, stop := range tour.Stops {
+			if len(stop.Covers) != 1 || stop.Covers[0] != stop.Node {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Verify checks a schedule against the problem definition independently of
 // how it was produced:
 //

@@ -548,3 +548,49 @@ func FuzzOverlapMatchesQuadratic(f *testing.F) {
 		checkOverlapOracle(t, seed, int(nRaw%150), 1+int(kRaw%5), gamma, side, lattice, int(modeRaw%3))
 	})
 }
+
+func TestIsOneToOne(t *testing.T) {
+	one := &Schedule{Tours: []Tour{
+		{Stops: []Stop{{Node: 3, Covers: []int{3}}}},
+	}}
+	if !isOneToOne(one) {
+		t.Error("one-to-one schedule misclassified")
+	}
+	multi := &Schedule{Tours: []Tour{
+		{Stops: []Stop{{Node: 3, Covers: []int{3, 4}}}},
+	}}
+	if isOneToOne(multi) {
+		t.Error("multi-node schedule misclassified")
+	}
+}
+
+// TestVerifySchemeCoincidentOneToOne charges two coincident sensors at
+// the same time from two chargers, one sensor each. Point charging
+// accepts it: directional chargers cannot interfere. Plain Verify, even
+// at gamma = 0, sees two stops sharing a sensor and rejects it.
+func TestVerifySchemeCoincidentOneToOne(t *testing.T) {
+	in := &Instance{
+		Depot: geom.Pt(0, 0),
+		Requests: []Request{
+			{Pos: geom.Pt(3, 4), Duration: 100},
+			{Pos: geom.Pt(3, 4), Duration: 100},
+		},
+		Gamma: 2.7, Speed: 1, K: 2,
+	}
+	s := &Schedule{Longest: 110}
+	for k := 0; k < 2; k++ {
+		s.Tours = append(s.Tours, Tour{
+			Stops: []Stop{{Node: k, Arrive: 5, Duration: 100, Covers: []int{k}}},
+			Delay: 110,
+		})
+	}
+	if vs := VerifyScheme(in, s); len(vs) != 0 {
+		t.Fatalf("VerifyScheme rejected a one-to-one schedule on coincident sensors: %v", vs)
+	}
+	point := *in
+	point.Gamma = 0
+	vs := Verify(&point, s)
+	if len(vs) != 1 || vs[0].Kind != "simultaneous-charge" {
+		t.Fatalf("Verify at gamma=0 = %v, want exactly one simultaneous-charge", vs)
+	}
+}

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"sort"
-
-	"repro/internal/core"
-	"repro/internal/geom"
-)
+import "repro/internal/core"
 
 // Truncate cuts the tour at the breakdown time `at` (seconds from
 // dispatch): stops whose charging finished by `at` stay served, and every
@@ -67,24 +62,7 @@ func Redistribute(in *core.Instance, s *core.Schedule, dead map[int]bool, frozen
 		return 0
 	}
 
-	// Coverage sets N_c+(v) over the instance, cached per node.
-	grid := geom.NewGrid(in.Positions(), in.Gamma)
-	coverCache := make(map[int][]int)
-	coverOf := func(node int) []int {
-		if cs, ok := coverCache[node]; ok {
-			return cs
-		}
-		cs := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
-		sort.Ints(cs)
-		coverCache[node] = cs
-		return cs
-	}
-	conflicts := func(a, b int) bool {
-		if geom.Dist(in.Requests[a].Pos, in.Requests[b].Pos) > 2*in.Gamma {
-			return false
-		}
-		return intersectSorted(coverOf(a), coverOf(b))
-	}
+	cov := core.NewCoverage(in.Positions(), in.Gamma)
 	frozenAt := func(k int) int {
 		if frozen == nil {
 			return 0
@@ -100,7 +78,7 @@ func Redistribute(in *core.Instance, s *core.Schedule, dead map[int]bool, frozen
 				continue
 			}
 			for p, st := range s.Tours[k].Stops {
-				if conflicts(st.Node, orphan.Node) && (bestTour < 0 || st.Finish() > bestFinish) {
+				if cov.Conflict(st.Node, orphan.Node) && (bestTour < 0 || st.Finish() > bestFinish) {
 					bestTour, bestPos, bestFinish = k, p+1, st.Finish()
 				}
 			}
@@ -128,19 +106,4 @@ func Redistribute(in *core.Instance, s *core.Schedule, dead map[int]bool, frozen
 	}
 	core.Finalize(in, s)
 	return len(orphans)
-}
-
-func intersectSorted(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

@@ -231,7 +231,7 @@ func IntersectionGraph(pts []geom.Point, nodes []int, radius float64) *Undirecte
 			if j <= i {
 				continue
 			}
-			if sortedIntersect(cover(i), cover(j)) {
+			if SortedIntersect(cover(i), cover(j)) {
 				pairs = append(pairs, [2]int32{int32(i), int32(j)})
 				deg[i]++
 				deg[j]++
@@ -248,8 +248,10 @@ func IntersectionGraph(pts []geom.Point, nodes []int, radius float64) *Undirecte
 	})
 }
 
-// sortedIntersect reports whether two ascending int slices share an element.
-func sortedIntersect(a, b []int) bool {
+// SortedIntersect reports whether two ascending int slices share an
+// element. On cover sets it is the stop-conflict test; core.Coverage
+// shares it with H's construction.
+func SortedIntersect(a, b []int) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -230,7 +230,7 @@ func TestIntersectionGraphCSRMatchesReferenceOrder(t *testing.T) {
 		ref := referenceAdjacency(len(nodes), func(emit func(u, v int)) {
 			for i := range nodes {
 				for _, j := range order.neighborsOf(i, 2*r) {
-					if j > i && sortedIntersect(coverSets[i], coverSets[j]) {
+					if j > i && SortedIntersect(coverSets[i], coverSets[j]) {
 						emit(i, j)
 					}
 				}

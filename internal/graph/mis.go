@@ -26,11 +26,6 @@ const (
 	MISMaxDegree
 	// MISRandom scans vertices in an order drawn from the provided source.
 	MISRandom
-	// MISLuby runs Luby's distributed algorithm (see LubyMIS) with a seed
-	// drawn from the provided source. Rounds are goroutine-parallel, so this
-	// is the strategy of choice at large n; for a fixed seed the result is
-	// deterministic regardless of worker count.
-	MISLuby
 )
 
 // String implements fmt.Stringer.
@@ -44,8 +39,6 @@ func (o MISOrder) String() string {
 		return "max-degree"
 	case MISRandom:
 		return "random"
-	case MISLuby:
-		return "luby"
 	default:
 		return "unknown"
 	}
@@ -54,8 +47,8 @@ func (o MISOrder) String() string {
 // MISConfig carries the optional knobs of MaximalIndependentSetWith. The
 // zero value is valid and means: no randomness source, no tracing.
 type MISConfig struct {
-	// Rng drives the seeded orders MISRandom and MISLuby; it is ignored
-	// by the deterministic orders and may be nil (a fixed seed-1 source
+	// Rng drives the seeded order MISRandom; it is ignored by the
+	// deterministic orders and may be nil (a fixed seed-1 source
 	// substitutes).
 	Rng *rand.Rand
 	// Tracer, when non-nil, receives the degree orders' nested
@@ -93,12 +86,6 @@ func MaximalIndependentSetWith(g *Undirected, order MISOrder, cfg MISConfig) []i
 			perm = rand.New(rand.NewSource(1)).Perm(n)
 		}
 		return misScan(g, perm)
-	case MISLuby:
-		seed := int64(1)
-		if cfg.Rng != nil {
-			seed = cfg.Rng.Int63()
-		}
-		return LubyMIS(g, seed)
 	default: // MISLexicographic and any unknown value
 		idx := make([]int, n)
 		for i := range idx {

@@ -32,7 +32,7 @@ func completeGraph(n int) *Undirected {
 
 func TestMISAllOrdersValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	orders := []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom, MISLuby}
+	orders := []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom}
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(60)
 		g := randomGraph(rng, n, rng.Float64()*0.5)
@@ -68,7 +68,7 @@ func TestMISNoEdges(t *testing.T) {
 
 func TestMISCompleteGraph(t *testing.T) {
 	g := completeGraph(6)
-	for _, ord := range []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom, MISLuby} {
+	for _, ord := range []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom} {
 		set := MaximalIndependentSet(g, ord, rand.New(rand.NewSource(9)))
 		if len(set) != 1 {
 			t.Errorf("%v: complete graph |MIS| = %d, want 1", ord, len(set))
@@ -159,7 +159,6 @@ func TestMISOrderString(t *testing.T) {
 		{MISMinDegree, "min-degree"},
 		{MISMaxDegree, "max-degree"},
 		{MISRandom, "random"},
-		{MISLuby, "luby"},
 		{MISOrder(99), "unknown"},
 	} {
 		if got := tc.o.String(); got != tc.want {

@@ -95,8 +95,8 @@ func Identity(p core.Planner) (name string, opts *core.Options) {
 // plan survives. nil means the zero (paper-default) options.
 //
 //   - MISOrder zero means graph.MISMaxDegree (Appro's documented default).
-//   - Seed only matters under the seeded orders graph.MISRandom and
-//     graph.MISLuby; it is zeroed under the deterministic ones.
+//   - Seed only matters under the seeded order graph.MISRandom; it is
+//     zeroed under the deterministic ones.
 //   - Workers affects speed only, never the schedule, and is dropped.
 func canonOptions(opts *core.Options) core.Options {
 	var o core.Options
@@ -106,7 +106,7 @@ func canonOptions(opts *core.Options) core.Options {
 	if o.MISOrder == 0 {
 		o.MISOrder = graph.MISMaxDegree
 	}
-	if o.MISOrder != graph.MISRandom && o.MISOrder != graph.MISLuby {
+	if o.MISOrder != graph.MISRandom {
 		o.Seed = 0
 	}
 	o.Workers = 0

@@ -70,7 +70,6 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 		"mis-order":  {MISOrder: graph.MISMinDegree},
 		"no-sort":    {NoSortByFinishTime: true},
 		"mis-random": {MISOrder: graph.MISRandom, Seed: 1},
-		"mis-luby":   {MISOrder: graph.MISLuby, Seed: 1},
 	}
 	base := KeyOf("Appro", nil, in)
 	for name, o := range planChanging {
@@ -82,11 +81,6 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 	r2 := &core.Options{MISOrder: graph.MISRandom, Seed: 2}
 	if KeyOf("Appro", r1, in) == KeyOf("Appro", r2, in) {
 		t.Error("under MISRandom the seed changes the plan, so it must change the key")
-	}
-	l1 := &core.Options{MISOrder: graph.MISLuby, Seed: 1}
-	l2 := &core.Options{MISOrder: graph.MISLuby, Seed: 2}
-	if KeyOf("Appro", l1, in) == KeyOf("Appro", l2, in) {
-		t.Error("under MISLuby the seed changes the plan, so it must change the key")
 	}
 
 	// Options inside one plan-equivalence class must keep sharing an

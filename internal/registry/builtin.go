@@ -18,11 +18,10 @@ func init() {
 		Summary: "the paper's Algorithm 1: MIS sojourn selection, K-minMax tours, finish-time-sorted insertion",
 		Paper:   true,
 		Caps: Capabilities{
-			Context:     true,
-			Options:     true,
-			Seeded:      true,
-			MultiNode:   true,
-			ParallelMIS: true,
+			Context:   true,
+			Options:   true,
+			Seeded:    true,
+			MultiNode: true,
 		},
 		New: func(o core.Options) core.Planner { return core.ApproPlanner{Opts: o} },
 	})

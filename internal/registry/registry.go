@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // Capabilities are a planner's honest feature flags. "Honest" is
@@ -39,10 +40,6 @@ type Capabilities struct {
 	// MultiNode: stops charge several sensors at once (the paper's
 	// one-to-many scheme) rather than one-to-one point charging.
 	MultiNode bool `json:"multi_node"`
-	// ParallelMIS: Options.MISOrder = graph.MISLuby engages the
-	// goroutine-parallel Luby MIS for the large-n regime; the plan stays
-	// byte-identical for a fixed Options.Seed at any worker count.
-	ParallelMIS bool `json:"parallel_mis"`
 }
 
 // list returns the set flags as short labels, for tables and listings.
@@ -57,7 +54,6 @@ func (c Capabilities) list() []string {
 	add(c.Options, "options")
 	add(c.Seeded, "seeded")
 	add(c.MultiNode, "multi-node")
-	add(c.ParallelMIS, "parallel-mis")
 	return out
 }
 
@@ -159,7 +155,9 @@ func (r *Registry) Lookup(name string) (Entry, bool) {
 // New resolves the named planner and constructs it under opts (nil means
 // the zero, paper-default options). The empty name selects the default
 // planner. Unknown names return an error listing every valid name, so
-// callers (the HTTP 400 body, CLI stderr) need no list of their own.
+// callers (the HTTP 400 body, CLI stderr) need no list of their own. An
+// undefined MISOrder is an error too: the MIS would silently fall back to
+// lexicographic order under a cache key of its own.
 func (r *Registry) New(name string, opts *core.Options) (core.Planner, error) {
 	e, ok := r.Lookup(name)
 	if !ok {
@@ -169,6 +167,10 @@ func (r *Registry) New(name string, opts *core.Options) (core.Planner, error) {
 	var o core.Options
 	if opts != nil {
 		o = *opts
+	}
+	if o.MISOrder != 0 && o.MISOrder.String() == "unknown" {
+		return nil, fmt.Errorf("unknown MISOrder %d (valid: 0 for the default, %d-%d)",
+			o.MISOrder, graph.MISLexicographic, graph.MISRandom)
 	}
 	return e.New(o), nil
 }

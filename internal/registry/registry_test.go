@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -81,6 +80,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+func TestNewRejectsUndefinedMISOrder(t *testing.T) {
+	for _, o := range []graph.MISOrder{0, graph.MISLexicographic, graph.MISMinDegree, graph.MISMaxDegree, graph.MISRandom} {
+		if _, err := registry.New("Appro", &core.Options{MISOrder: o}); err != nil {
+			t.Errorf("MISOrder %d (%v): %v", o, o, err)
+		}
+	}
+	// 5 was the retired Luby order.
+	for _, o := range []graph.MISOrder{99, -4, 5} {
+		if _, err := registry.New("Appro", &core.Options{MISOrder: o}); err == nil {
+			t.Errorf("MISOrder %d accepted", o)
+		}
+	}
+}
+
 func TestDefaultAndUnknown(t *testing.T) {
 	e, ok := registry.Lookup("")
 	if !ok || e.Name != "Appro" {
@@ -145,7 +158,6 @@ func TestRegisterCollisionsPanic(t *testing.T) {
 //     and a known plan-shaping option pair produces different schedules.
 //   - Seeded structurally implies Options (a seed that shaped plans
 //     without joining the cache key would poison the cache).
-//   - ParallelMIS: the Luby plan is identical at GOMAXPROCS 1, 2 and 8.
 //   - MultiNode: on a dense instance some stop covers several sensors;
 //     one-to-one planners must only emit self-covering stops.
 func TestCapabilityFlagsHonest(t *testing.T) {
@@ -166,28 +178,6 @@ func TestCapabilityFlagsHonest(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			if e.Caps.Seeded && !e.Caps.Options {
 				t.Errorf("%s: Seeded flagged without Options — the seed would not join the cache key", e.Name)
-			}
-			if e.Caps.ParallelMIS {
-				if !e.Caps.Options || !e.Caps.Seeded {
-					t.Errorf("%s: ParallelMIS flagged without Options+Seeded — the Luby seed must join the cache key", e.Name)
-				}
-				// The parallel MIS fans across min(GOMAXPROCS, 8)
-				// goroutines; its plan must not depend on that count for
-				// a fixed seed: that is the determinism the flag
-				// advertises.
-				p := e.New(core.Options{MISOrder: graph.MISLuby, Seed: 5})
-				prev := runtime.GOMAXPROCS(0)
-				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-				var want *core.Schedule
-				for _, procs := range []int{1, 2, 8} {
-					runtime.GOMAXPROCS(procs)
-					got := mustPlan(t, p, in)
-					if want == nil {
-						want = got
-					} else if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: flagged ParallelMIS but the Luby plan differs at GOMAXPROCS=%d", e.Name, procs)
-					}
-				}
 			}
 			if e.Caps.Context {
 				if _, err := e.New(core.Options{}).Plan(cancelled, in); err == nil {

@@ -166,6 +166,10 @@ func TestPlanBadRequests(t *testing.T) {
 		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
 		{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
 		{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
+		// Undefined MIS orders; 5 was the retired Luby order.
+		{"undefined MISOrder 99", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":99}}`},
+		{"undefined MISOrder -4", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":-4}}`},
+		{"undefined MISOrder 5", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":5}}`},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+"/v1/plan", []byte(tc.body))
@@ -450,6 +454,11 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 	if sr.Violations != 0 {
 		t.Errorf("%d violations: %s", sr.Violations, sr.FirstViolation)
+	}
+
+	bad, _ := json.Marshal(SimulateRequest{N: 40, Seed: 1, Options: &core.Options{MISOrder: 99}})
+	if resp, out := postJSON(t, ts.URL+"/v1/simulate", bad); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("undefined MISOrder: status %d, want 400 (%s)", resp.StatusCode, out)
 	}
 }
 

@@ -1,12 +1,12 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -159,15 +159,15 @@ type roundFaults struct {
 // it draws per-tour breakdowns, truncates permanently failed tours and
 // redistributes their unserved stops among the survivors (the online
 // recovery engine), schedules transient repair pauses, and re-executes
-// the schedule with travel/charging delay noise while enforcing the
-// no-simultaneous-charging constraint. planned is mutated; the returned
-// schedule carries the realized times.
-func applyRoundFaults(w *faultWorld, round int, start float64, in *core.Instance, planned *core.Schedule) (*core.Schedule, roundFaults) {
+// the schedule through core.Execute under the round's travel and
+// charging delay noise, which enforces the no-simultaneous-charging
+// constraint. planned is mutated; the returned schedule carries the
+// realized times.
+func applyRoundFaults(ctx context.Context, w *faultWorld, round int, start float64, in *core.Instance, planned *core.Schedule) (*core.Schedule, roundFaults) {
 	var rf roundFaults
 	w.stats.PlannedLongestSum += planned.Longest
 
-	type pause struct{ at, delay float64 }
-	pauses := make([]pause, len(planned.Tours))
+	pauses := make([]core.Pause, len(planned.Tours))
 	dead := make(map[int]bool)
 	var orphans []core.Stop
 	earliestFail := math.Inf(1)
@@ -186,7 +186,7 @@ func applyRoundFaults(w *faultWorld, round int, start float64, in *core.Instance
 		w.trace.emit(TraceEvent{Kind: "mcv-fail", T: start + f.At, Charger: k})
 		if f.Transient {
 			w.stats.Transient++
-			pauses[k] = pause{at: f.At, delay: f.Delay}
+			pauses[k] = core.Pause{At: f.At, Delay: f.Delay}
 			continue
 		}
 		w.stats.Permanent++
@@ -235,170 +235,13 @@ func applyRoundFaults(w *faultWorld, round int, start float64, in *core.Instance
 		}
 	}
 
-	tourPauses := make([]tourPause, len(planned.Tours))
-	for k, p := range pauses {
-		tourPauses[k] = tourPause{at: p.at, delay: p.delay}
-	}
-	exec := executeFaulty(w.inj, round, in, planned, tourPauses)
+	exec := (&core.Realization{
+		TravelFactor: func(from, to int) float64 { return w.inj.TravelFactor(round, from, to) },
+		ChargeFactor: func(node int) float64 { return w.inj.ChargeFactor(round, node) },
+		Pauses:       pauses,
+	}).Execute(ctx, in, planned)
 	w.stats.ActualLongestSum += exec.Longest
 	return exec, rf
-}
-
-// tourPause is one transient-repair outage: the charger's timeline stops
-// for delay seconds at offset at.
-type tourPause struct{ at, delay float64 }
-
-// executeFaulty mirrors core.Execute — chargers drive their tours in
-// global time order and wait out any conflicting committed charging
-// interval before starting a stop — but realizes the stochastic fault
-// model while doing so: every travel leg is stretched by the injector's
-// travel factor, every sojourn by its charge factor, and a transient
-// repair pause delays (or interrupts and extends) the charging it
-// overlaps. The returned schedule carries realized times and the
-// conflict-wait total, and satisfies the no-simultaneous-charging
-// constraint by construction.
-func executeFaulty(inj *fault.Injector, round int, in *core.Instance, planned *core.Schedule, pauses []tourPause) *core.Schedule {
-	out := &core.Schedule{Tours: make([]core.Tour, len(planned.Tours))}
-	type cursor struct {
-		idx     int
-		arrive  float64
-		node    int // last visited node, -1 for depot
-		done    bool
-		paused  bool // transient pause already applied
-		elapsed float64
-	}
-	curs := make([]*cursor, len(planned.Tours))
-	for k := range planned.Tours {
-		c := &cursor{node: -1}
-		if len(planned.Tours[k].Stops) == 0 {
-			c.done = true
-		} else {
-			first := planned.Tours[k].Stops[0]
-			c.arrive = in.Travel(in.Depot, in.Requests[first.Node].Pos) *
-				inj.TravelFactor(round, -1, first.Node)
-		}
-		curs[k] = c
-		out.Tours[k].Stops = make([]core.Stop, 0, len(planned.Tours[k].Stops))
-	}
-
-	type interval struct {
-		node       int
-		start, end float64
-	}
-	var committed []interval
-	grid := geom.NewGrid(in.Positions(), in.Gamma)
-	coverCache := make(map[int][]int)
-	coverOf := func(node int) []int {
-		if cs, ok := coverCache[node]; ok {
-			return cs
-		}
-		cs := grid.Neighbors(in.Requests[node].Pos, in.Gamma, nil)
-		sort.Ints(cs)
-		coverCache[node] = cs
-		return cs
-	}
-	conflicts := func(a, b int) bool {
-		if geom.Dist(in.Requests[a].Pos, in.Requests[b].Pos) > 2*in.Gamma {
-			return false
-		}
-		return intersectSorted(coverOf(a), coverOf(b))
-	}
-
-	// evaluate resolves charger k's next stop to its realized charging
-	// window without committing: the repair pause shifts the physical
-	// arrival (or, striking mid-charge, extends the duration), then the
-	// conflict rule delays the start past committed conflicting
-	// intervals. raw is the post-pause physical arrival, so start - raw
-	// is pure conflict wait.
-	evaluate := func(k int) (start, dur, raw float64, consumed bool) {
-		c := curs[k]
-		st := planned.Tours[k].Stops[c.idx]
-		raw = c.arrive
-		p := pauses[k]
-		if !c.paused && p.delay > 0 && raw >= p.at {
-			raw += p.delay
-			consumed = true
-		}
-		start = raw
-		for _, iv := range committed {
-			if iv.end > start && conflicts(iv.node, st.Node) {
-				start = iv.end
-			}
-		}
-		dur = st.Duration * inj.ChargeFactor(round, st.Node)
-		if !c.paused && !consumed && p.delay > 0 && start < p.at && p.at < start+dur {
-			dur += p.delay
-			consumed = true
-		}
-		return start, dur, raw, consumed
-	}
-
-	for {
-		pick := -1
-		var pickStart, pickDur, pickRaw float64
-		var pickConsumed bool
-		for k, c := range curs {
-			if c.done {
-				continue
-			}
-			start, dur, raw, consumed := evaluate(k)
-			if pick < 0 || start < pickStart {
-				pick, pickStart, pickDur, pickRaw, pickConsumed = k, start, dur, raw, consumed
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		c := curs[pick]
-		plan := planned.Tours[pick].Stops[c.idx]
-		if pickConsumed {
-			c.paused = true
-		}
-		out.WaitTime += pickStart - pickRaw
-		committed = append(committed, interval{node: plan.Node, start: pickStart, end: pickStart + pickDur})
-		out.Tours[pick].Stops = append(out.Tours[pick].Stops, core.Stop{
-			Node:     plan.Node,
-			Arrive:   pickStart,
-			Duration: pickDur,
-			Covers:   append([]int(nil), plan.Covers...),
-		})
-		c.node = plan.Node
-		c.elapsed = pickStart + pickDur
-		c.idx++
-		if c.idx >= len(planned.Tours[pick].Stops) {
-			c.done = true
-			out.Tours[pick].Delay = c.elapsed +
-				in.Travel(in.Requests[c.node].Pos, in.Depot)*inj.TravelFactor(round, c.node, -1)
-		} else {
-			next := planned.Tours[pick].Stops[c.idx]
-			c.arrive = c.elapsed +
-				in.Travel(in.Requests[c.node].Pos, in.Requests[next.Node].Pos)*
-					inj.TravelFactor(round, c.node, next.Node)
-		}
-		if len(committed) > 64 {
-			minArrive := pickStart
-			for _, cc := range curs {
-				if !cc.done && cc.arrive < minArrive {
-					minArrive = cc.arrive
-				}
-			}
-			kept := committed[:0]
-			for _, iv := range committed {
-				if iv.end > minArrive {
-					kept = append(kept, iv)
-				}
-			}
-			committed = kept
-		}
-	}
-	// Longest comes from the realized tour delays; core.Finalize would
-	// rewrite the realized times back to nominal ones.
-	for _, t := range out.Tours {
-		if t.Delay > out.Longest {
-			out.Longest = t.Delay
-		}
-	}
-	return out
 }
 
 // dropUncovered filters "uncovered" violations out of a degraded round's

@@ -47,9 +47,7 @@ func (m DispatchMode) String() string {
 
 // interval is a committed absolute-time charging interval of some stop.
 type interval struct {
-	node       int // request position owner (sensor the charger parks at)
-	pos        geom.Point
-	cover      []int // sensor IDs within gamma (network-global)
+	node       int // the sensor the charger parks at
 	start, end float64
 	tour       int // dispatch index, for the audit: same tour never conflicts with itself
 }
@@ -82,13 +80,7 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 	// Under Verify, every interval ever committed is retained for a
 	// global pairwise no-overlap audit at the end.
 	var audit []interval
-	grid := geom.NewGrid(networkPositions(nw), nw.Gamma)
-
-	coverOf := func(sensorID int) []int {
-		cs := grid.Neighbors(nw.Sensors[sensorID].Pos, nw.Gamma, nil)
-		sort.Ints(cs)
-		return cs
-	}
+	cov := core.NewCoverage(networkPositions(nw), nw.Gamma)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -187,7 +179,7 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 		}
 		if cfg.Verify {
 			sp := tr.Start(obs.StageVerify)
-			vs := verifySchedule(inst, sched)
+			vs := core.VerifyScheme(inst, sched)
 			res.Violations += len(vs)
 			if res.FirstViolation == "" && len(vs) > 0 {
 				res.FirstViolation = vs[0].String()
@@ -245,11 +237,9 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 				clock += brk.Delay
 				paused = true
 			}
-			cover := coverOf(sensorID)
 			start := clock
 			for _, iv := range committed {
-				if iv.end > start && geom.Dist(iv.pos, stopPos) <= 2*nw.Gamma &&
-					intersectSorted(iv.cover, cover) {
+				if iv.end > start && cov.Conflict(iv.node, sensorID) {
 					start = iv.end
 				}
 			}
@@ -268,14 +258,7 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 			clock = start + dur
 			pos = stopPos
 			prevID = sensorID
-			iv := interval{
-				node:  sensorID,
-				pos:   stopPos,
-				cover: cover,
-				start: start,
-				end:   clock,
-				tour:  round,
-			}
+			iv := interval{node: sensorID, start: start, end: clock, tour: round}
 			committed = append(committed, iv)
 			if cfg.Verify {
 				audit = append(audit, iv)
@@ -355,8 +338,7 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 				if audit[i].tour == audit[j].tour {
 					continue
 				}
-				if geom.Dist(audit[i].pos, audit[j].pos) <= 2*nw.Gamma &&
-					intersectSorted(audit[i].cover, audit[j].cover) {
+				if cov.Conflict(audit[i].node, audit[j].node) {
 					res.Violations++
 					if res.FirstViolation == "" {
 						res.FirstViolation = fmt.Sprintf(
@@ -430,19 +412,4 @@ func sectorOf(depot, p geom.Point, k int) int {
 		s = 0
 	}
 	return s
-}
-
-func intersectSorted(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

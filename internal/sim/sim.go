@@ -330,7 +330,7 @@ func Run(ctx context.Context, nw *wrsn.Network, k int, planner core.Planner, cfg
 		// take (they stay pending for later rounds).
 		var unserved []int
 		if world != nil {
-			exec, rf := applyRoundFaults(world, len(res.Rounds), now, inst, sched)
+			exec, rf := applyRoundFaults(ctx, world, len(res.Rounds), now, inst, sched)
 			fleet -= rf.newDead
 			fstats.SurvivingMCVs = fleet
 			sched = exec
@@ -338,7 +338,7 @@ func Run(ctx context.Context, nw *wrsn.Network, k int, planner core.Planner, cfg
 		}
 		if cfg.Verify {
 			sp := tr.Start(obs.StageVerify)
-			vs := verifySchedule(inst, sched)
+			vs := core.VerifyScheme(inst, sched)
 			if len(unserved) > 0 {
 				vs = dropUncovered(vs)
 			}
@@ -516,38 +516,4 @@ func buildInstance(nw *wrsn.Network, states []sensorState, pending []int, k int,
 		})
 	}
 	return in
-}
-
-// verifySchedule applies the right feasibility semantics: one-to-one
-// schedules are checked under point charging (gamma = 0) with the overlap
-// constraint dropped — directional one-to-one charging cannot interfere,
-// even between coincident sensors — while multi-node schedules are checked
-// under the instance's gamma including the overlap constraint.
-func verifySchedule(in *core.Instance, s *core.Schedule) []core.Violation {
-	if isOneToOne(s) {
-		point := *in
-		point.Gamma = 0
-		vs := core.Verify(&point, s)
-		kept := vs[:0]
-		for _, v := range vs {
-			if v.Kind != "simultaneous-charge" {
-				kept = append(kept, v)
-			}
-		}
-		return kept
-	}
-	return core.Verify(in, s)
-}
-
-// isOneToOne reports whether every stop covers exactly the sensor it parks
-// at.
-func isOneToOne(s *core.Schedule) bool {
-	for _, tour := range s.Tours {
-		for _, stop := range tour.Stops {
-			if len(stop.Covers) != 1 || stop.Covers[0] != stop.Node {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -176,21 +176,6 @@ func TestAvgDeadZeroWhenKeptAlive(t *testing.T) {
 	}
 }
 
-func TestIsOneToOne(t *testing.T) {
-	one := &core.Schedule{Tours: []core.Tour{
-		{Stops: []core.Stop{{Node: 3, Covers: []int{3}}}},
-	}}
-	if !isOneToOne(one) {
-		t.Error("one-to-one schedule misclassified")
-	}
-	multi := &core.Schedule{Tours: []core.Tour{
-		{Stops: []core.Stop{{Node: 3, Covers: []int{3, 4}}}},
-	}}
-	if isOneToOne(multi) {
-		t.Error("multi-node schedule misclassified")
-	}
-}
-
 func TestPartialCharging(t *testing.T) {
 	nw := smallNetwork(t, 120, 19)
 	full, err := Run(context.Background(), nw, 2, core.ApproPlanner{}, Config{Duration: 60 * 86400, BatchWindow: DefaultBatchWindow})

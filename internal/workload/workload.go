@@ -3,13 +3,15 @@
 // 100 x 100 m^2 field, base station and depot at the center, 10.8 kJ
 // batteries, data rates uniform in [b_min, b_max], charging radius 2.7 m,
 // charger speed 1 m/s and charging rate 2 W. It also provides a clustered
-// deployment variant for the example scenarios.
+// deployment variant for the example scenarios, and RequestSet, the one
+// synthetic planning-round request set the command-line tools share.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/wrsn"
@@ -140,4 +142,31 @@ func Generate(p Params, seed int64) (*wrsn.Network, error) {
 		return nil, fmt.Errorf("workload: generated network invalid: %w", err)
 	}
 	return nw, nil
+}
+
+// RequestSet synthesizes one planning round's request set in the paper's
+// regime: n sensors uniform in a side x side field with the depot at its
+// center, each having requested at ~20% residual capacity, so charge
+// durations fall in [1.2 h, 1.5 h]. The paper's field is side = 100, also
+// used for side <= 0; the scaling ladder grows side as sqrt(n/0.12) to
+// hold the density constant. Equal arguments give identical instances.
+func RequestSet(n, k int, seed int64, side float64) *core.Instance {
+	if !(side > 0) {
+		side = 100
+	}
+	rng := rand.New(rand.NewSource(seed))
+	in := &core.Instance{
+		Depot: geom.Pt(side/2, side/2),
+		Gamma: 2.7,
+		Speed: 1,
+		K:     k,
+	}
+	for i := 0; i < n; i++ {
+		in.Requests = append(in.Requests, core.Request{
+			Pos:      geom.Pt(rng.Float64()*side, rng.Float64()*side),
+			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
+			Lifetime: (1 + rng.Float64()*6) * 86400,
+		})
+	}
+	return in
 }

@@ -158,6 +158,15 @@ func Verify(in *Instance, s *Schedule) []Violation {
 	return core.Verify(in, s)
 }
 
+// VerifyScheme checks a schedule under its own charging scheme: a
+// one-to-one schedule under point charging (gamma = 0, no overlap
+// constraint, since directional chargers cannot interfere), a multi-node
+// schedule under Verify. It is the rule the simulator, wrsn-plan and the
+// citygrid example apply to every planner's output.
+func VerifyScheme(in *Instance, s *Schedule) []Violation {
+	return core.VerifyScheme(in, s)
+}
+
 // NewApproPlanner returns Algorithm Appro as a Planner.
 func NewApproPlanner(opts ApproOptions) Planner {
 	return core.ApproPlanner{Opts: opts}
