@@ -134,44 +134,6 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFig3a measures the figure-3(a) sweep at explicit worker
-// counts — the tentpole speedup target. The tables are byte-identical at
-// both counts (see internal/experiments determinism tests); only the wall
-// clock should move, and only on multi-core hardware.
-func BenchmarkParallelFig3a(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			opt := benchOpts()
-			opt.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := repro.RunFigure(context.Background(), "3", opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPlanCacheHit measures a warm plan-cache lookup (key hash plus
-// schedule deep copy) against the cold planning cost it saves.
-func BenchmarkPlanCacheHit(b *testing.B) {
-	in := benchInstance(400, 2)
-	cache := repro.NewPlanCache(0)
-	planner := repro.CachedPlanner(repro.NewApproPlanner(repro.ApproOptions{}), cache)
-	if _, err := planner.Plan(context.Background(), in); err != nil {
-		b.Fatal(err) // warm the cache
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(context.Background(), in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulateYear measures one full one-year simulation at n = 400,
 // K = 2 under Appro — the unit of work behind every figure cell.
 func BenchmarkSimulateYear(b *testing.B) {

@@ -53,8 +53,6 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		svgDir     = flag.String("svgdir", "", "also render each figure panel as an SVG line chart into this directory")
 		jsonDir    = flag.String("jsondir", "", "also write each figure panel as machine-readable JSON into this directory")
-		workers    = flag.Int("workers", 0, "concurrent simulation cells (0 = GOMAXPROCS); figure tables are byte-identical at any value")
-		planCache  = flag.Bool("plan-cache", false, "memoize planner outputs by (planner, instance) in a bounded in-memory LRU")
 		verify     = flag.Bool("verify", false, "run the feasibility verifier every round")
 		quiet      = flag.Bool("quiet", false, "suppress progress lines")
 		timeout    = flag.Duration("timeout", 0, "abort after this long, reporting whatever completed (0 = no limit)")
@@ -69,8 +67,6 @@ func main() {
 		Seed:        *seed,
 		Duration:    *days * 86400,
 		BatchWindow: *window * 3600,
-		Workers:     *workers,
-		PlanCache:   *planCache,
 		Verify:      *verify,
 	}
 	if !*quiet {

@@ -37,8 +37,6 @@ func main() {
 		svgPath    = flag.String("svg", "", "write an SVG rendering of the tours to this file")
 		gantt      = flag.String("gantt", "", "write an SVG timeline of charger activity to this file")
 		compare    = flag.Bool("compare", false, "plan with every registered algorithm and compare objectives")
-		workers    = flag.Int("workers", 0, "worker goroutines for -compare planning and planner-internal fan-out (0 = GOMAXPROCS); output is identical at any value")
-		planCache  = flag.Bool("plan-cache", false, "memoize planner outputs by (planner, options, instance) in a bounded in-memory LRU")
 		jsonOut    = flag.Bool("json", false, "print the schedule as canonical JSON instead of text (byte-identical to a wrsn-serve /v1/plan response)")
 		dumpInst   = flag.String("dump-instance", "", `write the generated instance as JSON to this file ("-" for stdout) — the bare-instance body /v1/plan accepts`)
 		timeout    = flag.Duration("timeout", 0, "abort planning after this long (0 = no limit)")
@@ -61,7 +59,7 @@ func main() {
 		ctx = repro.WithTracer(ctx, tracer)
 	}
 
-	opts, err := plannerOptions(*misFlag, *misSeed, *workers)
+	opts, err := plannerOptions(*misFlag, *misSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
 		os.Exit(1)
@@ -73,7 +71,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	err = run(ctx, *n, *k, *name, *seed, *field, opts, *svgPath, *gantt, *compare, *workers, *planCache, *jsonOut, *dumpInst)
+	err = run(ctx, *n, *k, *name, *seed, *field, opts, *svgPath, *gantt, *compare, *jsonOut, *dumpInst)
 	if tracer != nil {
 		if terr := writeTrace(*traceJSON, tracer); terr != nil && err == nil {
 			err = terr
@@ -95,8 +93,8 @@ func main() {
 // plannerOptions folds the option flags into core options for the
 // options-capable planners. An empty -mis keeps the planner's default
 // (max-degree for Appro).
-func plannerOptions(mis string, misSeed int64, workers int) (repro.ApproOptions, error) {
-	opts := repro.ApproOptions{Seed: misSeed, Workers: workers}
+func plannerOptions(mis string, misSeed int64) (repro.ApproOptions, error) {
+	opts := repro.ApproOptions{Seed: misSeed}
 	switch strings.ToLower(mis) {
 	case "":
 	case "max-degree":
@@ -148,7 +146,7 @@ func writeInstance(path string, in *repro.Instance) error {
 	return nil
 }
 
-func run(ctx context.Context, n, k int, name string, seed int64, field float64, opts repro.ApproOptions, svgPath, ganttPath string, compare bool, workers int, planCache bool, jsonOut bool, dumpInst string) error {
+func run(ctx context.Context, n, k int, name string, seed int64, field float64, opts repro.ApproOptions, svgPath, ganttPath string, compare, jsonOut bool, dumpInst string) error {
 	in := workload.RequestSet(n, k, seed, field)
 	if dumpInst != "" {
 		if err := writeInstance(dumpInst, in); err != nil {
@@ -173,21 +171,11 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 		return export.WriteSchedule(os.Stdout, s)
 	}
 
-	var cache *repro.PlanCache
-	if planCache {
-		cache = repro.NewPlanCache(0)
-	}
-
 	if compare {
 		ps := repro.Planners()
-		if cache != nil {
-			for i := range ps {
-				ps[i] = repro.CachedPlanner(ps[i], cache)
-			}
-		}
 		// The registered algorithms run concurrently; results come back
-		// in planner order so the table is identical at any worker count.
-		schedules, err := repro.PlanConcurrently(ctx, in, ps, workers)
+		// in planner order so the table is identical at any GOMAXPROCS.
+		schedules, err := repro.PlanConcurrently(ctx, in, ps)
 		if err != nil {
 			return err
 		}
@@ -206,9 +194,6 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 	planner, err := repro.NewPlannerWithOptions(name, opts)
 	if err != nil {
 		return err
-	}
-	if cache != nil {
-		planner = repro.CachedPlanner(planner, cache)
 	}
 	s, err := planner.Plan(ctx, in)
 	if err != nil {

@@ -40,21 +40,17 @@ func TestBuildInstanceShape(t *testing.T) {
 }
 
 func TestRunSingleAndCompare(t *testing.T) {
-	if err := run(context.Background(), 60, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, 0, false, false, ""); err != nil {
+	if err := run(context.Background(), 60, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 40, 2, "", 1, 100, repro.ApproOptions{}, "", "", true, 0, false, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	// The parallel compare path with the plan cache on must agree too.
-	if err := run(context.Background(), 40, 2, "", 1, 100, repro.ApproOptions{}, "", "", true, 4, true, false, ""); err != nil {
+	if err := run(context.Background(), 40, 2, "", 1, 100, repro.ApproOptions{}, "", "", true, false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWritesSVG(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tours.svg")
-	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, path, "", false, 0, false, false, ""); err != nil {
+	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, path, "", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -80,7 +76,7 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run(context.Background(), 40, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, 0, false, true, instPath)
+	runErr := run(context.Background(), 40, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, true, instPath)
 	w.Close()
 	os.Stdout = old
 	got, err := io.ReadAll(r)
@@ -124,14 +120,14 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 }
 
 func TestRunUnknownPlanner(t *testing.T) {
-	if err := run(context.Background(), 10, 1, "bogus", 1, 100, repro.ApproOptions{}, "", "", false, 0, false, false, ""); err == nil {
+	if err := run(context.Background(), 10, 1, "bogus", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err == nil {
 		t.Error("unknown planner accepted")
 	}
 }
 
 func TestRunWritesGantt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gantt.svg")
-	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, "", path, false, 0, false, false, ""); err != nil {
+	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, "", path, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

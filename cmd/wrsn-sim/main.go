@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 
 	"repro"
@@ -39,8 +38,6 @@ func main() {
 		load    = flag.String("load", "", "load the network from this JSON file (as written by wrsn-gen) instead of generating one")
 		level   = flag.Float64("level", 1.0, "partial-charging level: top sensors up to this fraction of capacity")
 		indep   = flag.Bool("independent", false, "use independent per-charger dispatch instead of synchronized rounds")
-		workers = flag.Int("workers", 0, "cap the process's parallelism (GOMAXPROCS) for reproducible timing studies (0 = all cores); results are identical at any value")
-		pcache  = flag.Bool("plan-cache", false, "memoize planner outputs by (planner, instance) in a bounded in-memory LRU")
 		trace   = flag.String("trace", "", "write a JSONL event trace (dispatch/charge/dead) to this file")
 		timeout = flag.Duration("timeout", 0, "abort the simulation after this long, reporting the partial run (0 = no limit)")
 		faults  = flag.String("faults", "", "inject faults per this compact spec, e.g. mcv=0.1,transient=0.5,travel-noise=0.05 (see repro.ParseFaultSpec)")
@@ -48,10 +45,6 @@ func main() {
 		fspec   = flag.String("fault-spec", "", "load the full fault plan from this JSON file instead of -faults")
 	)
 	flag.Parse()
-
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
-	}
 
 	// SIGINT cancels gracefully: the statistics of the simulated span so
 	// far are still reported. A second SIGINT kills the process.
@@ -67,8 +60,7 @@ func main() {
 		n: *n, k: *k, name: *name, days: *days, windowH: *window,
 		seed: *seed, bmaxKbps: *bmax, clusters: *cluster, load: *load,
 		level: *level, independent: *indep, verify: *verify, printRounds: *rounds,
-		planCache: *pcache,
-		trace:     *trace, faults: *faults, faultSeed: *fseed, faultSpec: *fspec,
+		trace: *trace, faults: *faults, faultSeed: *fseed, faultSpec: *fspec,
 	}); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintln(os.Stderr, "wrsn-sim: partial — cancelled:", err)
@@ -92,7 +84,6 @@ type runOpts struct {
 	seed                    int64
 	independent             bool
 	verify, printRounds     bool
-	planCache               bool
 	trace                   string
 	faults, faultSpec       string
 	faultSeed               int64
@@ -140,9 +131,6 @@ func run(ctx context.Context, o runOpts) error {
 	planner, err := repro.NewPlanner(name)
 	if err != nil {
 		return err
-	}
-	if o.planCache {
-		planner = repro.CachedPlanner(planner, repro.NewPlanCache(0))
 	}
 	var nw *repro.Network
 	if load != "" {

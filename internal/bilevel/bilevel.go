@@ -22,10 +22,10 @@
 // construction.
 //
 // Determinism: rounds are seeded by index and merged by index
-// (par.Map), and the winner tiebreak is index-stable, so equal
-// (instance, Options.Seed) inputs produce byte-identical schedules at
-// any Options.Workers value — the same contract as the rest of the
-// engine.
+// (par.Map, over GOMAXPROCS workers), and the winner tiebreak is
+// index-stable, so equal (instance, Options.Seed) inputs produce
+// byte-identical schedules at any GOMAXPROCS — the same contract as the
+// rest of the engine.
 package bilevel
 
 import (
@@ -48,10 +48,9 @@ const OuterRounds = 8
 
 // Planner is the bi-level metaheuristic as a core.Planner.
 type Planner struct {
-	// Opts tunes the search. Seed drives the outer perturbation;
-	// Workers the outer fan-out (speed only). MISOrder and
-	// NoSortByFinishTime are ignored: the stop-set strategy is the
-	// algorithm itself.
+	// Opts tunes the search. Seed drives the outer perturbation.
+	// MISOrder and NoSortByFinishTime are ignored: the stop-set strategy
+	// is the algorithm itself.
 	Opts core.Options
 }
 
@@ -68,7 +67,6 @@ func (p Planner) PlanOptions() core.Options {
 	o := p.Opts
 	o.MISOrder = graph.MISRandom
 	o.NoSortByFinishTime = false
-	o.Workers = 0
 	return o
 }
 
@@ -92,8 +90,9 @@ func (p Planner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 	grid := geom.NewGrid(pts, in.Gamma)
 
 	// Outer level: one candidate schedule per round, fanned across
-	// Workers but indexed by round, so the scan below is deterministic.
-	cands, err := par.Map(ctx, OuterRounds, p.Opts.Workers, func(ctx context.Context, r int) (*core.Schedule, error) {
+	// GOMAXPROCS workers but indexed by round, so the scan below is
+	// deterministic.
+	cands, err := par.Map(ctx, OuterRounds, 0, func(ctx context.Context, r int) (*core.Schedule, error) {
 		return p.planRound(ctx, in, pts, grid, candidateSet(gc, p.Opts.Seed, r))
 	})
 	if err != nil {

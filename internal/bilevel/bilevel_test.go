@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -43,16 +44,18 @@ func TestPlanVerifierClean(t *testing.T) {
 	}
 }
 
-// TestDeterminism requires byte-identical schedules across repeated runs
-// and across worker counts at a fixed seed: the outer rounds are seeded
-// by round index, merged by index, and tie-broken by lowest round, so
-// parallelism can never change the winner.
+// TestDeterminism requires byte-identical schedules at every GOMAXPROCS
+// at a fixed seed: the outer rounds are seeded by round index, merged by
+// index, and tie-broken by lowest round, so parallelism can never change
+// the winner. GOMAXPROCS is process-wide, so the test is not parallel.
 func TestDeterminism(t *testing.T) {
 	in := testInstance(2, 100, 2)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	var ref *core.Schedule
-	for _, workers := range []int{1, 1, 4, 4, 3} {
-		p := Planner{Opts: core.Options{Seed: 5, Workers: workers}}
-		s, err := p.Plan(context.Background(), in)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		s, err := Planner{Opts: core.Options{Seed: 5}}.Plan(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +64,7 @@ func TestDeterminism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(ref, s) {
-			t.Fatalf("schedule differs at workers=%d", workers)
+			t.Fatalf("schedule differs at GOMAXPROCS=%d", procs)
 		}
 	}
 }
@@ -82,12 +85,9 @@ func TestSeedShapesPlan(t *testing.T) {
 }
 
 func TestPlanOptionsCacheIdentity(t *testing.T) {
-	o := Planner{Opts: core.Options{Seed: 9, Workers: 8}}.PlanOptions()
+	o := Planner{Opts: core.Options{Seed: 9}}.PlanOptions()
 	if o.Seed != 9 {
 		t.Errorf("PlanOptions dropped the seed: %+v", o)
-	}
-	if o.Workers != 0 {
-		t.Errorf("PlanOptions kept Workers (speed-only, must not split cache keys): %+v", o)
 	}
 }
 

@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-
-	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Analysis reports the quantities the paper's approximation-ratio proof
@@ -40,10 +36,11 @@ const LemmaTwoBound = 26 // ceil(8 * pi)
 
 // Analyze computes the approximation-ratio ingredients for the instance
 // under the given options (the same MIS strategy Appro itself would use).
-// It is read-only: no schedule is produced. Analyze honors ctx between
-// its graph stages and records charging-graph/mis spans when ctx carries
-// an obs.Tracer. Like Appro it analyzes the canonically ordered request
-// set, so its report is invariant under request permutation.
+// It is read-only: no schedule is produced. Analyze runs Appro's own steps
+// 1-4, so it honors ctx between those graph stages and records their
+// charging-graph/mis spans when ctx carries an obs.Tracer.
+// Like Appro it analyzes the canonically ordered request set, so its
+// report is invariant under request permutation.
 func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -52,52 +49,22 @@ func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
-	if opts.MISOrder == 0 {
-		opts.MISOrder = graph.MISMaxDegree
-	}
 	out := &Analysis{TauMin: math.Inf(1)}
 	if len(in.Requests) == 0 {
 		out.TauMin = 0
 		out.Ratio = 1
 		return out, nil
 	}
-	tr := obs.FromContext(ctx)
-	pts := in.Positions()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	sp := tr.Start(obs.StageChargingGraph)
-	gc := graph.UnitDisk(pts, in.Gamma)
-	sp.End()
-	misCfg := graph.MISConfig{Rng: rng, Tracer: tr}
-	sp = tr.Start(obs.StageMIS)
-	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
-	sp.End()
-	if err := ctx.Err(); err != nil {
+	c, err := buildCandidates(ctx, in, in.Positions(), opts)
+	if err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
-	sp = tr.Start(obs.StageChargingGraph)
-	h := graph.IntersectionGraph(pts, si, in.Gamma)
-	sp.End()
-	sp = tr.Start(obs.StageMIS)
-	vh := graph.MaximalIndependentSetWith(h, opts.MISOrder, misCfg)
-	sp.End()
-	out.SI = len(si)
-	out.VH = len(vh)
-	out.DeltaH = h.MaxDegree()
-
-	cov := NewCoverage(pts, in.Gamma)
-	for _, node := range si {
-		tau := 0.0
-		for _, u := range cov.Cover(node) {
-			if d := in.Requests[u].Duration; d > tau {
-				tau = d
-			}
-		}
-		if tau > out.TauMax {
-			out.TauMax = tau
-		}
-		if tau < out.TauMin {
-			out.TauMin = tau
-		}
+	out.SI = len(c.si)
+	out.VH = len(c.vh)
+	out.DeltaH = c.h.MaxDegree()
+	for i := range c.si {
+		tau := c.tau(in, i)
+		out.TauMax, out.TauMin = max(out.TauMax, tau), min(out.TauMin, tau)
 	}
 	if out.TauMin <= 0 || math.IsInf(out.TauMin, 1) {
 		// Zero-duration stops make the paper's tau_max/tau_min ratio

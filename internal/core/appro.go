@@ -29,10 +29,6 @@ type Options struct {
 	// (Algorithm 1, line 9) and processes them in index order instead.
 	// Used only by ablation studies.
 	NoSortByFinishTime bool
-	// Workers bounds the goroutines BiLevel fans its outer rounds across;
-	// <= 0 means GOMAXPROCS. Appro ignores it. It affects speed only,
-	// never the schedule.
-	Workers int
 }
 
 // Appro runs Algorithm 1 of the paper and returns a planned schedule for
@@ -77,9 +73,6 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: appro: %w", err)
 	}
-	if opts.MISOrder == 0 {
-		opts.MISOrder = graph.MISMaxDegree
-	}
 	n := len(in.Requests)
 	sched := &Schedule{Tours: make([]Tour, in.K)}
 	if n == 0 {
@@ -89,59 +82,19 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	tr.Add("appro.plans", 1)
 	tr.Add("appro.requests", int64(n))
 	pts := in.Positions()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	// Step 1-2: charging graph G_c and its MIS S_I (candidate sojourns).
-	sp := tr.Start(obs.StageChargingGraph)
-	gc := graph.UnitDisk(pts, in.Gamma)
-	sp.End()
-	misCfg := graph.MISConfig{Rng: rng, Tracer: tr}
-	sp = tr.Start(obs.StageMIS)
-	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
-	sp.End()
-
-	// Step 3-4: auxiliary graph H over S_I and its MIS V'_H.
-	sp = tr.Start(obs.StageChargingGraph)
-	h := graph.IntersectionGraph(pts, si, in.Gamma)
-	sp.End()
-	sp = tr.Start(obs.StageMIS)
-	vh := graph.MaximalIndependentSetWith(h, opts.MISOrder, misCfg)
-	sp.End()
-	if err := ctx.Err(); err != nil {
+	c, err := buildCandidates(ctx, in, pts, opts)
+	if err != nil {
 		return nil, fmt.Errorf("core: appro: %w", err)
 	}
-
-	// Coverage sets N_c+(v) for each candidate sojourn, over request
-	// indices. The sets live in one flat arena — covArena[covOff[i]:
-	// covOff[i+1]], each segment ascending — instead of len(si) separate
-	// allocations.
-	sp = tr.Start(obs.StageChargingGraph)
-	grid := geom.NewGrid(pts, in.Gamma)
-	covOff := make([]int32, len(si)+1)
-	covArena := make([]int32, 0, 4*len(si))
-	var buf []int
-	for i, node := range si {
-		buf = grid.Neighbors(pts[node], in.Gamma, buf)
-		sort.Ints(buf)
-		for _, u := range buf {
-			covArena = append(covArena, int32(u))
-		}
-		covOff[i+1] = int32(len(covArena))
-	}
-	sp.End()
 
 	// tau(v) upper bounds for the initial V'_H stops (Eq. (2)). Because
 	// V'_H is independent in H, no two initial stops share a sensor, so
 	// tau'(v) == tau(v) for all of them.
-	service := make([]float64, len(vh))
-	vhPts := make([]geom.Point, len(vh))
-	for i, hIdx := range vh {
-		vhPts[i] = pts[si[hIdx]]
-		for _, u := range covArena[covOff[hIdx]:covOff[hIdx+1]] {
-			if d := in.Requests[u].Duration; d > service[i] {
-				service[i] = d
-			}
-		}
+	service := make([]float64, len(c.vh))
+	vhPts := make([]geom.Point, len(c.vh))
+	for i, hIdx := range c.vh {
+		vhPts[i] = pts[c.si[hIdx]]
+		service[i] = c.tau(in, hIdx)
 	}
 
 	// Step 5: K node-disjoint closed tours over V'_H via the K-minMax
@@ -165,9 +118,9 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	// min-heap on f_N and keeps tour times incrementally, producing
 	// byte-identical schedules to the straightforward rescan-everything
 	// loop (see TestInsertionMatchesReference).
-	eng := newInsEngine(in, si, h, covOff, covArena, vh, service, kt.Tours, in.K, opts.NoSortByFinishTime)
+	eng := newInsEngine(in, c, service, kt.Tours, opts.NoSortByFinishTime)
 
-	sp = tr.Start(obs.StageInsertion)
+	sp := tr.Start(obs.StageInsertion)
 	defer sp.End()
 	if err := eng.run(ctx, opts.NoSortByFinishTime); err != nil {
 		return nil, err
@@ -175,6 +128,83 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	eng.materialize(sched)
 	sched.refreshLongest()
 	return sched, nil
+}
+
+// candidates is the outcome of Algorithm 1's steps 1-4: S_I (the MIS of
+// the charging graph G_c), the auxiliary graph H over S_I, its MIS V'_H
+// (indices into si), and each candidate's coverage set N_c+(v) in one flat
+// arena, covArena[covOff[i]:covOff[i+1]], each segment ascending.
+type candidates struct {
+	si, vh   []int
+	h        *graph.Undirected
+	covOff   []int32
+	covArena []int32
+}
+
+// cover returns candidate i's coverage set N_c+(si[i]), ascending.
+func (c *candidates) cover(i int) []int32 {
+	return c.covArena[c.covOff[i]:c.covOff[i+1]]
+}
+
+// tau returns tau(v) for candidate i (Eq. (2)): the longest charging
+// duration among the requests it covers.
+func (c *candidates) tau(in *Instance, i int) float64 {
+	t := 0.0
+	for _, u := range c.cover(i) {
+		if d := in.Requests[u].Duration; d > t {
+			t = d
+		}
+	}
+	return t
+}
+
+// buildCandidates runs steps 1-4 and the cover arena for Appro and
+// Analyze on a non-empty instance with request positions pts, recording
+// charging-graph and mis spans; it returns ctx.Err() between stages.
+func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point, opts Options) (candidates, error) {
+	if opts.MISOrder == 0 {
+		opts.MISOrder = graph.MISMaxDegree
+	}
+	tr := obs.FromContext(ctx)
+	misCfg := graph.MISConfig{Rng: rand.New(rand.NewSource(opts.Seed)), Tracer: tr}
+
+	// Step 1-2: charging graph G_c and its MIS S_I (candidate sojourns).
+	sp := tr.Start(obs.StageChargingGraph)
+	gc := graph.UnitDisk(pts, in.Gamma)
+	sp.End()
+	sp = tr.Start(obs.StageMIS)
+	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		return candidates{}, err
+	}
+
+	// Step 3-4: auxiliary graph H over S_I and its MIS V'_H.
+	sp = tr.Start(obs.StageChargingGraph)
+	h := graph.IntersectionGraph(pts, si, in.Gamma)
+	sp.End()
+	sp = tr.Start(obs.StageMIS)
+	vh := graph.MaximalIndependentSetWith(h, opts.MISOrder, misCfg)
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		return candidates{}, err
+	}
+
+	// Coverage sets N_c+(v) for each candidate sojourn.
+	sp = tr.Start(obs.StageChargingGraph)
+	defer sp.End()
+	grid := geom.NewGrid(pts, in.Gamma)
+	c := candidates{si: si, vh: vh, h: h, covOff: make([]int32, len(si)+1), covArena: make([]int32, 0, 4*len(si))}
+	var buf []int
+	for i, node := range si {
+		buf = grid.Neighbors(pts[node], in.Gamma, buf)
+		sort.Ints(buf)
+		for _, u := range buf {
+			c.covArena = append(c.covArena, int32(u))
+		}
+		c.covOff[i+1] = int32(len(c.covArena))
+	}
+	return c, nil
 }
 
 // insertStop inserts st at position pos in the tour's stop list.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-
-	"repro/internal/graph"
 )
 
 // This file implements the step-6 insertion phase of Algorithm Appro
@@ -111,13 +109,11 @@ type finEnt struct {
 	h   int32
 }
 
-// insEngine carries the insertion phase's working state.
+// insEngine carries the insertion phase's working state over the
+// candidates of steps 1-4 (S_I, H, V'_H and the cover arena).
 type insEngine struct {
+	candidates
 	in       *Instance
-	si       []int
-	h        *graph.Undirected
-	covOff   []int32 // cover-set arena offsets, len(si)+1
-	covArena []int32
 	covered  []bool
 	tours    []*wtour
 	posChunk []*wchunk // si index -> chunk holding its stop
@@ -125,8 +121,7 @@ type insEngine struct {
 	placed   []bool    // si index -> stop exists for it
 	pend     []bool    // si index -> still awaiting processing
 	keyed    []bool    // si index -> has entered the heap
-	fheap    []finEnt  // min-heap on (f_N, si index)
-	iheap    []int32   // min-heap on si index (NoSortByFinishTime)
+	fheap    []finEnt  // min-heap on (f_N, si index); key 0 under NoSortByFinishTime
 	stopCov  []int32   // arena of per-stop attributed covers
 	remain   int
 	minPend  int // monotone cursor for the no-placed-neighbor fallback
@@ -135,21 +130,18 @@ type insEngine struct {
 // newInsEngine seeds the engine with the initial V'_H placement from the
 // K-minMax tours, attributing coverage in the same k-then-tour-order walk
 // as the reference.
-func newInsEngine(in *Instance, si []int, h *graph.Undirected, covOff, covArena []int32,
-	vh []int, service []float64, ktTours [][]int, K int, noSort bool) *insEngine {
+func newInsEngine(in *Instance, c candidates, service []float64, ktTours [][]int, noSort bool) *insEngine {
+	si := c.si
 	e := &insEngine{
-		in:       in,
-		si:       si,
-		h:        h,
-		covOff:   covOff,
-		covArena: covArena,
-		covered:  make([]bool, len(in.Requests)),
-		tours:    make([]*wtour, K),
-		posChunk: make([]*wchunk, len(si)),
-		posIdx:   make([]int32, len(si)),
-		placed:   make([]bool, len(si)),
-		pend:     make([]bool, len(si)),
-		keyed:    make([]bool, len(si)),
+		candidates: c,
+		in:         in,
+		covered:    make([]bool, len(in.Requests)),
+		tours:      make([]*wtour, in.K),
+		posChunk:   make([]*wchunk, len(si)),
+		posIdx:     make([]int32, len(si)),
+		placed:     make([]bool, len(si)),
+		pend:       make([]bool, len(si)),
+		keyed:      make([]bool, len(si)),
 		// Every request is attributed to at most one stop, so the cover
 		// arena never outgrows the request count.
 		stopCov: make([]int32, 0, len(in.Requests)),
@@ -159,7 +151,7 @@ func newInsEngine(in *Instance, si []int, h *graph.Undirected, covOff, covArena 
 	}
 	for k, tour := range ktTours {
 		for _, vi := range tour {
-			hIdx := vh[vi]
+			hIdx := e.vh[vi]
 			off := int32(len(e.stopCov))
 			cnt := int32(0)
 			for _, u := range e.cover(hIdx) {
@@ -187,18 +179,12 @@ func newInsEngine(in *Instance, si []int, h *graph.Undirected, covOff, covArena 
 		if fn, _, ok := e.latestNeighborFinish(i); ok {
 			e.keyed[i] = true
 			if noSort {
-				e.pushIdx(int32(i))
-			} else {
-				e.pushFin(fn, int32(i))
+				fn = 0
 			}
+			e.pushFin(fn, int32(i))
 		}
 	}
 	return e
-}
-
-// cover returns candidate hIdx's coverage set N_c+(v), sorted ascending.
-func (e *insEngine) cover(hIdx int) []int32 {
-	return e.covArena[e.covOff[hIdx]:e.covOff[hIdx+1]]
 }
 
 // newChunk allocates a chunk with its six parallel arrays at full capacity
@@ -304,74 +290,25 @@ func (e *insEngine) popFin() finEnt {
 	return top
 }
 
-// pushIdx / popIdx: min-heap on si index, for the NoSortByFinishTime
-// ablation (the reference then picks the first pending candidate with a
-// placed neighbor, i.e. the smallest keyed si index).
-func (e *insEngine) pushIdx(h int32) {
-	e.iheap = append(e.iheap, h)
-	i := len(e.iheap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if e.iheap[i] >= e.iheap[p] {
-			break
-		}
-		e.iheap[i], e.iheap[p] = e.iheap[p], e.iheap[i]
-		i = p
-	}
-}
-
-func (e *insEngine) popIdx() int32 {
-	top := e.iheap[0]
-	last := len(e.iheap) - 1
-	e.iheap[0] = e.iheap[last]
-	e.iheap = e.iheap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && e.iheap[l] < e.iheap[m] {
-			m = l
-		}
-		if r < last && e.iheap[r] < e.iheap[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		e.iheap[i], e.iheap[m] = e.iheap[m], e.iheap[i]
-		i = m
-	}
-	return top
-}
-
 // pick selects the next candidate and the placed neighbor to insert after
 // (-1 for the no-placed-neighbor fallback), reproducing the reference
-// scan's choice exactly.
+// scan's choice exactly. Under NoSortByFinishTime every key is 0 and never
+// re-keyed, so the heap pops by ascending si index: the reference then
+// takes the first pending candidate with a placed neighbor.
 func (e *insEngine) pick(noSort bool) (hIdx, after int) {
-	if noSort {
-		for len(e.iheap) > 0 {
-			h := e.popIdx()
-			if !e.pend[h] {
-				continue
-			}
-			_, best, _ := e.latestNeighborFinish(int(h))
-			return int(h), best
+	for len(e.fheap) > 0 {
+		ent := e.popFin()
+		if !e.pend[ent.h] {
+			continue
 		}
-	} else {
-		for len(e.fheap) > 0 {
-			ent := e.popFin()
-			if !e.pend[ent.h] {
-				continue
-			}
-			fn, best, _ := e.latestNeighborFinish(int(ent.h))
-			if fn > ent.key {
-				// The key was a stale lower bound; re-key and retry. f_N
-				// is monotone non-decreasing, so keys never overshoot.
-				e.pushFin(fn, ent.h)
-				continue
-			}
-			return int(ent.h), best
+		fn, best, _ := e.latestNeighborFinish(int(ent.h))
+		if !noSort && fn > ent.key {
+			// The key was a stale lower bound; re-key and retry. f_N is
+			// monotone non-decreasing, so keys never overshoot.
+			e.pushFin(fn, ent.h)
+			continue
 		}
+		return int(ent.h), best
 	}
 	// No pending candidate touches a placed one. This cannot happen when
 	// V'_H is maximal, but guard against it like the reference: take the
@@ -520,12 +457,11 @@ func (e *insEngine) run(ctx context.Context, noSort bool) error {
 		for _, w := range e.h.Neighbors(hIdx) {
 			if e.pend[w] && !e.keyed[w] {
 				e.keyed[w] = true
-				if noSort {
-					e.pushIdx(w)
-				} else {
-					fn, _, _ := e.latestNeighborFinish(int(w))
-					e.pushFin(fn, w)
+				fn := 0.0 // NoSortByFinishTime keys every candidate 0
+				if !noSort {
+					fn, _, _ = e.latestNeighborFinish(int(w))
 				}
+				e.pushFin(fn, w)
 			}
 		}
 	}

@@ -26,8 +26,8 @@ func TestRunHonorsContext(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			setGOMAXPROCS(t, 2)
 			opt := fastOpts()
-			opt.Workers = 2
 			var cells atomic.Int32
 			if tt.preRun {
 				cancel()
@@ -72,8 +72,8 @@ func TestRunHonorsContext(t *testing.T) {
 // TestRunDeadlinePartial drives the harness with a deadline that expires
 // mid-sweep and checks the partial panels stay usable.
 func TestRunDeadlinePartial(t *testing.T) {
+	setGOMAXPROCS(t, 2)
 	opt := fastOpts()
-	opt.Workers = 2
 	// Size the sweep so it cannot finish inside the deadline (a full run
 	// at these settings takes tens of seconds), guaranteeing the deadline
 	// genuinely interrupts it.
@@ -111,8 +111,8 @@ func TestRunAblationHonorsContext(t *testing.T) {
 // workers with a deliberately unsynchronized closure; `go test -race`
 // fails this test if the harness ever invokes Progress concurrently.
 func TestProgressSerialized(t *testing.T) {
+	setGOMAXPROCS(t, 4)
 	opt := fastOpts()
-	opt.Workers = 4
 	var lines []string // no mutex on purpose: serialization is the contract
 	opt.Progress = func(msg string) { lines = append(lines, msg) }
 	a, _, err := Run(context.Background(), "5", opt)

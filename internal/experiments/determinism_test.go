@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -14,9 +14,17 @@ import (
 )
 
 // The headline guarantee of the parallelism layer: identical seeds produce
-// byte-identical figure tables at any worker count, with the plan cache
-// cold, warm, or disabled. These tests run the real sweep machinery on a
-// miniature figure-3 grid so they stay fast enough for every CI run.
+// byte-identical figure tables at any GOMAXPROCS. These tests run the real
+// sweep machinery on a miniature figure-3 grid so they stay fast enough
+// for every CI run. GOMAXPROCS is process-wide, so tests that set it are
+// not parallel.
+
+// setGOMAXPROCS sets runtime.GOMAXPROCS to n until the test ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // miniFig3 is figure 3 (network-size sweep) shrunk to test scale.
 func miniFig3() sweepSpec {
@@ -31,12 +39,10 @@ func miniFig3() sweepSpec {
 	}
 }
 
-func miniOptions(workers int, cache bool) Options {
+func miniOptions() Options {
 	return Options{
 		Instances: 2,
 		Duration:  5 * 86400, // five simulated days
-		Workers:   workers,
-		PlanCache: cache,
 		Verify:    true,
 	}
 }
@@ -58,13 +64,14 @@ func figureJSON(t *testing.T, a, b *Figure) []byte {
 func TestSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	spec := miniFig3()
 	var ref []byte
-	for _, w := range []int{1, 2, 8} {
-		a, b, err := runSweep(context.Background(), spec, miniOptions(w, false))
+	for _, procs := range []int{1, 2, 8} {
+		setGOMAXPROCS(t, procs)
+		a, b, err := runSweep(context.Background(), spec, miniOptions())
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if a.Violations != 0 {
-			t.Fatalf("workers=%d: %d feasibility violations", w, a.Violations)
+			t.Fatalf("GOMAXPROCS=%d: %d feasibility violations", procs, a.Violations)
 		}
 		got := figureJSON(t, a, b)
 		if ref == nil {
@@ -72,75 +79,42 @@ func TestSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d: figure tables diverged from workers=1", w)
+			t.Fatalf("GOMAXPROCS=%d: figure tables diverged from GOMAXPROCS=1", procs)
 		}
-	}
-}
-
-func TestSweepPlanCacheDoesNotChangeResults(t *testing.T) {
-	spec := miniFig3()
-	aOff, bOff, err := runSweep(context.Background(), spec, miniOptions(2, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aOn, bOn, err := runSweep(context.Background(), spec, miniOptions(2, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(aOff, aOn) || !reflect.DeepEqual(bOff, bOn) {
-		t.Fatal("enabling the plan cache changed the figure tables")
 	}
 }
 
 // TestSimTraceByteIdenticalAcrossPlannerWorkers drives the simulator's
 // JSONL trace — the full ordered event stream — with the planner's internal
-// parallelism (BiLevel's outer rounds, the fan-out Options.Workers bounds)
-// at several worker counts. The trace is keyed by simulation time only, so
-// any divergence in event ordering or content is a determinism bug in the
-// parallel layer.
+// parallelism (BiLevel's outer rounds, fanned over GOMAXPROCS workers) at
+// several GOMAXPROCS values. The trace is keyed by simulation time only,
+// so any divergence in event ordering or content is a determinism bug in
+// the parallel layer.
 func TestSimTraceByteIdenticalAcrossPlannerWorkers(t *testing.T) {
 	nw, err := workload.Generate(workload.NewParams(60), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	planner := registry.MustNew("BiLevel", &core.Options{Seed: 1})
 	var ref []byte
-	for _, w := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		setGOMAXPROCS(t, procs)
 		var buf bytes.Buffer
-		planner := registry.MustNew("BiLevel", &core.Options{Seed: 1, Workers: w})
 		if _, err := sim.Run(context.Background(), nw, 2, planner, sim.Config{
 			Duration: 5 * 86400,
 			Trace:    &buf,
 		}); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if buf.Len() == 0 {
-			t.Fatalf("workers=%d: empty trace", w)
+			t.Fatalf("GOMAXPROCS=%d: empty trace", procs)
 		}
 		if ref == nil {
 			ref = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), ref) {
-			t.Fatalf("workers=%d: JSONL trace diverged from workers=1", w)
+			t.Fatalf("GOMAXPROCS=%d: JSONL trace diverged from GOMAXPROCS=1", procs)
 		}
-	}
-}
-
-// TestSweepCacheWarmRerunMatchesCold reruns an identical sweep against a
-// process-fresh cache and against nothing at all; all three tables must
-// match, confirming a warm rerun serves copies rather than aliases.
-func TestSweepCacheWarmRerunMatchesCold(t *testing.T) {
-	spec := miniFig3()
-	opt := miniOptions(2, true)
-	a1, b1, err := runSweep(context.Background(), spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, b2, err := runSweep(context.Background(), spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(figureJSON(t, a1, b1), figureJSON(t, a2, b2)) {
-		t.Fatal("rerunning the cached sweep changed the figure tables")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/plancache"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -40,17 +39,6 @@ type Options struct {
 	// BatchWindow is the dispatch batching window; 0 means the
 	// harness default (24 h).
 	BatchWindow float64
-	// Workers bounds the number of concurrent simulations; 0 means
-	// GOMAXPROCS. The figure tables are byte-identical at any worker
-	// count: cells are seeded by their grid position and merged by index
-	// (see internal/par), never by completion order.
-	Workers int
-	// PlanCache, when true, memoizes planner outputs by (planner,
-	// instance) across the sweep's simulation cells, so replans of an
-	// identical request set are served from a bounded LRU instead of
-	// re-running the planner. Results are unchanged — a hit returns a deep
-	// copy of exactly what the planner produced cold.
-	PlanCache bool
 	// Verify runs the feasibility verifier inside every simulation
 	// round and records violations.
 	Verify bool
@@ -77,7 +65,6 @@ func (o Options) withDefaults() Options {
 	if o.BatchWindow <= 0 {
 		o.BatchWindow = sim.DefaultBatchWindow
 	}
-	o.Workers = par.Size(o.Workers)
 	return o
 }
 
@@ -268,15 +255,6 @@ func Run(ctx context.Context, id string, opt Options) (a, b *Figure, err error) 
 func runSweep(ctx context.Context, spec sweepSpec, opt Options) (a, b *Figure, err error) {
 	opt = opt.withDefaults()
 	ps := planners()
-	if opt.PlanCache {
-		// One cache for the whole sweep. Keys include the planner name, so
-		// the five algorithms never cross-contaminate; hits arise when the
-		// same planner replans an identical request set.
-		cache := plancache.New(0)
-		for i := range ps {
-			ps[i] = plancache.Wrap(ps[i], cache)
-		}
-	}
 	tr := obs.FromContext(ctx)
 	progress := obs.NewProgress(opt.Progress)
 
@@ -288,16 +266,17 @@ func runSweep(ctx context.Context, spec sweepSpec, opt Options) (a, b *Figure, e
 			}
 		}
 	}
-	// Cell results land in slots indexed by grid position and each cell's
-	// seed depends only on that position, so the aggregation below — and
-	// hence the figure tables — is byte-identical at any worker count.
+	// Cells run on GOMAXPROCS workers. Their results land in slots indexed
+	// by grid position and each cell's seed depends only on that position,
+	// so the aggregation below — and hence the figure tables — is
+	// byte-identical at any GOMAXPROCS.
 	// done[ci] marks the cells whose results may enter the aggregation
 	// (all of them on a clean run, the completed subset on a cancelled
 	// one); it is written by exactly one worker and read only after
 	// par.Do returns.
 	results := make([]cellResult, len(cells))
 	done := make([]bool, len(cells))
-	doErr := par.Do(ctx, len(cells), opt.Workers, func(ctx context.Context, ci int) error {
+	doErr := par.Do(ctx, len(cells), 0, func(ctx context.Context, ci int) error {
 		c := cells[ci]
 		res, cerr := runCell(ctx, spec, opt, ps[c.pi], c)
 		if cerr != nil {
@@ -532,109 +511,85 @@ func RunAblation(ctx context.Context, id string, opt Options) ([]AblationResult,
 	return out, nil
 }
 
+// yearVariant is one row of a year-long ablation: Appro with K = 2 on
+// networks of n sensors, simulated under cfg (runYearAblation fills in its
+// Duration, BatchWindow and Verify from the options).
+type yearVariant struct {
+	name string
+	n    int // network size
+	rowN int // the row's N column
+	cfg  sim.Config
+}
+
 // runDispatchAblation simulates a year under both dispatch protocols with
 // Appro, per network size.
 func runDispatchAblation(ctx context.Context, opt Options) ([]AblationResult, error) {
-	modes := []sim.DispatchMode{sim.DispatchSynchronized, sim.DispatchIndependent}
-	progress := obs.NewProgress(opt.Progress)
-	var out []AblationResult
-	for _, mode := range modes {
+	var vs []yearVariant
+	for _, mode := range []sim.DispatchMode{sim.DispatchSynchronized, sim.DispatchIndependent} {
 		for _, n := range ablationSizes {
-			var accL, accD, accS stats.Accumulator
-			for inst := 0; inst < opt.Instances; inst++ {
-				if err := ctx.Err(); err != nil {
-					return out, fmt.Errorf("experiments: ablation dispatch: %w", err)
-				}
-				nw, err := workload.Generate(workload.NewParams(n), opt.Seed+int64(inst)+1)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(ctx, nw, 2, core.ApproPlanner{}, sim.Config{
-					Duration:    opt.Duration,
-					BatchWindow: opt.BatchWindow,
-					Dispatch:    mode,
-					Verify:      opt.Verify,
-				})
-				if err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return out, fmt.Errorf("experiments: ablation dispatch: %w", cerr)
-					}
-					return nil, fmt.Errorf("experiments: dispatch ablation %v n=%d: %w", mode, n, err)
-				}
-				if opt.Verify && res.Violations > 0 {
-					return nil, fmt.Errorf("experiments: dispatch ablation %v n=%d: %d violations", mode, n, res.Violations)
-				}
-				accL.Add(res.AvgLongest / 3600)
-				accD.Add(res.AvgDeadPerSensor)
-				totalStops := 0
-				for _, r := range res.Rounds {
-					totalStops += r.Stops
-				}
-				if len(res.Rounds) > 0 {
-					accS.Add(float64(totalStops) / float64(len(res.Rounds)))
-				}
-			}
-			out = append(out, AblationResult{
-				Variant:  "dispatch-" + mode.String(),
-				N:        n,
-				LongestH: accL.Mean(),
-				Stops:    accS.Mean(),
-				WaitS:    accD.Mean(),
-			})
+			vs = append(vs, yearVariant{name: "dispatch-" + mode.String(), n: n, rowN: n, cfg: sim.Config{Dispatch: mode}})
 		}
-		progress.Emit("ablation dispatch: %v done", mode)
 	}
-	return out, nil
+	return runYearAblation(ctx, AblationDispatch, opt, vs)
 }
 
 // runPartialAblation simulates a year under Appro at n = 1000, K = 2 for
-// several partial-charging levels. LongestH is the mean longest tour
-// duration, WaitS the mean dead time per sensor in seconds, and N encodes
-// the charging level in percent.
+// several partial-charging levels; N encodes the charging level in
+// percent.
 func runPartialAblation(ctx context.Context, opt Options) ([]AblationResult, error) {
-	levels := []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5}
+	var vs []yearVariant
+	for _, level := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5} {
+		pct := int(level * 100)
+		vs = append(vs, yearVariant{name: fmt.Sprintf("charge-to-%d%%", pct), n: 1000, rowN: pct, cfg: sim.Config{ChargeLevel: level}})
+	}
+	return runYearAblation(ctx, AblationPartial, opt, vs)
+}
+
+// runYearAblation simulates each variant on opt.Instances networks,
+// seeded alike for every variant, and returns one row per variant:
+// LongestH is the mean longest tour duration, WaitS the mean dead time per
+// sensor in seconds and Stops the mean stops per round. Under opt.Verify a
+// feasibility violation is an error. On cancellation it returns the rows
+// completed so far.
+func runYearAblation(ctx context.Context, id string, opt Options, variants []yearVariant) ([]AblationResult, error) {
 	progress := obs.NewProgress(opt.Progress)
 	var out []AblationResult
-	for _, level := range levels {
+	for _, v := range variants {
+		cfg := v.cfg
+		cfg.Duration, cfg.BatchWindow, cfg.Verify = opt.Duration, opt.BatchWindow, opt.Verify
 		var accL, accD, accS stats.Accumulator
 		for inst := 0; inst < opt.Instances; inst++ {
 			if err := ctx.Err(); err != nil {
-				return out, fmt.Errorf("experiments: ablation partial: %w", err)
+				return out, fmt.Errorf("experiments: ablation %s: %w", id, err)
 			}
-			nw, err := workload.Generate(workload.NewParams(1000), opt.Seed+int64(inst)+1)
+			nw, err := workload.Generate(workload.NewParams(v.n), opt.Seed+int64(inst)+1)
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Run(ctx, nw, 2, core.ApproPlanner{}, sim.Config{
-				Duration:    opt.Duration,
-				BatchWindow: opt.BatchWindow,
-				ChargeLevel: level,
-				Verify:      opt.Verify,
-			})
+			res, err := sim.Run(ctx, nw, 2, core.ApproPlanner{}, cfg)
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
-					return out, fmt.Errorf("experiments: ablation partial: %w", cerr)
+					return out, fmt.Errorf("experiments: ablation %s: %w", id, cerr)
 				}
-				return nil, fmt.Errorf("experiments: partial ablation level=%v: %w", level, err)
+				return nil, fmt.Errorf("experiments: ablation %s n=%d: %w", v.name, v.n, err)
+			}
+			if opt.Verify && res.Violations > 0 {
+				return nil, fmt.Errorf("experiments: ablation %s n=%d: %d violations, first: %s", v.name, v.n, res.Violations, res.FirstViolation)
 			}
 			accL.Add(res.AvgLongest / 3600)
 			accD.Add(res.AvgDeadPerSensor)
-			totalStops := 0
-			for _, r := range res.Rounds {
-				totalStops += r.Stops
-			}
 			if len(res.Rounds) > 0 {
-				accS.Add(float64(totalStops) / float64(len(res.Rounds)))
+				accS.Add(res.MeanStops())
 			}
 		}
 		out = append(out, AblationResult{
-			Variant:  fmt.Sprintf("charge-to-%d%%", int(level*100)),
-			N:        int(level * 100),
+			Variant:  v.name,
+			N:        v.rowN,
 			LongestH: accL.Mean(),
 			Stops:    accS.Mean(),
 			WaitS:    accD.Mean(),
 		})
-		progress.Emit("ablation partial: level %.0f%% done", level*100)
+		progress.Emit("ablation %s: %s n=%d done", id, v.name, v.n)
 	}
 	return out, nil
 }

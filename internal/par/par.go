@@ -24,8 +24,7 @@
 //
 // When ctx carries an *obs.Tracer, each call records par.batches (one per
 // Do/Map call), par.tasks (tasks submitted) and par.workers (goroutines
-// used, after clamping); these land next to the cache.* counters in
-// -trace-json output.
+// used, after clamping); these land in -trace-json output.
 package par
 
 import (

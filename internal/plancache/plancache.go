@@ -1,7 +1,9 @@
-// Package plancache memoizes planner outputs by problem instance, so
-// repeated plans of the same network — the common case in figure sweeps,
-// benchmark iterations and the simulator's replan path — cost a hash and a
-// deep copy instead of a full planning round.
+// Package plancache memoizes planner outputs by problem instance, so a
+// repeated plan request — the common case in the planning service's
+// traffic (cmd/wrsn-serve) — costs a hash and a deep copy instead of a
+// full planning round. The batch tools keep no cache: the evaluation
+// replans every round from fresh residual energies and never plans one
+// request set twice.
 //
 // A Cache maps an instance key to a stored *core.Schedule. The key is the
 // FNV-1a (128-bit) hash of a canonical binary encoding of everything the
@@ -14,8 +16,6 @@
 // request order. Any single difference that can change the plan — one
 // coordinate nudged, a different gamma, one more charger, a different
 // MISOrder — therefore changes the key (see FuzzPlanCacheKey).
-// Fields that affect only speed, never the schedule (Options.Workers),
-// are deliberately excluded so equivalent requests still share an entry.
 //
 // Schedules cross the cache boundary by deep copy in both directions:
 // callers may freely mutate what Get returns (the simulator's executor
@@ -97,7 +97,6 @@ func Identity(p core.Planner) (name string, opts *core.Options) {
 //   - MISOrder zero means graph.MISMaxDegree (Appro's documented default).
 //   - Seed only matters under the seeded order graph.MISRandom; it is
 //     zeroed under the deterministic ones.
-//   - Workers affects speed only, never the schedule, and is dropped.
 func canonOptions(opts *core.Options) core.Options {
 	var o core.Options
 	if opts != nil {
@@ -109,7 +108,6 @@ func canonOptions(opts *core.Options) core.Options {
 	if o.MISOrder != graph.MISRandom {
 		o.Seed = 0
 	}
-	o.Workers = 0
 	return o
 }
 

@@ -84,12 +84,11 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 	}
 
 	// Options inside one plan-equivalence class must keep sharing an
-	// entry: defaults spelled explicitly, the speed-only Workers field,
-	// and Seed under a deterministic MIS order.
+	// entry: defaults spelled explicitly, and Seed under a deterministic
+	// MIS order.
 	equivalent := map[string]*core.Options{
 		"zero":         {},
 		"explicit-mis": {MISOrder: graph.MISMaxDegree},
-		"workers":      {Workers: 7},
 		"unused-seed":  {Seed: 42},
 	}
 	for name, o := range equivalent {
@@ -306,5 +305,23 @@ func TestCacheConcurrentAccess(t *testing.T) {
 func TestCloneNil(t *testing.T) {
 	if Clone(nil) != nil {
 		t.Fatal("Clone(nil) != nil")
+	}
+}
+
+// BenchmarkPlanCacheHit measures a warm lookup through Wrap — key hash
+// plus schedule deep copy — which is what a repeated /v1/plan request
+// costs the planning service instead of a cold plan.
+func BenchmarkPlanCacheHit(b *testing.B) {
+	in := testInstance(400, 2)
+	planner := Wrap(core.ApproPlanner{}, New(0))
+	if _, err := planner.Plan(context.Background(), in); err != nil {
+		b.Fatal(err) // warm the cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := planner.Plan(context.Background(), in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

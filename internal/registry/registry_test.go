@@ -172,7 +172,7 @@ func TestCapabilityFlagsHonest(t *testing.T) {
 		"BiLevel": {{Seed: 1}, {Seed: 2}},
 	}
 	// Wild options that must NOT change a no-tunables planner's output.
-	wild := core.Options{MISOrder: graph.MISRandom, Seed: 99, NoSortByFinishTime: true, Workers: 3}
+	wild := core.Options{MISOrder: graph.MISRandom, Seed: 99, NoSortByFinishTime: true}
 
 	for _, e := range registry.All() {
 		t.Run(e.Name, func(t *testing.T) {

@@ -30,8 +30,8 @@ type PlanRequest struct {
 	// Instance is the problem to plan.
 	Instance *core.Instance `json:"instance"`
 	// Options tunes Appro (field names as in core.Options: MISOrder,
-	// Seed, NoSortByFinishTime, Workers). Decoding is strict, so any
-	// other field, a retired option included, is a 400.
+	// Seed, NoSortByFinishTime). Decoding is strict, so any other field,
+	// a retired option such as Workers included, is a 400.
 	Options *core.Options `json:"options,omitempty"`
 	// TimeoutMS is the per-request planning deadline in milliseconds,
 	// clamped to the server's MaxTimeout; 0 means the server default.
@@ -53,7 +53,7 @@ type SimulateRequest struct {
 	K int `json:"k,omitempty"`
 	// Planner names the algorithm ("" means Appro).
 	Planner string `json:"planner,omitempty"`
-	// Options tunes Appro.
+	// Options tunes Appro, decoded as strictly as PlanRequest.Options.
 	Options *core.Options `json:"options,omitempty"`
 	// DurationDays is the monitored period; 0 means 30 days (the full
 	// paper year is available but rarely what an API caller wants to

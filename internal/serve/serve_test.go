@@ -166,6 +166,7 @@ func TestPlanBadRequests(t *testing.T) {
 		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
 		{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
 		{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
+		{"retired Workers option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Workers":2}}`},
 		// Undefined MIS orders; 5 was the retired Luby order.
 		{"undefined MISOrder 99", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":99}}`},
 		{"undefined MISOrder -4", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":-4}}`},
@@ -456,9 +457,13 @@ func TestSimulateEndpoint(t *testing.T) {
 		t.Errorf("%d violations: %s", sr.Violations, sr.FirstViolation)
 	}
 
-	bad, _ := json.Marshal(SimulateRequest{N: 40, Seed: 1, Options: &core.Options{MISOrder: 99}})
-	if resp, out := postJSON(t, ts.URL+"/v1/simulate", bad); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("undefined MISOrder: status %d, want 400 (%s)", resp.StatusCode, out)
+	for _, tc := range []struct{ name, body string }{
+		{"undefined MISOrder", `{"n":40,"seed":1,"options":{"MISOrder":99}}`},
+		{"retired Workers option", `{"n":40,"seed":1,"options":{"Workers":2}}`},
+	} {
+		if resp, out := postJSON(t, ts.URL+"/v1/simulate", []byte(tc.body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, out)
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ func goldenNetwork(m int, seed int64, side float64, corner geom.Point, speed flo
 //     surviving tour.
 //   - noise: travel and charge noise over several rounds.
 //   - independent-conflict-wait: independent dispatch around the depot,
-//     where a new tour waits for another charger's interval. Independent
-//     dispatch traces only world events, and this run has none, so its
-//     trace golden is empty; the Result carries the waits.
+//     where a new tour waits for another charger's interval. Its trace
+//     holds each dispatch's charge lines and dispatch line in commit
+//     order; the Result carries the waits.
 //
 // To re-record after a deliberate behaviour change, delete the files and
 // run the test twice; the first run writes them and fails.

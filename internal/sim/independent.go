@@ -59,9 +59,10 @@ type interval struct {
 // the charger in place for the repair time, while a permanent one kills
 // it mid-tour — its remaining requests simply stay pending and are picked
 // up by the next free charger (independent dispatch's natural form of
-// redistribution).
+// redistribution). Trace lines are emitted as each dispatch commits: its
+// mcv-fail draw, a dead and a charge line per refill, then the dispatch.
 func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.Planner, cfg Config,
-	states []sensorState, targets []float64, inj *fault.Injector, world *faultWorld, fstats *FaultStats) (*Result, error) {
+	states []sensorState, targets []float64, inj *fault.Injector, world *faultWorld, fstats *FaultStats, trace *tracer) (*Result, error) {
 	res := &Result{Planner: planner.Name(), Faults: fstats}
 	tr := obs.FromContext(ctx)
 	var longestAcc stats.Accumulator
@@ -204,6 +205,7 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 				fstats.Retries += brk.Retries
 				fstats.RepairSeconds += brk.Delay
 				tr.Add("fault.mcv_failures", 1)
+				trace.emit(TraceEvent{Kind: "mcv-fail", T: now + brk.At, Charger: ch})
 				if brk.Transient {
 					fstats.Transient++
 				} else {
@@ -263,12 +265,19 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 			if cfg.Verify {
 				audit = append(audit, iv)
 			}
-			// Refill the covered sensors at the stop's finish.
+			// Refill the covered sensors at the stop's finish, reporting a
+			// sensor that died while waiting first, as Run does.
 			for _, ri := range st.Covers {
-				delivered := states[pending[ri]].chargeAt(clock, cfg.ChargeLevel)
+				id := pending[ri]
+				states[id].advanceTo(clock)
+				if deadAt := states[id].deadAt; deadAt >= 0 {
+					trace.emit(TraceEvent{Kind: "dead", T: deadAt, Sensor: id})
+				}
+				delivered := states[id].chargeAt(clock, cfg.ChargeLevel)
 				res.EnergyDelivered += delivered
 				res.Charges++
 				servedCount++
+				trace.emit(TraceEvent{Kind: "charge", T: clock, Sensor: id, Energy: delivered})
 			}
 			stopsDone++
 		}
@@ -315,6 +324,10 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 			Stops:   stopsDone,
 			Longest: delay,
 			Wait:    wait,
+		})
+		trace.emit(TraceEvent{
+			Kind: "dispatch", T: now, Charger: ch,
+			Batch: servedCount, Stops: stopsDone, Delay: delay,
 		})
 		tr.Add("sim.rounds", 1)
 		tr.Add("sim.charges", int64(servedCount))
@@ -378,6 +391,9 @@ func runIndependent(ctx context.Context, nw *wrsn.Network, k int, planner core.P
 		res.AvgDeadPerSensor = totalDead / float64(len(states))
 	}
 	res.AvgLongest = longestAcc.Mean()
+	if err := trace.Err(); err != nil {
+		return nil, fmt.Errorf("sim: trace: %w", err)
+	}
 	return res, runErr
 }
 

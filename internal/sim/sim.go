@@ -75,8 +75,10 @@ type Config struct {
 	// 0 means no cap.
 	MaxRounds int
 	// Trace, when non-nil, receives a JSONL stream of TraceEvent lines:
-	// one "dispatch" per round, one "charge" per sensor refill, one
-	// "dead" per battery depletion.
+	// one "dispatch" per round (per charger dispatch under
+	// DispatchIndependent), one "charge" per sensor refill, one "dead" per
+	// battery depletion, plus fault events. Lines come in commit order,
+	// not time order, so T is authoritative; a write error fails the run.
 	Trace io.Writer
 	// Verify runs the feasibility verifier on every round's schedule and
 	// records violations in the result. One-to-one schedules (every stop
@@ -277,7 +279,7 @@ func Run(ctx context.Context, nw *wrsn.Network, k int, planner core.Planner, cfg
 	}
 	world := newFaultWorld(inj, cfg.Duration, len(states), fstats, trace, tr)
 	if cfg.Dispatch == DispatchIndependent {
-		return runIndependent(ctx, nw, k, planner, cfg, states, targets, inj, world, fstats)
+		return runIndependent(ctx, nw, k, planner, cfg, states, targets, inj, world, fstats, trace)
 	}
 	res.Faults = fstats
 

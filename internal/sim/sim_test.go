@@ -238,45 +238,60 @@ func TestChargeAtPartialLevels(t *testing.T) {
 	}
 }
 
+// traceModes are the dispatch modes every trace test runs under: both
+// must write the trace Config.Trace promises.
+var traceModes = []DispatchMode{DispatchSynchronized, DispatchIndependent}
+
 func TestTraceStream(t *testing.T) {
-	nw := smallNetwork(t, 60, 21)
-	var buf bytes.Buffer
-	res, err := Run(context.Background(), nw, 2, core.ApproPlanner{}, Config{
-		Duration:    30 * 86400,
-		BatchWindow: DefaultBatchWindow,
-		Trace:       &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dispatches, charges := 0, 0
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("trace line does not parse: %v", err)
-		}
-		switch ev.Kind {
-		case "dispatch":
-			dispatches++
-			if ev.Batch <= 0 || ev.Stops <= 0 || ev.Delay <= 0 {
-				t.Fatalf("malformed dispatch event: %+v", ev)
+	for _, mode := range traceModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			nw := smallNetwork(t, 60, 21)
+			var buf bytes.Buffer
+			res, err := Run(context.Background(), nw, 2, core.ApproPlanner{}, Config{
+				Duration:    30 * 86400,
+				BatchWindow: DefaultBatchWindow,
+				Dispatch:    mode,
+				Trace:       &buf,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "charge":
-			charges++
-			if ev.Sensor < 0 || ev.Sensor >= len(nw.Sensors) {
-				t.Fatalf("charge for unknown sensor: %+v", ev)
+			// A synchronized round sends the whole fleet (-1); an
+			// independent dispatch names its charger.
+			chargerOK := func(c int) bool { return c == -1 }
+			if mode == DispatchIndependent {
+				chargerOK = func(c int) bool { return c >= 0 && c < 2 }
 			}
-		case "dead":
-		default:
-			t.Fatalf("unknown event kind %q", ev.Kind)
-		}
-	}
-	if dispatches != len(res.Rounds) {
-		t.Errorf("trace dispatches = %d, rounds = %d", dispatches, len(res.Rounds))
-	}
-	if charges != res.Charges {
-		t.Errorf("trace charges = %d, result charges = %d", charges, res.Charges)
+			dispatches, charges := 0, 0
+			dec := json.NewDecoder(&buf)
+			for dec.More() {
+				var ev TraceEvent
+				if err := dec.Decode(&ev); err != nil {
+					t.Fatalf("trace line does not parse: %v", err)
+				}
+				switch ev.Kind {
+				case "dispatch":
+					dispatches++
+					if ev.Batch <= 0 || ev.Stops <= 0 || ev.Delay <= 0 || !chargerOK(ev.Charger) {
+						t.Fatalf("malformed dispatch event: %+v", ev)
+					}
+				case "charge":
+					charges++
+					if ev.Sensor < 0 || ev.Sensor >= len(nw.Sensors) {
+						t.Fatalf("charge for unknown sensor: %+v", ev)
+					}
+				case "dead":
+				default:
+					t.Fatalf("unknown event kind %q", ev.Kind)
+				}
+			}
+			if dispatches != len(res.Rounds) {
+				t.Errorf("trace dispatches = %d, rounds = %d", dispatches, len(res.Rounds))
+			}
+			if charges != res.Charges {
+				t.Errorf("trace charges = %d, result charges = %d", charges, res.Charges)
+			}
+		})
 	}
 }
 
@@ -299,13 +314,18 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestTraceWriteErrorSurfaces(t *testing.T) {
-	nw := smallNetwork(t, 60, 23)
-	_, err := Run(context.Background(), nw, 2, core.ApproPlanner{}, Config{
-		Duration: 30 * 86400,
-		Trace:    &errWriter{},
-	})
-	if err == nil {
-		t.Error("trace write error was swallowed")
+	for _, mode := range traceModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			nw := smallNetwork(t, 60, 23)
+			_, err := Run(context.Background(), nw, 2, core.ApproPlanner{}, Config{
+				Duration: 30 * 86400,
+				Dispatch: mode,
+				Trace:    &errWriter{},
+			})
+			if err == nil {
+				t.Error("trace write error was swallowed")
+			}
+		})
 	}
 }
 

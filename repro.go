@@ -24,6 +24,14 @@
 // timings and counters; with no tracer attached the instrumentation is
 // free.
 //
+// The batch entry points — RunFigure, PlanConcurrently and the BiLevel
+// planner — fan out over GOMAXPROCS goroutines and merge results by index,
+// so their output is byte-identical at any GOMAXPROCS; the GOMAXPROCS
+// environment variable is their one parallelism setting. They keep no
+// plan cache: the evaluation replans every round from the sensors' current
+// residual energies, so it never plans one request set twice. Memoizing
+// plans is the planning service's job (cmd/wrsn-serve).
+//
 // See the examples/ directory for runnable end-to-end programs and
 // EXPERIMENTS.md for the paper-versus-measured record.
 package repro
@@ -39,7 +47,6 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/plancache"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -202,37 +209,14 @@ func PlannerNames() []string {
 	return registry.Names()
 }
 
-// Deterministic parallelism and plan caching (see internal/par and
-// internal/plancache). Every parallel entry point in this package is
-// byte-deterministic: equal inputs produce identical outputs at any worker
-// count, because work is identified by index and merged by index, never by
-// completion order.
-
-// PlanCache is a bounded LRU memoizing planner outputs by (planner name,
-// plan-shaping options, instance). Hits return deep copies of exactly what
-// the planner produced cold, so cached and uncached runs are
-// byte-identical; planners sharing a name but planning under different
-// ApproOptions never serve each other's entries. Safe for concurrent use;
-// hit/miss/eviction counters land on any Tracer in the context.
-type PlanCache = plancache.Cache
-
-// NewPlanCache returns a plan cache holding at most capacity schedules
-// (capacity <= 0 selects the default of 256).
-func NewPlanCache(capacity int) *PlanCache { return plancache.New(capacity) }
-
-// CachedPlanner wraps p so repeated plans of an identical instance are
-// served from c. The wrapper keeps p's name and folds p's plan-shaping
-// options into the cache key when p exposes them (as NewApproPlanner's
-// result does); errors are never cached.
-func CachedPlanner(p Planner, c *PlanCache) Planner { return plancache.Wrap(p, c) }
-
-// PlanConcurrently plans the same instance under every planner on a bounded
-// worker pool and returns one schedule per planner, in input order. workers
-// <= 0 means GOMAXPROCS; the output is independent of the worker count. On
-// failure it returns the lowest-index planner's error; on cancellation the
-// error wraps ctx.Err(). Slots whose planner did not complete are nil.
-func PlanConcurrently(ctx context.Context, in *Instance, planners []Planner, workers int) ([]*Schedule, error) {
-	return par.Map(ctx, len(planners), workers, func(ctx context.Context, i int) (*Schedule, error) {
+// PlanConcurrently plans the same instance under every planner, fanned
+// out over GOMAXPROCS goroutines, and returns one schedule per planner, in
+// input order. Work is identified and merged by index (see internal/par),
+// so the output is independent of GOMAXPROCS. On failure it returns the
+// lowest-index planner's error; on cancellation the error wraps
+// ctx.Err(). Slots whose planner did not complete are nil.
+func PlanConcurrently(ctx context.Context, in *Instance, planners []Planner) ([]*Schedule, error) {
+	return par.Map(ctx, len(planners), 0, func(ctx context.Context, i int) (*Schedule, error) {
 		return planners[i].Plan(ctx, in)
 	})
 }
