@@ -18,11 +18,6 @@ type Battery struct {
 	Residual float64 `json:"residual"`
 }
 
-// NewBattery returns a full battery of the given capacity.
-func NewBattery(capacity float64) Battery {
-	return Battery{Capacity: capacity, Residual: capacity}
-}
-
 // Validate reports a problem with the battery fields, or nil.
 func (b Battery) Validate() error {
 	if b.Capacity <= 0 || math.IsNaN(b.Capacity) || math.IsInf(b.Capacity, 0) {
@@ -40,35 +35,6 @@ func (b Battery) Fraction() float64 {
 		return 0
 	}
 	return b.Residual / b.Capacity
-}
-
-// IsEmpty reports whether the battery is fully depleted.
-func (b Battery) IsEmpty() bool { return b.Residual <= 0 }
-
-// Deplete drains j joules, clamping at zero, and returns the updated
-// battery. Negative j is ignored.
-func (b Battery) Deplete(j float64) Battery {
-	if j <= 0 {
-		return b
-	}
-	b.Residual -= j
-	if b.Residual < 0 {
-		b.Residual = 0
-	}
-	return b
-}
-
-// Charge adds j joules, clamping at capacity, and returns the updated
-// battery. Negative j is ignored.
-func (b Battery) Charge(j float64) Battery {
-	if j <= 0 {
-		return b
-	}
-	b.Residual += j
-	if b.Residual > b.Capacity {
-		b.Residual = b.Capacity
-	}
-	return b
 }
 
 // ChargeDuration returns t_v = (Capacity - Residual) / rate, the seconds a

@@ -35,9 +35,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteText renders the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) error {
 	widths := make([]int, len(t.Header))

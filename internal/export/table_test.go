@@ -45,9 +45,6 @@ func TestAddRowShapes(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow("only-one")
 	tb.AddRow("x", "y", "dropped")
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
 	var sb strings.Builder
 	if err := tb.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

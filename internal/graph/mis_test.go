@@ -166,39 +166,3 @@ func TestMISOrderString(t *testing.T) {
 		}
 	}
 }
-
-func TestBFSAndComponents(t *testing.T) {
-	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	// 5, 6 isolated.
-	depths := map[int]int{}
-	n := BFS(g, 0, func(v, d int) { depths[v] = d })
-	if n != 3 {
-		t.Errorf("BFS visited %d, want 3", n)
-	}
-	if depths[0] != 0 || depths[1] != 1 || depths[2] != 2 {
-		t.Errorf("BFS depths = %v", depths)
-	}
-	if BFS(g, -1, nil) != 0 || BFS(g, 99, nil) != 0 {
-		t.Error("BFS out-of-range src should visit 0")
-	}
-	comp, k := ConnectedComponents(g)
-	if k != 4 {
-		t.Errorf("components = %d, want 4", k)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Error("0,1,2 should share a component")
-	}
-	if comp[3] != comp[4] || comp[3] == comp[0] {
-		t.Error("3,4 should share a distinct component")
-	}
-	if comp[5] == comp[6] {
-		t.Error("isolated vertices should be distinct components")
-	}
-	if IsConnected(g) {
-		t.Error("g is not connected")
-	}
-	g2 := FromEdges(1, nil)
-	if !IsConnected(g2) {
-		t.Error("single vertex is connected")
-	}
-}

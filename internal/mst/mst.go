@@ -60,34 +60,12 @@ func (t *Tree) PreorderDFS() []int {
 	return order
 }
 
-// EuclideanPrimHeap is a heap-based Prim over an explicit neighbor graph:
-// pts gives coordinates and neighbors the candidate edges (e.g. a unit-disk
-// graph). It runs in O(m log n).
-//
-// The second result is the connectivity contract: true means the tree
-// spans every vertex. When the neighbor graph is disconnected it is
-// false and the result covers only root's reachable component — vertices
-// outside it keep Parent -1 and do not appear in Adj, and Weight counts
-// only the component's edges. Callers that need a spanning tree must
-// check it rather than assume one (EuclideanSparse bridges the remaining
-// components by ring expansion; see its fallback).
-func EuclideanPrimHeap(pts []geom.Point, neighbors func(v int) []int32, root int) (*Tree, bool) {
-	n := len(pts)
-	if n == 0 || root < 0 || root >= n {
-		return nil, false
-	}
-	parent, total, reached := primForest(pts, neighbors, root, false)
-	return buildTree(root, parent, total), reached == n
-}
-
-// primForest is the heap-Prim engine shared by EuclideanPrimHeap and
-// EuclideanSparse. It grows a tree from root over the neighbor graph;
-// with restart true it then re-seeds at the lowest-index unreached vertex
-// until every vertex is reached, producing a minimum spanning forest of
-// the neighbor graph (parent -1 marks the component roots). It returns
-// the parent forest, the total weight of its edges, and the number of
-// vertices reached.
-func primForest(pts []geom.Point, neighbors func(v int) []int32, root int, restart bool) ([]int, float64, int) {
+// primForest is EuclideanSparse's heap-Prim engine. It grows a tree from
+// root over the neighbor graph, then re-seeds at the lowest-index
+// unreached vertex until every vertex is reached, producing a minimum
+// spanning forest of the neighbor graph (parent -1 marks the component
+// roots). It returns the parent forest and the total weight of its edges.
+func primForest(pts []geom.Point, neighbors func(v int) []int32, root int) ([]int, float64) {
 	n := len(pts)
 	parent := make([]int, n)
 	dist := make([]float64, n)
@@ -122,7 +100,7 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int, resta
 				}
 			}
 		}
-		if !restart || reached == n {
+		if reached == n {
 			break
 		}
 		for next < n && inTree[next] {
@@ -131,7 +109,7 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int, resta
 		dist[next] = 0
 		heap.Push(pq, primItem{v: next, d: 0})
 	}
-	return parent, total, reached
+	return parent, total
 }
 
 func buildTree(root int, parent []int, weight float64) *Tree {

@@ -154,6 +154,8 @@ func TestEuclideanMatchesKruskal(t *testing.T) {
 	}
 }
 
+// TestEuclideanMatchesHeapPrim checks EuclideanSparse's heap-Prim engine,
+// primForest, against the dense MST on complete candidate graphs.
 func TestEuclideanMatchesHeapPrim(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -177,12 +179,12 @@ func TestEuclideanMatchesHeapPrim(t *testing.T) {
 			return out
 		}
 		dense := Euclidean(pts, 0)
-		sparse, spanning := EuclideanPrimHeap(pts, neighbors, 0)
-		if !spanning {
-			t.Fatalf("trial %d: complete graph reported non-spanning", trial)
+		parent, weight := primForest(pts, neighbors, 0)
+		if roots := countComponents(parent); roots != 1 {
+			t.Fatalf("trial %d: complete graph gave a forest of %d trees", trial, roots)
 		}
-		if math.Abs(dense.Weight-sparse.Weight) > 1e-6 {
-			t.Fatalf("trial %d: dense=%v heap=%v", trial, dense.Weight, sparse.Weight)
+		if math.Abs(dense.Weight-weight) > 1e-6 {
+			t.Fatalf("trial %d: dense=%v heap=%v", trial, dense.Weight, weight)
 		}
 	}
 }

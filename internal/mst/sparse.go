@@ -45,7 +45,7 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 	}
 	grid, off, adj := candidateGraph(pts)
 	neighbors := func(v int) []int32 { return adj[off[v]:off[v+1]] }
-	parent, total, _ := primForest(pts, neighbors, root, true)
+	parent, total := primForest(pts, neighbors, root)
 	if countComponents(parent) == 1 {
 		// The candidate graph was connected: the forest is the MST.
 		return buildTree(root, parent, total)

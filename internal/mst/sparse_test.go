@@ -219,38 +219,3 @@ func TestEuclideanSparseNonzeroRoot(t *testing.T) {
 		}
 	}
 }
-
-// TestEuclideanPrimHeapDisconnected is the regression test for the silent
-// forest the heap kernel used to return: on a disconnected candidate
-// graph it must report spanning=false and leave the other component
-// unreached, never silently hand back a partial tree as if it spanned.
-func TestEuclideanPrimHeapDisconnected(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(100, 0), geom.Pt(101, 0)}
-	// Candidate edges only within {0,1} and {2,3}.
-	adj := [][]int32{{1}, {0}, {3}, {2}}
-	neighbors := func(v int) []int32 { return adj[v] }
-	tr, spanning := EuclideanPrimHeap(pts, neighbors, 0)
-	if spanning {
-		t.Fatal("disconnected candidate graph reported spanning=true")
-	}
-	if tr == nil {
-		t.Fatal("nil tree for reachable component")
-	}
-	if tr.Parent[1] != 0 {
-		t.Errorf("Parent[1] = %d, want 0", tr.Parent[1])
-	}
-	if tr.Parent[2] != -1 || tr.Parent[3] != -1 {
-		t.Error("unreachable component must stay unreached (-1 parents)")
-	}
-	if math.Abs(tr.Weight-1) > 1e-9 {
-		t.Errorf("component weight = %v, want 1", tr.Weight)
-	}
-
-	// The connected complement of the same point set must span.
-	full := [][]int32{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
-	tr2, spanning2 := EuclideanPrimHeap(pts, func(v int) []int32 { return full[v] }, 0)
-	if !spanning2 {
-		t.Fatal("connected graph reported spanning=false")
-	}
-	assertSpanningTree(t, tr2, 4, 0)
-}

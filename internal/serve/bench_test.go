@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/export"
+	"repro/internal/workload"
 )
 
 // BenchmarkServePlan measures sustained /v1/plan throughput over real
@@ -42,4 +46,39 @@ func BenchmarkServePlan(b *testing.B) {
 	}
 	b.Run("warm-cache", func(b *testing.B) { run(b, Config{}) })
 	b.Run("cold-no-cache", func(b *testing.B) { run(b, Config{CacheCapacity: -1}) })
+}
+
+// BenchmarkPlanHit times one cache-hit /v1/plan handler call without a
+// socket: body read, decode, validation, cache key and deep copy, and the
+// schedule encoding. Bodies are what `wrsn-plan -dump-instance` writes for
+// the instance `wrsn-plan -n <n> -k <k> -field <side> -seed 1` plans: the
+// paper-scale round and e2ebench's verified-30k instance.
+func BenchmarkPlanHit(b *testing.B) {
+	for _, c := range []struct {
+		n, k int
+		side float64
+	}{{1200, 2, 100}, {30000, 4, 500}} {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			var body bytes.Buffer
+			if err := export.WriteInstance(&body, workload.RequestSet(c.n, c.k, 1, c.side)); err != nil {
+				b.Fatal(err)
+			}
+			s := New(Config{})
+			defer s.Close()
+			h := s.Handler()
+			call := func(want string) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body.Bytes())))
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Plan-Cache") != want {
+					b.Fatalf("status %d, X-Plan-Cache %q, want 200 and %q", rec.Code, rec.Header().Get("X-Plan-Cache"), want)
+				}
+			}
+			call("miss")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call("hit")
+			}
+		})
+	}
 }

@@ -91,46 +91,102 @@ type errorResponse struct {
 	Status int    `json:"status"`
 }
 
-// decodePlanRequest reads the body as either the envelope or a bare
-// instance, returning the raw bytes alongside (router mode forwards them
-// verbatim to the owning shard). Unknown fields are rejected in both
-// shapes, so a typoed envelope cannot silently plan a zero-value
-// instance.
-func decodePlanRequest(r *http.Request, maxBytes int64) ([]byte, *PlanRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
-	if err != nil {
-		return nil, nil, fmt.Errorf("read body: %w", err)
-	}
-	if int64(len(body)) > maxBytes {
-		return nil, nil, fmt.Errorf("body exceeds %d bytes", maxBytes)
-	}
+// envelopeMembers are the /v1/plan envelope's member names, in the order
+// of PlanRequest's fields.
+var envelopeMembers = []string{"planner", "instance", "options", "timeout_ms"}
+
+// decodePlanRequest decodes a /v1/plan body, either the envelope or a
+// bare instance, in one pass over its top-level object: export.ReadInstance
+// reads the instance members, and the envelope's members come back raw.
+// The envelope's instance goes through ReadInstance again, the small
+// members through decodeStrict. Unknown members are rejected, and so is a
+// body mixing the two shapes, so a typoed envelope cannot silently plan a
+// zero-value instance.
+func decodePlanRequest(body []byte) (*PlanRequest, error) {
+	var bare core.Instance
 	var req PlanRequest
-	envErr := decodeStrict(body, &req)
-	if envErr == nil && req.Instance != nil {
-		return body, &req, nil
-	}
-	// Fall back to a bare instance: its fields (depot, requests, ...) are
-	// unknown to the envelope, so exactly one of the two decodes accepts
-	// any given body.
-	var in core.Instance
-	if bareErr := decodeStrict(body, &in); bareErr != nil {
-		if envErr != nil {
-			return nil, nil, fmt.Errorf("body is neither a plan envelope (%v) nor a bare instance (%v)", envErr, bareErr)
+	envelope := false
+	members, err := export.ReadInstance(body, &bare, envelopeMembers, func(member int, raw []byte) error {
+		envelope = true
+		var err error
+		switch member {
+		case 0:
+			err = decodeStrict(raw, &req.Planner)
+		case 1:
+			if string(raw) != "null" {
+				req.Instance = new(core.Instance)
+				_, err = export.ReadInstance(raw, req.Instance, nil, nil)
+			}
+		case 2:
+			err = decodeStrict(raw, &req.Options)
+		default:
+			err = decodeStrict(raw, &req.TimeoutMS)
 		}
-		return nil, nil, errors.New(`envelope has no "instance"`)
+		if err != nil {
+			return fmt.Errorf("%q: %w", envelopeMembers[member], err)
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case !envelope:
+		return &PlanRequest{Instance: &bare}, nil
+	case members > 0:
+		return nil, errors.New("body mixes plan envelope members with bare instance members")
+	case req.Instance == nil:
+		return nil, errors.New(`envelope has no "instance"`)
 	}
-	return body, &PlanRequest{Instance: &in}, nil
+	return &req, nil
 }
 
-// decodeStrict unmarshals JSON rejecting unknown fields and trailing
-// garbage.
+// readBody reads at most maxBytes of the request body. The buffer starts
+// at Content-Length+1 bytes (the +1 is the room a read at EOF needs), but
+// at no more than 1 MiB, and doubles as bytes arrive, never past
+// Content-Length+1: a client that declares a large body and sends little
+// of it holds little memory.
+func readBody(r *http.Request, maxBytes int64) ([]byte, error) {
+	if r.ContentLength > maxBytes {
+		return nil, fmt.Errorf("body exceeds %d bytes", maxBytes)
+	}
+	want := maxBytes + 1
+	if r.ContentLength >= 0 {
+		want = r.ContentLength + 1
+	}
+	body := make([]byte, 0, min(want, 1<<20))
+	src := io.LimitReader(r.Body, maxBytes+1)
+	for int64(len(body)) <= maxBytes {
+		if len(body) == cap(body) {
+			next := 2 * int64(cap(body))
+			if int64(cap(body)) < want {
+				next = min(next, want)
+			}
+			body = append(make([]byte, 0, next), body...)
+		}
+		n, err := src.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+	}
+	if int64(len(body)) > maxBytes {
+		return nil, fmt.Errorf("body exceeds %d bytes", maxBytes)
+	}
+	return body, nil
+}
+
+// decodeStrict unmarshals one JSON value, rejecting unknown fields and
+// anything but whitespace after the value.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil
@@ -143,7 +199,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer finish()
 
-	raw, req, err := decodePlanRequest(r, s.cfg.MaxBodyBytes)
+	raw, err := readBody(r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
+		return
+	}
+	req, err := decodePlanRequest(raw)
 	if err != nil {
 		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
 		return
@@ -210,14 +271,22 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The body is the canonical schedule encoding and nothing else —
+	// byte-identical to `wrsn-plan -json` on the same instance. It is
+	// built before any header is written, so a schedule whose times
+	// overflowed to ±Inf is a 400 rather than a 200 with an empty body.
+	body, err := export.AppendSchedule(nil, sched)
+	if err != nil {
+		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-Planner", planner.Name())
 	w.Header().Set("X-Plan-Cache", cacheState)
 	w.Header().Set("X-Plan-Seconds", strconv.FormatFloat(time.Since(start).Seconds(), 'f', 6, 64))
 	s.count("plan", http.StatusOK)
-	// The body is the canonical schedule encoding and nothing else —
-	// byte-identical to `wrsn-plan -json` on the same instance.
-	_ = export.WriteSchedule(w, sched)
+	_, _ = w.Write(body) // a failed write means the client has gone
 }
 
 // routePlan tries to answer a plan request through the shard router and
@@ -276,9 +345,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer finish()
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil || int64(len(body)) > s.cfg.MaxBodyBytes {
-		s.writeError(w, "simulate", http.StatusBadRequest, "unreadable or oversized body")
+	body, err := readBody(r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeError(w, "simulate", http.StatusBadRequest, err.Error())
 		return
 	}
 	var req SimulateRequest

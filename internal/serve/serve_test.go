@@ -161,6 +161,15 @@ func TestPlanBadRequests(t *testing.T) {
 		{"zero K", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":0}`},
 		{"unknown planner", `{"planner":"Dijkstra","instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}`},
 		{"trailing garbage", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1} tail`},
+		{"trailing bracket", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}]}`},
+		{"trailing brace", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}}`},
+		// Valid instances whose plan times overflow to +Inf: the schedule
+		// has no JSON encoding. Each is posted twice, so the second answer
+		// comes from the plan cache.
+		{"overflowing durations (miss)", overflowDurations},
+		{"overflowing durations (hit)", overflowDurations},
+		{"overflowing distance (miss)", overflowDistance},
+		{"overflowing distance (hit)", overflowDistance},
 		// Options fields that no longer exist are unknown fields.
 		{"retired Sparse option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Sparse":{"MST":1}}}`},
 		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
@@ -181,6 +190,9 @@ func TestPlanBadRequests(t *testing.T) {
 		if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q is not an errorResponse", tc.name, out)
 		}
+		if strings.HasPrefix(tc.name, "overflowing") && !strings.Contains(e.Error, "+Inf") {
+			t.Errorf("%s: error %q does not name the non-finite value", tc.name, e.Error)
+		}
 		if tc.name == "unknown planner" {
 			// The 400 body must name every valid planner (satellite of the
 			// registry contract): the client can self-serve the fix.
@@ -191,7 +203,16 @@ func TestPlanBadRequests(t *testing.T) {
 			}
 		}
 	}
+	if st := s.cache.Stats(); st.Hits != 2 {
+		t.Errorf("plan cache hits = %d, want 2: the overflowing plans' second posts must be hits", st.Hits)
+	}
 }
+
+// Bodies that pass Validate but whose plans overflow float64.
+const (
+	overflowDurations = `{"depot":{"x":0,"y":0},"requests":[{"pos":{"x":1,"y":1},"duration":1e308},{"pos":{"x":50,"y":50},"duration":1e308}],"gamma":2.7,"speed":1,"k":1}`
+	overflowDistance  = `{"depot":{"x":-1e308,"y":0},"requests":[{"pos":{"x":1e308,"y":0},"duration":60}],"gamma":2.7,"speed":1,"k":1}`
+)
 
 // TestPlannerAliasResolution plans through aliased and lowercased
 // ?planner= spellings and checks the canonical planner answers (the
@@ -460,6 +481,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	for _, tc := range []struct{ name, body string }{
 		{"undefined MISOrder", `{"n":40,"seed":1,"options":{"MISOrder":99}}`},
 		{"retired Workers option", `{"n":40,"seed":1,"options":{"Workers":2}}`},
+		{"trailing bracket", `{"n":40,"seed":1}]`},
 	} {
 		if resp, out := postJSON(t, ts.URL+"/v1/simulate", []byte(tc.body)); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, out)

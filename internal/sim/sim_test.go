@@ -343,9 +343,6 @@ func TestResultSummaryHelpers(t *testing.T) {
 	if got := r.ConsolidationFactor(); got != 2 {
 		t.Errorf("ConsolidationFactor = %v, want 2", got)
 	}
-	if got := r.TotalWait(); got != 2 {
-		t.Errorf("TotalWait = %v, want 2", got)
-	}
 	empty := &Result{}
 	if empty.MeanBatch() != 0 || empty.MeanStops() != 0 || empty.ConsolidationFactor() != 0 {
 		t.Error("empty result helpers should be zero")
@@ -354,32 +351,32 @@ func TestResultSummaryHelpers(t *testing.T) {
 
 func TestResultSummaryDegenerateCases(t *testing.T) {
 	cases := []struct {
-		name                                  string
-		res                                   *Result
-		meanBatch, meanStops, consol, totWait float64
+		name                         string
+		res                          *Result
+		meanBatch, meanStops, consol float64
 	}{
-		{"empty result", &Result{}, 0, 0, 0, 0},
-		{"nil rounds slice", &Result{Rounds: nil}, 0, 0, 0, 0},
+		{"empty result", &Result{}, 0, 0, 0},
+		{"nil rounds slice", &Result{Rounds: nil}, 0, 0, 0},
 		{
 			// A fleet-lost round can serve nothing at all.
 			"zero-batch zero-stop rounds",
 			&Result{Rounds: []Round{{Batch: 0, Stops: 0}, {Batch: 0, Stops: 0}}},
-			0, 0, 0, 0,
+			0, 0, 0,
 		},
 		{
 			"stops without batch",
 			&Result{Rounds: []Round{{Batch: 0, Stops: 3}}},
-			0, 3, 0, 0,
+			0, 3, 0,
 		},
 		{
 			"single round",
 			&Result{Rounds: []Round{{Batch: 5, Stops: 2, Wait: 7.5}}},
-			5, 2, 2.5, 7.5,
+			5, 2, 2.5,
 		},
 		{
 			"wait without stops",
 			&Result{Rounds: []Round{{Wait: 1}, {Wait: 2}}},
-			0, 0, 0, 3,
+			0, 0, 0,
 		},
 	}
 	for _, tc := range cases {
@@ -392,9 +389,6 @@ func TestResultSummaryDegenerateCases(t *testing.T) {
 			}
 			if got := tc.res.ConsolidationFactor(); got != tc.consol {
 				t.Errorf("ConsolidationFactor = %v, want %v", got, tc.consol)
-			}
-			if got := tc.res.TotalWait(); got != tc.totWait {
-				t.Errorf("TotalWait = %v, want %v", got, tc.totWait)
 			}
 		})
 	}

@@ -41,12 +41,3 @@ func (r *Result) ConsolidationFactor() float64 {
 	}
 	return float64(batch) / float64(stops)
 }
-
-// TotalWait returns the total conflict-avoidance wait time across rounds.
-func (r *Result) TotalWait() float64 {
-	total := 0.0
-	for _, rd := range r.Rounds {
-		total += rd.Wait
-	}
-	return total
-}

@@ -51,29 +51,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	tests := []struct {
-		p, want float64
-	}{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20}, {-5, 10}, {150, 50}, {10, 14},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-	// Must not mutate input.
-	unsorted := []float64{5, 1, 3}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 5 || unsorted[1] != 1 || unsorted[2] != 3 {
-		t.Error("Percentile mutated input")
-	}
-}
-
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -60,6 +60,3 @@ func (d *DSU) Union(x, y int) bool {
 	d.sets--
 	return true
 }
-
-// Same reports whether x and y are in the same set.
-func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }

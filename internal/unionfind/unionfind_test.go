@@ -16,18 +16,18 @@ func TestBasics(t *testing.T) {
 	if d.Union(1, 0) {
 		t.Error("repeat union should not merge")
 	}
-	if !d.Same(0, 1) || d.Same(0, 2) {
-		t.Error("Same wrong after union")
+	if d.Find(0) != d.Find(1) || d.Find(0) == d.Find(2) {
+		t.Error("Find wrong after union")
 	}
 	d.Union(2, 3)
 	d.Union(0, 3)
 	if d.Sets() != 2 {
 		t.Errorf("Sets = %d, want 2", d.Sets())
 	}
-	if !d.Same(1, 2) {
+	if d.Find(1) != d.Find(2) {
 		t.Error("1 and 2 should be connected transitively")
 	}
-	if d.Same(4, 0) {
+	if d.Find(4) == d.Find(0) {
 		t.Error("4 should be singleton")
 	}
 }
@@ -72,8 +72,8 @@ func TestAgainstBruteForce(t *testing.T) {
 		// Spot-check a few pairs.
 		for probe := 0; probe < 10; probe++ {
 			x, y := rng.Intn(n), rng.Intn(n)
-			if d.Same(x, y) != conn[x][y] {
-				t.Fatalf("step %d: Same(%d,%d)=%v, brute=%v", step, x, y, d.Same(x, y), conn[x][y])
+			if same := d.Find(x) == d.Find(y); same != conn[x][y] {
+				t.Fatalf("step %d: Find(%d) == Find(%d) is %v, brute %v", step, x, y, same, conn[x][y])
 			}
 		}
 	}

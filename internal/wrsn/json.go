@@ -6,8 +6,8 @@ import (
 	"io"
 )
 
-// Load reads a JSON-encoded network (as written by cmd/wrsn-gen or by
-// Save), validates it, and recomputes the derived routing state — parents,
+// Load reads a JSON-encoded network (as cmd/wrsn-gen writes it),
+// validates it, and recomputes the derived routing state — parents,
 // relay loads and power draws — so that edits to positions or data rates in
 // the JSON are reflected consistently.
 func Load(r io.Reader) (*Network, error) {
@@ -22,14 +22,4 @@ func Load(r io.Reader) (*Network, error) {
 	}
 	nw.BuildRouting()
 	return &nw, nil
-}
-
-// Save writes the network as indented JSON.
-func (nw *Network) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(nw); err != nil {
-		return fmt.Errorf("wrsn: encode network: %w", err)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package wrsn
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,8 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	nw := lineNetwork()
 	nw.BuildRouting()
-	var buf bytes.Buffer
-	if err := nw.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	buf := encode(t, nw)
+	got, err := Load(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +32,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// encode writes nw as cmd/wrsn-gen does: indented JSON.
+func encode(t *testing.T, nw *Network) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(nw); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
@@ -50,10 +60,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestLoadRebuildsRouting(t *testing.T) {
 	nw := lineNetwork()
 	nw.BuildRouting()
-	var buf bytes.Buffer
-	if err := nw.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := encode(t, nw)
 	// Corrupt the serialized parents; Load must fix them.
 	s := strings.ReplaceAll(buf.String(), `"parent": 0`, `"parent": 2`)
 	got, err := Load(strings.NewReader(s))

@@ -27,7 +27,7 @@ func lineNetwork() *Network {
 			ID:       i,
 			Pos:      geom.Pt(float64(10*(i+1)), 0),
 			DataRate: 10e3,
-			Battery:  energy.NewBattery(10800),
+			Battery:  energy.Battery{Capacity: 10800, Residual: 10800},
 			Parent:   -1,
 		})
 	}

@@ -315,6 +315,6 @@ func SplitCapacitated(ctx context.Context, in *Instance, s *Schedule, eta float6
 	return capacitated.Split(ctx, in, s, eta, p)
 }
 
-// LoadNetwork reads a JSON network (as written by cmd/wrsn-gen or
-// Network.Save) and recomputes its routing state.
+// LoadNetwork reads a JSON network (as cmd/wrsn-gen writes it) and
+// recomputes its routing state.
 func LoadNetwork(r io.Reader) (*Network, error) { return wrsn.Load(r) }
