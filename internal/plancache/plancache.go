@@ -1,38 +1,45 @@
 // Package plancache memoizes planner outputs by problem instance, so a
 // repeated plan request — the common case in the planning service's
-// traffic (cmd/wrsn-serve) — costs a hash and a deep copy instead of a
-// full planning round. The batch tools keep no cache: the evaluation
-// replans every round from fresh residual energies and never plans one
-// request set twice.
+// traffic (cmd/wrsn-serve) — skips the plan. The batch tools keep no
+// cache: the evaluation replans every round from fresh residual energies
+// and never plans one request set twice.
 //
 // A Cache maps an instance key to a stored *core.Schedule. The key is the
-// FNV-1a (128-bit) hash of a canonical binary encoding of everything the
-// planners read: the planner's canonical registry name (see Identity —
-// internal/registry panics at init when two planners register one name
-// or an alias shadows one, so keys can never alias across algorithms),
-// a canonical encoding of the
-// plan-shaping core.Options fields (see KeyOf), the depot, gamma, the
-// travel speed, K and every request's position, duration and lifetime, in
-// request order. Any single difference that can change the plan — one
-// coordinate nudged, a different gamma, one more charger, a different
-// MISOrder — therefore changes the key (see FuzzPlanCacheKey).
+// first 16 bytes of the SHA-256 of a canonical binary encoding of
+// everything the planners read: the planner's canonical registry name
+// (see Identity — internal/registry panics at init when two planners
+// register one name or an alias shadows one, so keys can never alias
+// across algorithms), a canonical encoding of the plan-shaping
+// core.Options fields (see KeyOf), the depot, gamma, the travel speed, K
+// and every request's position, duration and lifetime, in request order.
+// Any single difference that can change the plan — one coordinate
+// nudged, a different gamma, one more charger, a different MISOrder —
+// therefore changes the key (see FuzzPlanCacheKey), and SHA-256 makes a
+// crafted instance that shares another's key infeasible.
 //
 // Schedules cross the cache boundary by deep copy in both directions:
 // callers may freely mutate what Get returns (the simulator's executor
 // does), and a schedule mutated after Put does not corrupt the cached
 // value. Eviction is LRU with a bounded entry count.
 //
+// For the planning service an entry also keeps the schedule's response
+// bytes once the service has encoded them (Remember), and the cache keeps
+// a body index: the digest of a raw request, mapped to its entry's key
+// and planner name. A byte-identical repeat of a request is answered from
+// the index (Lookup) without decoding the body.
+//
 // Cache methods are safe for concurrent use and record cache.hits,
-// cache.misses, cache.puts and cache.evictions on any obs.Tracer carried
-// by the context, alongside the cache's own Stats.
+// cache.body_hits, cache.misses, cache.puts and cache.evictions on any
+// obs.Tracer carried by the context, alongside the cache's own Stats.
 package plancache
 
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -42,13 +49,19 @@ import (
 )
 
 // DefaultCapacity is the entry bound used when New is given a
-// non-positive capacity. At paper scale (1200 requests) one cached
-// schedule is a few hundred kilobytes, so the default keeps the cache
-// under ~100 MB worst case.
-const DefaultCapacity = 256
+// non-positive capacity; the body index holds at most as many digests.
+// At paper scale (1200 requests, ~430 stops) an entry holds a ~30 KB
+// schedule and, once /v1/plan has answered it, ~88 KB of response bytes,
+// so a full default cache holds ~8 MB. At n=30k an entry is ~0.75 MB
+// plus 2.2 MB, ~190 MB at capacity: a default wrsn-serve that has
+// answered 64 distinct n=30k plans peaks at ~0.39 GB resident, and at
+// ~0.45 GB while it goes on evicting. The bound is sized to that worst
+// case, which is where 256 schedules without response bytes put it;
+// 256 entries with them took the same server to ~1.5 GB.
+const DefaultCapacity = 64
 
-// Key identifies a (planner, options, instance) triple: the 128-bit
-// FNV-1a hash of the canonical encoding.
+// Key identifies a (planner, options, instance) triple: the first 16
+// bytes of the SHA-256 of the canonical encoding.
 type Key [16]byte
 
 // Hash64 folds the key to 64 bits, the shape consistent hashing wants:
@@ -59,6 +72,12 @@ type Key [16]byte
 func (k Key) Hash64() uint64 {
 	return binary.LittleEndian.Uint64(k[:8]) ^ binary.LittleEndian.Uint64(k[8:])
 }
+
+// Digest identifies a raw request in the body index. The planning
+// service takes it as the SHA-256 of everything a /v1/plan response
+// depends on besides the server's own state: the ?planner= value and the
+// body bytes.
+type Digest [sha256.Size]byte
 
 // Optioned is the optional interface a core.Planner implements to expose
 // the core.Options shaping its plans. Identity consults it so two
@@ -111,6 +130,11 @@ func canonOptions(opts *core.Options) core.Options {
 	return o
 }
 
+// keyChunk is the size of the buffer KeyOf encodes into and hashes from:
+// large enough that SHA-256 sees long writes, small enough to stay in
+// cache and cost one small allocation at any instance size.
+const keyChunk = 8 << 10
+
 // KeyOf hashes everything the named planner reads from the options and
 // the instance. Instances that differ in any field (a coordinate, a
 // duration, gamma, speed, K, the depot, the request count or order)
@@ -118,25 +142,19 @@ func canonOptions(opts *core.Options) core.Options {
 // field; byte-equal inputs — and options inside the same plan-equivalence
 // class, see canonOptions — produce equal keys.
 func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
-	h := fnv.New128a()
-	var buf [8]byte
-	f := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(planner))
-	h.Write([]byte{0}) // terminate the name so "AB"+depot can't alias "A"+...
+	h := sha256.New()
+	buf := make([]byte, 0, keyChunk)
+	u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	f := func(v float64) { u(math.Float64bits(v)) }
+	buf = append(buf, planner...)
+	buf = append(buf, 0) // terminate the name so "AB"+depot can't alias "A"+...
 	o := canonOptions(opts)
 	u(uint64(o.MISOrder))
 	u(uint64(o.Seed))
 	if o.NoSortByFinishTime {
-		h.Write([]byte{1})
+		buf = append(buf, 1)
 	} else {
-		h.Write([]byte{0})
+		buf = append(buf, 0)
 	}
 	f(in.Depot.X)
 	f(in.Depot.Y)
@@ -145,21 +163,30 @@ func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
 	u(uint64(in.K))
 	u(uint64(len(in.Requests)))
 	for _, r := range in.Requests {
+		if len(buf)+32 > keyChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 		f(r.Pos.X)
 		f(r.Pos.Y)
 		f(r.Duration)
 		f(r.Lifetime)
 	}
+	h.Write(buf)
+	var sum [sha256.Size]byte
 	var k Key
-	h.Sum(k[:0])
+	copy(k[:], h.Sum(sum[:0]))
 	return k
 }
 
 // Stats is a cache snapshot.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Puts counts insertions and
-	// Evictions the LRU entries displaced by them.
-	Hits, Misses, Puts, Evictions int64
+	// Hits and Misses count lookup outcomes: Get hits and misses, plus
+	// the Lookup hits, which BodyHits counts again on their
+	// own (a Lookup that misses counts nothing: its caller goes on to
+	// look up by key). Puts counts insertions and Evictions the LRU
+	// entries displaced by them.
+	Hits, BodyHits, Misses, Puts, Evictions int64
 	// Size is the current entry count, bounded by Capacity.
 	Size, Capacity int
 }
@@ -167,17 +194,33 @@ type Stats struct {
 type entry struct {
 	key   Key
 	sched *core.Schedule
+	// body is the schedule's response bytes once Remember has stored
+	// them; nil until then. Shared with every caller it is handed to, so
+	// never modified.
+	body []byte
 }
 
-// Cache is a bounded LRU of planned schedules. The zero value is not
-// usable; call New. All methods are safe for concurrent use and no-ops on
-// a nil receiver, so optional caching costs callers a single nil check.
+// indexed is a body-index record: the entry and the planner name that
+// answered a request digest.
+type indexed struct {
+	digest  Digest
+	key     Key
+	planner string
+}
+
+// Cache is a bounded LRU of planned schedules with a body index in front
+// of it. The zero value is not usable; call New. All methods are safe for
+// concurrent use and no-ops on a nil receiver, so optional caching costs
+// callers a single nil check.
 type Cache struct {
-	mu                            sync.Mutex
-	capacity                      int
-	ll                            *list.List // front = most recently used
-	byKey                         map[Key]*list.Element
-	hits, misses, puts, evictions int64
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // front = most recently used
+	byKey    map[Key]*list.Element
+	index    *list.List // the body index: *indexed, at most capacity, front = most recently used
+	byDigest map[Digest]*list.Element
+
+	hits, bodyHits, misses, puts, evictions int64
 }
 
 // New returns an empty cache bounded to capacity entries (non-positive
@@ -190,18 +233,18 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		byKey:    make(map[Key]*list.Element, capacity),
+		index:    list.New(),
+		byDigest: make(map[Digest]*list.Element, capacity),
 	}
 }
 
-// Get returns a deep copy of the schedule cached for the
-// planner/options/instance triple, or (nil, false). nil opts means the
-// planner's zero (paper-default) options. It records cache.hits or
-// cache.misses on any tracer in ctx.
-func (c *Cache) Get(ctx context.Context, planner string, opts *core.Options, in *core.Instance) (*core.Schedule, bool) {
+// Get returns a deep copy of the schedule cached under key, or
+// (nil, false). It records cache.hits or cache.misses on any tracer in
+// ctx.
+func (c *Cache) Get(ctx context.Context, key Key) (*core.Schedule, bool) {
 	if c == nil {
 		return nil, false
 	}
-	key := KeyOf(planner, opts, in)
 	c.mu.Lock()
 	el, ok := c.byKey[key]
 	if !ok {
@@ -212,27 +255,27 @@ func (c *Cache) Get(ctx context.Context, planner string, opts *core.Options, in 
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	s := Clone(el.Value.(*entry).sched)
+	s := el.Value.(*entry).sched
 	c.mu.Unlock()
 	obs.FromContext(ctx).Add("cache.hits", 1)
-	return s, true
+	// A cached schedule is never modified (Put swaps in a new one), so
+	// the copy needs no lock.
+	return Clone(s), true
 }
 
-// Put stores a deep copy of the schedule under the
-// planner/options/instance key, evicting the least recently used entry
-// when the cache is full. nil opts means the planner's zero
-// (paper-default) options. It records cache.puts (and cache.evictions)
-// on any tracer in ctx.
-func (c *Cache) Put(ctx context.Context, planner string, opts *core.Options, in *core.Instance, s *core.Schedule) {
+// Put stores a deep copy of the schedule under key, evicting the least
+// recently used entry when the cache is full. It records cache.puts (and
+// cache.evictions) on any tracer in ctx.
+func (c *Cache) Put(ctx context.Context, key Key, s *core.Schedule) {
 	if c == nil || s == nil {
 		return
 	}
-	key := KeyOf(planner, opts, in)
 	cp := Clone(s)
 	evicted := false
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*entry).sched = cp
+		e := el.Value.(*entry)
+		e.sched, e.body = cp, nil
 		c.ll.MoveToFront(el)
 	} else {
 		c.byKey[key] = c.ll.PushFront(&entry{key: key, sched: cp})
@@ -253,6 +296,72 @@ func (c *Cache) Put(ctx context.Context, planner string, opts *core.Options, in 
 	}
 }
 
+// Remember stores body, the encoding of the schedule cached under key, on
+// key's entry, and indexes the request digest d to key and planner (the
+// name the response carries), where Lookup finds both. The caller must not modify body afterwards. The index
+// keeps the capacity most recently used digests. Remember is a no-op
+// when key's entry has been evicted since its Put.
+func (c *Cache) Remember(d Digest, key Key, planner string, body []byte) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return
+	}
+	el.Value.(*entry).body = body
+	if iel, ok := c.byDigest[d]; ok {
+		rec := iel.Value.(*indexed)
+		rec.key, rec.planner = key, planner
+		c.index.MoveToFront(iel)
+		return
+	}
+	c.byDigest[d] = c.index.PushFront(&indexed{digest: d, key: key, planner: planner})
+	if c.index.Len() > c.capacity {
+		last := c.index.Back()
+		c.index.Remove(last)
+		delete(c.byDigest, last.Value.(*indexed).digest)
+	}
+}
+
+// Lookup returns the response bytes and planner name Remember stored for
+// the request digest d, shared and read-only, or ok=false when d is not
+// indexed or its entry has since been evicted or replaced. A hit records
+// cache.hits and cache.body_hits on any tracer in ctx; a miss records
+// nothing, because the caller goes on to decode the request and look it
+// up by key.
+func (c *Cache) Lookup(ctx context.Context, d Digest) (body []byte, planner string, ok bool) {
+	if c == nil {
+		return nil, "", false
+	}
+	c.mu.Lock()
+	iel, ok := c.byDigest[d]
+	if !ok {
+		c.mu.Unlock()
+		return nil, "", false
+	}
+	rec := iel.Value.(*indexed)
+	el, ok := c.byKey[rec.key]
+	if !ok || el.Value.(*entry).body == nil {
+		c.index.Remove(iel)
+		delete(c.byDigest, d)
+		c.mu.Unlock()
+		return nil, "", false
+	}
+	c.index.MoveToFront(iel)
+	c.ll.MoveToFront(el)
+	c.hits++
+	c.bodyHits++
+	body, planner = el.Value.(*entry).body, rec.planner
+	c.mu.Unlock()
+	tr := obs.FromContext(ctx)
+	tr.Add("cache.hits", 1)
+	tr.Add("cache.body_hits", 1)
+	return body, planner, true
+}
+
 // Len returns the current entry count.
 func (c *Cache) Len() int {
 	if c == nil {
@@ -271,32 +380,30 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits: c.hits, Misses: c.misses, Puts: c.puts, Evictions: c.evictions,
+		Hits: c.hits, BodyHits: c.bodyHits, Misses: c.misses, Puts: c.puts, Evictions: c.evictions,
 		Size: c.ll.Len(), Capacity: c.capacity,
 	}
 }
 
 // Clone returns a deep copy of the schedule: no slice is shared with the
-// original, so either side may mutate freely.
+// original, so either side may mutate freely. Nil slices stay nil and
+// empty ones empty.
 func Clone(s *core.Schedule) *core.Schedule {
 	if s == nil {
 		return nil
 	}
-	out := &core.Schedule{
-		Tours:    make([]core.Tour, len(s.Tours)),
-		Longest:  s.Longest,
-		WaitTime: s.WaitTime,
+	out := &core.Schedule{Longest: s.Longest, WaitTime: s.WaitTime}
+	if s.Tours == nil {
+		return out
 	}
+	out.Tours = make([]core.Tour, len(s.Tours))
 	for k, t := range s.Tours {
 		ct := core.Tour{Delay: t.Delay}
 		if t.Stops != nil {
 			ct.Stops = make([]core.Stop, len(t.Stops))
 			for i, st := range t.Stops {
-				cs := st
-				if st.Covers != nil {
-					cs.Covers = append([]int(nil), st.Covers...)
-				}
-				ct.Stops[i] = cs
+				st.Covers = slices.Clone(st.Covers)
+				ct.Stops[i] = st
 			}
 		}
 		out.Tours[k] = ct
@@ -334,13 +441,14 @@ func (cp cachedPlanner) Name() string { return cp.p.Name() }
 
 // Plan implements core.Planner with read-through memoization.
 func (cp cachedPlanner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, error) {
-	if s, ok := cp.c.Get(ctx, cp.name, cp.opts, in); ok {
+	key := KeyOf(cp.name, cp.opts, in)
+	if s, ok := cp.c.Get(ctx, key); ok {
 		return s, nil
 	}
 	s, err := cp.p.Plan(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	cp.c.Put(ctx, cp.name, cp.opts, in, s)
+	cp.c.Put(ctx, key, s)
 	return s, nil
 }

@@ -140,12 +140,12 @@ func TestCacheRoundTripDeepCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(context.Background(), "Appro", nil, in, s)
+	c.Put(context.Background(), KeyOf("Appro", nil, in), s)
 	// Mutating the original after Put must not corrupt the cached copy.
 	s.Longest = -1
 	s.Tours[0].Stops[0].Covers[0] = -7
 
-	got, ok := c.Get(context.Background(), "Appro", nil, in)
+	got, ok := c.Get(context.Background(), KeyOf("Appro", nil, in))
 	if !ok {
 		t.Fatal("expected a hit")
 	}
@@ -153,12 +153,12 @@ func TestCacheRoundTripDeepCopies(t *testing.T) {
 		t.Fatal("cache returned memory shared with the Put schedule")
 	}
 	// Two Gets must not share memory with each other either.
-	again, _ := c.Get(context.Background(), "Appro", nil, in)
+	again, _ := c.Get(context.Background(), KeyOf("Appro", nil, in))
 	got.Tours[0].Stops[0].Covers[0] = -9
 	if again.Tours[0].Stops[0].Covers[0] == -9 {
 		t.Fatal("two Gets share memory")
 	}
-	if _, ok := c.Get(context.Background(), "K-EDF", nil, in); ok {
+	if _, ok := c.Get(context.Background(), KeyOf("K-EDF", nil, in)); ok {
 		t.Fatal("hit across planner names")
 	}
 }
@@ -172,18 +172,18 @@ func TestCacheLRUEviction(t *testing.T) {
 		ins[i] = testInstance(5, int64(100+i))
 	}
 	for i := 0; i < 3; i++ {
-		c.Put(ctx, "p", nil, ins[i], sched)
+		c.Put(ctx, KeyOf("p", nil, ins[i]), sched)
 	}
 	// Touch 0 so 1 becomes the LRU victim.
-	if _, ok := c.Get(ctx, "p", nil, ins[0]); !ok {
+	if _, ok := c.Get(ctx, KeyOf("p", nil, ins[0])); !ok {
 		t.Fatal("expected hit on 0")
 	}
-	c.Put(ctx, "p", nil, ins[3], sched)
-	if _, ok := c.Get(ctx, "p", nil, ins[1]); ok {
+	c.Put(ctx, KeyOf("p", nil, ins[3]), sched)
+	if _, ok := c.Get(ctx, KeyOf("p", nil, ins[1])); ok {
 		t.Fatal("LRU entry 1 should have been evicted")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(ctx, "p", nil, ins[i]); !ok {
+		if _, ok := c.Get(ctx, KeyOf("p", nil, ins[i])); !ok {
 			t.Fatalf("entry %d missing", i)
 		}
 	}
@@ -198,11 +198,11 @@ func TestCacheCounters(t *testing.T) {
 	ctx := obs.WithTracer(context.Background(), tr)
 	c := New(4)
 	in := testInstance(5, 3)
-	if _, ok := c.Get(ctx, "p", nil, in); ok {
+	if _, ok := c.Get(ctx, KeyOf("p", nil, in)); ok {
 		t.Fatal("unexpected hit")
 	}
-	c.Put(ctx, "p", nil, in, &core.Schedule{})
-	if _, ok := c.Get(ctx, "p", nil, in); !ok {
+	c.Put(ctx, KeyOf("p", nil, in), &core.Schedule{})
+	if _, ok := c.Get(ctx, KeyOf("p", nil, in)); !ok {
 		t.Fatal("expected hit")
 	}
 	got := tr.Report().Counters
@@ -218,10 +218,10 @@ func TestCacheCounters(t *testing.T) {
 func TestNilCacheIsNoOp(t *testing.T) {
 	var c *Cache
 	in := testInstance(3, 4)
-	if _, ok := c.Get(context.Background(), "p", nil, in); ok {
+	if _, ok := c.Get(context.Background(), KeyOf("p", nil, in)); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Put(context.Background(), "p", nil, in, &core.Schedule{})
+	c.Put(context.Background(), KeyOf("p", nil, in), &core.Schedule{})
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache not empty")
 	}
@@ -285,13 +285,13 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				in := testInstance(4, int64(i%20))
 				name := fmt.Sprintf("p%d", g%3)
-				if s, ok := c.Get(context.Background(), name, nil, in); ok {
+				if s, ok := c.Get(context.Background(), KeyOf(name, nil, in)); ok {
 					if len(s.Tours) != 1 {
 						t.Error("corrupt cached schedule")
 						return
 					}
 				} else {
-					c.Put(context.Background(), name, nil, in, &core.Schedule{Tours: []core.Tour{{}}})
+					c.Put(context.Background(), KeyOf(name, nil, in), &core.Schedule{Tours: []core.Tour{{}}})
 				}
 			}
 		}(g)
@@ -305,6 +305,88 @@ func TestCacheConcurrentAccess(t *testing.T) {
 func TestCloneNil(t *testing.T) {
 	if Clone(nil) != nil {
 		t.Fatal("Clone(nil) != nil")
+	}
+}
+
+// TestCloneKeepsShape checks that Clone keeps nil slices nil and empty
+// ones empty and non-nil (WriteSchedule writes the two differently), and
+// that an append to one stop's Covers in a copy changes neither its
+// neighbours nor the cached entry.
+func TestCloneKeepsShape(t *testing.T) {
+	orig := &core.Schedule{Tours: []core.Tour{
+		{Stops: []core.Stop{{Node: 0, Covers: []int{0, 1}}, {Node: 2, Covers: []int{}}, {Node: 3}, {Node: 4, Covers: []int{4, 5}}}},
+		{Stops: []core.Stop{}},
+		{},
+	}}
+	if got := Clone(&core.Schedule{}); got.Tours != nil {
+		t.Fatal("Clone turned nil Tours into an empty slice")
+	}
+	ctx := context.Background()
+	c := New(2)
+	key := KeyOf("p", nil, testInstance(3, 1))
+	c.Put(ctx, key, orig)
+	cp, _ := c.Get(ctx, key)
+	if !reflect.DeepEqual(cp, orig) { // DeepEqual tells nil from empty
+		t.Fatalf("copy %+v differs from the original %+v", cp, orig)
+	}
+	stops := cp.Tours[0].Stops
+	stops[0].Covers = append(stops[0].Covers, 98)
+	stops[1].Covers = append(stops[1].Covers, 99)
+	if !reflect.DeepEqual(stops[3].Covers, []int{4, 5}) {
+		t.Fatalf("an append to a neighbour's Covers overwrote stop 3's: %v", stops[3].Covers)
+	}
+	if again, _ := c.Get(ctx, key); !reflect.DeepEqual(again, orig) {
+		t.Fatalf("an append to a copy changed the cached entry: %+v", again)
+	}
+}
+
+// TestBodyIndexBounded checks that the body index keeps at most the
+// cache's capacity digests however many requests name one entry, and
+// that a digest misses once its entry is evicted, or once Put has
+// replaced the entry's schedule.
+func TestBodyIndexBounded(t *testing.T) {
+	ctx := context.Background()
+	c := New(2)
+	keys := make([]Key, 4)
+	for i := range keys {
+		keys[i] = KeyOf("p", nil, testInstance(5, int64(200+i)))
+	}
+	c.Put(ctx, keys[0], &core.Schedule{})
+	for i := 0; i < 10; i++ {
+		c.Remember(Digest{0, byte(i)}, keys[0], "p", []byte("zero"))
+		if n := len(c.byDigest); n > 2 || c.index.Len() != n {
+			t.Fatalf("after %d digests the index holds %d (list %d), capacity 2", i+1, n, c.index.Len())
+		}
+	}
+	if _, _, ok := c.Lookup(ctx, Digest{0, 0}); ok {
+		t.Fatal("the least recently used digest should have left the index")
+	}
+	body, name, ok := c.Lookup(ctx, Digest{0, 9})
+	if !ok || string(body) != "zero" || name != "p" {
+		t.Fatalf("Lookup = %q, %q, %v; want the stored bytes and planner", body, name, ok)
+	}
+
+	// Evicting the entry makes its digests miss, and Remember on an
+	// evicted key stores nothing.
+	c.Put(ctx, keys[1], &core.Schedule{})
+	c.Put(ctx, keys[2], &core.Schedule{})
+	if _, _, ok := c.Lookup(ctx, Digest{0, 9}); ok {
+		t.Fatal("a digest whose entry was evicted hit")
+	}
+	c.Remember(Digest{1}, keys[0], "p", []byte("zero"))
+	if _, _, ok := c.Lookup(ctx, Digest{1}); ok {
+		t.Fatal("Remember indexed a digest for an evicted entry")
+	}
+
+	// A Put that replaces the schedule drops the stored bytes, so the
+	// digest misses.
+	c.Remember(Digest{2}, keys[2], "p", []byte("two"))
+	c.Put(ctx, keys[2], &core.Schedule{Longest: 7})
+	if _, _, ok := c.Lookup(ctx, Digest{2}); ok {
+		t.Fatal("a digest outlived the schedule its bytes encode")
+	}
+	if st := c.Stats(); st.BodyHits != 1 || st.Size != 2 {
+		t.Fatalf("stats = %+v, want 1 body hit and 2 entries", st)
 	}
 }
 

@@ -49,36 +49,54 @@ func BenchmarkServePlan(b *testing.B) {
 }
 
 // BenchmarkPlanHit times one cache-hit /v1/plan handler call without a
-// socket: body read, decode, validation, cache key and deep copy, and the
-// schedule encoding. Bodies are what `wrsn-plan -dump-instance` writes for
-// the instance `wrsn-plan -n <n> -k <k> -field <side> -seed 1` plans: the
-// paper-scale round and e2ebench's verified-30k instance.
+// socket. Bodies are what `wrsn-plan -dump-instance` writes for the
+// instance `wrsn-plan -n <n> -k <k> -field <side> -seed 1` plans: the
+// paper-scale round and e2ebench's verified-30k instance. The plain case
+// repeats the body byte for byte, so the body index answers it: the body
+// read, one SHA-256 and the stored response. The reformatted case gives
+// each call a body the index has not seen (one more leading space than
+// the call before), so it takes the decode-and-key path: the body read,
+// the decode, validation and the cache key, then a deep copy of the
+// cached schedule and its encoding.
 func BenchmarkPlanHit(b *testing.B) {
 	for _, c := range []struct {
 		n, k int
 		side float64
 	}{{1200, 2, 100}, {30000, 4, 500}} {
-		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
-			var body bytes.Buffer
-			if err := export.WriteInstance(&body, workload.RequestSet(c.n, c.k, 1, c.side)); err != nil {
-				b.Fatal(err)
+		var body bytes.Buffer
+		if err := export.WriteInstance(&body, workload.RequestSet(c.n, c.k, 1, c.side)); err != nil {
+			b.Fatal(err)
+		}
+		for _, reformat := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d", c.n)
+			if reformat {
+				name += ",reformatted"
 			}
-			s := New(Config{})
-			defer s.Close()
-			h := s.Handler()
-			call := func(want string) {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body.Bytes())))
-				if rec.Code != http.StatusOK || rec.Header().Get("X-Plan-Cache") != want {
-					b.Fatalf("status %d, X-Plan-Cache %q, want 200 and %q", rec.Code, rec.Header().Get("X-Plan-Cache"), want)
+			b.Run(name, func(b *testing.B) {
+				s := New(Config{})
+				defer s.Close()
+				h := s.Handler()
+				var pad []byte
+				call := func(want string) {
+					rec := httptest.NewRecorder()
+					req := httptest.NewRequest(http.MethodPost, "/v1/plan",
+						io.MultiReader(bytes.NewReader(pad), bytes.NewReader(body.Bytes())))
+					req.ContentLength = int64(len(pad) + body.Len())
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK || rec.Header().Get("X-Plan-Cache") != want {
+						b.Fatalf("status %d, X-Plan-Cache %q, want 200 and %q", rec.Code, rec.Header().Get("X-Plan-Cache"), want)
+					}
 				}
-			}
-			call("miss")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				call("hit")
-			}
-		})
+				call("miss")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if reformat {
+						pad = append(pad, ' ')
+					}
+					call("hit")
+				}
+			})
+		}
 	}
 }

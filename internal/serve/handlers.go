@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/export"
+	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -204,13 +207,30 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
 		return
 	}
+	query := r.URL.Query().Get("planner")
+
+	// A byte-identical repeat of a request answered before — the same
+	// ?planner= value and body bytes — is answered from the plan cache's
+	// body index with the stored response: no decode, validation, key,
+	// copy or encoding. Router mode leaves the index out: a routed
+	// request belongs to its shard's cache.
+	var digest plancache.Digest
+	indexed := s.cache != nil && s.router == nil
+	if indexed {
+		digest = bodyDigest(query, raw)
+		if body, name, ok := s.cache.Lookup(obs.WithTracer(r.Context(), s.tracer), digest); ok {
+			s.writePlan(w, body, name, "hit", time.Now())
+			return
+		}
+	}
+
 	req, err := decodePlanRequest(raw)
 	if err != nil {
 		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
 		return
 	}
-	if q := r.URL.Query().Get("planner"); q != "" {
-		req.Planner = q
+	if query != "" {
+		req.Planner = query
 	}
 	if err := req.Instance.Validate(); err != nil {
 		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
@@ -238,18 +258,20 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Plan-Degraded", "local")
 	}
 
-	// Cache lookup runs outside the admission pool: a hit is a hash plus
-	// a deep copy and should not queue behind a worker slot. Misses plan
-	// under admission control and publish the result for the next caller.
-	// The key identity (canonical registry name + plan-shaping options)
-	// comes from plancache.Identity, so an aliased or lowercased
+	// Cache lookup runs outside the admission pool: a hit is a key hash
+	// plus a deep copy and should not queue behind a worker slot. Misses
+	// plan under admission control and publish the result for the next
+	// caller. The key identity (canonical registry name + plan-shaping
+	// options) comes from plancache.Identity, so an aliased or lowercased
 	// ?planner= spelling hits the same entries as the canonical one.
-	cacheName, opts := plancache.Identity(planner)
 	cacheState := "off"
+	var key plancache.Key
 	var sched *core.Schedule
 	if s.cache != nil {
+		cacheName, opts := plancache.Identity(planner)
+		key = plancache.KeyOf(cacheName, opts, req.Instance)
 		cacheState = "miss"
-		if hit, ok := s.cache.Get(ctx, cacheName, opts, req.Instance); ok {
+		if hit, ok := s.cache.Get(ctx, key); ok {
 			sched, cacheState = hit, "hit"
 		}
 	}
@@ -260,9 +282,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return err
 			}
-			if s.cache != nil {
-				s.cache.Put(ctx, cacheName, opts, req.Instance, out)
-			}
+			s.cache.Put(ctx, key, out)
 			sched = out
 			return nil
 		})
@@ -274,15 +294,40 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// The body is the canonical schedule encoding and nothing else —
 	// byte-identical to `wrsn-plan -json` on the same instance. It is
 	// built before any header is written, so a schedule whose times
-	// overflowed to ±Inf is a 400 rather than a 200 with an empty body.
+	// overflowed to ±Inf is a 400 rather than a 200 with an empty body;
+	// such a schedule stays cached but is never indexed.
 	body, err := export.AppendSchedule(nil, sched)
 	if err != nil {
 		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
 		return
 	}
+	if indexed {
+		s.cache.Remember(digest, key, planner.Name(), body)
+	}
+	s.writePlan(w, body, planner.Name(), cacheState, start)
+}
+
+// bodyDigest is the body-index key of a /v1/plan request: the SHA-256 of
+// the ?planner= value, length-prefixed so that no split of one byte
+// string into query and body can alias another, then the raw body.
+func bodyDigest(query string, body []byte) plancache.Digest {
+	h := sha256.New()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(query)))
+	h.Write(n[:])
+	io.WriteString(h, query)
+	h.Write(body)
+	var d plancache.Digest
+	h.Sum(d[:0])
+	return d
+}
+
+// writePlan writes a 200 /v1/plan response: the encoded schedule with
+// its request metadata in headers.
+func (s *Server) writePlan(w http.ResponseWriter, body []byte, planner, cacheState string, start time.Time) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("X-Planner", planner.Name())
+	w.Header().Set("X-Planner", planner)
 	w.Header().Set("X-Plan-Cache", cacheState)
 	w.Header().Set("X-Plan-Seconds", strconv.FormatFloat(time.Since(start).Seconds(), 'f', 6, 64))
 	s.count("plan", http.StatusOK)

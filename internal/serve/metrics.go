@@ -62,6 +62,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		writeMetric("Plan cache hits.", "counter", "wrsn_serve_plancache_hits_total", float64(cs.Hits))
+		writeMetric("Plan cache hits answered from the body index without a decode (also counted as hits).", "counter",
+			"wrsn_serve_plancache_body_hits_total", float64(cs.BodyHits))
 		writeMetric("Plan cache misses.", "counter", "wrsn_serve_plancache_misses_total", float64(cs.Misses))
 		writeMetric("Plan cache insertions.", "counter", "wrsn_serve_plancache_puts_total", float64(cs.Puts))
 		writeMetric("Plan cache LRU evictions.", "counter", "wrsn_serve_plancache_evictions_total", float64(cs.Evictions))

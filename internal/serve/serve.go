@@ -41,9 +41,13 @@
 // the plan, frees the worker, and returns 504.
 //
 // All requests share one plan cache keyed on planner name, plan-shaping
-// options and canonical instance encoding, so a replan of an identical
-// network is a hash plus a deep copy. Responses are byte-identical with
-// and without the cache.
+// options and canonical instance encoding. A request whose ?planner=
+// value and body bytes repeat one answered before is answered by a
+// SHA-256 of those bytes and a lookup in the cache's body index, which
+// writes the stored response without decoding the body. A request that
+// decodes to a cached instance (a reformatted body, another spelling of
+// the planner) costs the decode, the key hash, a deep copy and the
+// encoding. Responses are byte-identical with and without the cache.
 //
 // Router mode (Config.Shards): instead of planning locally, /v1/plan
 // consistent-hashes the canonical plancache key across backend workers
@@ -304,7 +308,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 		return err
 	}
 	s.addr.Store(ln.Addr().String())
-	hs := &http.Server{Handler: s.mux}
+	hs := s.httpServer()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	select {
@@ -313,6 +317,31 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	return s.drain(hs)
+}
+
+// Connection timeouts of the server ListenAndServe runs, so a client
+// that stalls mid-headers or mid-body is disconnected instead of holding
+// a connection, a goroutine and its body buffer. The read timeout covers
+// the headers and the body: it lets a 32 MiB body (the MaxBodyBytes
+// default) arrive at about 110 KB/s. net/http clears the connection's
+// read deadline once a handler has read the body to its end, so the
+// plan or simulation after the read runs under its own deadline
+// (MaxTimeout) alone, however long the read took
+// (TestContextOutlivesReadTimeout).
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server ListenAndServe runs.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // drain performs the graceful shutdown sequence against hs.

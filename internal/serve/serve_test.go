@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -147,41 +149,44 @@ func TestPlanEnvelope(t *testing.T) {
 	}
 }
 
+// badPlanBodies are /v1/plan bodies that must each be answered 400, in
+// TestPlanBadRequests and, never indexed, in TestBodyIndexMatchesUncached.
+var badPlanBodies = []struct {
+	name string
+	body string
+}{
+	{"garbage", `{"nope": 1}`},
+	{"empty object", `{}`},
+	{"zero K", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":0}`},
+	{"unknown planner", `{"planner":"Dijkstra","instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}`},
+	{"trailing garbage", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1} tail`},
+	{"trailing bracket", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}]}`},
+	{"trailing brace", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}}`},
+	// Valid instances whose plan times overflow to +Inf: the schedule
+	// has no JSON encoding. Each is posted twice, so the second answer
+	// comes from the plan cache.
+	{"overflowing durations (miss)", overflowDurations},
+	{"overflowing durations (hit)", overflowDurations},
+	{"overflowing distance (miss)", overflowDistance},
+	{"overflowing distance (hit)", overflowDistance},
+	// Options fields that no longer exist are unknown fields.
+	{"retired Sparse option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Sparse":{"MST":1}}}`},
+	{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
+	{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
+	{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
+	{"retired Workers option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Workers":2}}`},
+	// Undefined MIS orders; 5 was the retired Luby order.
+	{"undefined MISOrder 99", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":99}}`},
+	{"undefined MISOrder -4", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":-4}}`},
+	{"undefined MISOrder 5", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":5}}`},
+}
+
 func TestPlanBadRequests(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"garbage", `{"nope": 1}`},
-		{"empty object", `{}`},
-		{"zero K", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":0}`},
-		{"unknown planner", `{"planner":"Dijkstra","instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}`},
-		{"trailing garbage", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1} tail`},
-		{"trailing bracket", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}]}`},
-		{"trailing brace", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}}`},
-		// Valid instances whose plan times overflow to +Inf: the schedule
-		// has no JSON encoding. Each is posted twice, so the second answer
-		// comes from the plan cache.
-		{"overflowing durations (miss)", overflowDurations},
-		{"overflowing durations (hit)", overflowDurations},
-		{"overflowing distance (miss)", overflowDistance},
-		{"overflowing distance (hit)", overflowDistance},
-		// Options fields that no longer exist are unknown fields.
-		{"retired Sparse option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Sparse":{"MST":1}}}`},
-		{"retired MISRescan option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISRescan":true}}`},
-		{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
-		{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
-		{"retired Workers option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Workers":2}}`},
-		// Undefined MIS orders; 5 was the retired Luby order.
-		{"undefined MISOrder 99", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":99}}`},
-		{"undefined MISOrder -4", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":-4}}`},
-		{"undefined MISOrder 5", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":5}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badPlanBodies {
 		resp, out := postJSON(t, ts.URL+"/v1/plan", []byte(tc.body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, out)
@@ -453,6 +458,119 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 		}
 	case <-time.After(25 * time.Second):
 		t.Fatal("server never finished draining")
+	}
+}
+
+// TestServerTimeouts checks that the http.Server ListenAndServe runs
+// carries read and idle timeouts, and that a raw TCP client that stalls
+// mid-headers is disconnected once the header timeout passes instead of
+// holding its connection indefinitely.
+func TestServerTimeouts(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0"})
+	hs := s.httpServer()
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts header %v, read %v, idle %v; want %v, %v, %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatal("header and idle timeouts must be set")
+	}
+	// The default body limit must arrive within the read timeout at a
+	// modest 128 KiB/s.
+	if need := time.Duration(float64(32<<20) / (128 << 10) * float64(time.Second)); readTimeout < need {
+		t.Fatalf("read timeout %v cuts a 32 MiB body at 128 KiB/s (needs %v)", readTimeout, need)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.ListenAndServe(ctx) }()
+	waitFor(t, func() bool { return s.Addr() != "" })
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/plan HTTP/1.1\r\nHost: stalled\r\nContent-Length: 10\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	switch {
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatalf("client stalled mid-headers still connected after %v", time.Since(start))
+	case err == nil:
+		t.Fatalf("server answered %d bytes to an unfinished request", n)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", d, readHeaderTimeout)
+	}
+
+	cancel()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("ListenAndServe returned %v", err)
+	}
+}
+
+// waitPlanner holds each plan for wait, then plans with the default
+// planner; a context that ends first fails the plan with its error.
+type waitPlanner struct{ wait time.Duration }
+
+func (p waitPlanner) Name() string { return "Appro" }
+
+func (p waitPlanner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, error) {
+	select {
+	case <-time.After(p.wait):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return core.ApproPlanner{}.Plan(ctx, in)
+}
+
+// TestContextOutlivesReadTimeout checks that a request's context stays
+// live once its body is read: the server's read timeout bounds the
+// read, not the plan or the simulation after it. The test shortens the
+// read timeout so that a plan outlasts it.
+func TestContextOutlivesReadTimeout(t *testing.T) {
+	const readTimeout = 100 * time.Millisecond
+	s := New(Config{
+		CacheCapacity: -1,
+		NewPlanner: func(string, *core.Options) (core.Planner, error) {
+			return waitPlanner{wait: 3 * readTimeout}, nil
+		},
+	})
+	defer s.Close()
+	hs := s.httpServer()
+	hs.ReadTimeout = readTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	}()
+
+	plan, err := json.Marshal(PlanRequest{Instance: testInstance(40, 2, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/plan", string(plan)},
+		{"/v1/simulate", `{"n": 40, "k": 2, "duration_days": 10, "max_rounds": 1}`},
+	} {
+		resp, out := postJSON(t, "http://"+ln.Addr().String()+c.path, []byte(c.body))
+		if resp.StatusCode != http.StatusOK || !json.Valid(out) {
+			t.Errorf("%s: status %d, body %q; want 200 and the answer", c.path, resp.StatusCode, truncate(out))
+		}
 	}
 }
 
