@@ -2,12 +2,16 @@ package repro_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro"
+	"repro/internal/export"
 	"repro/internal/geom"
+	"repro/internal/workload"
 )
 
 // TestGoldenObjectives pins the exact objective values every algorithm
@@ -55,4 +59,66 @@ var goldenObjectives = map[string]float64{
 	"AA":       173.6585,
 	"K-minMax": 169.4567,
 	"BiLevel":  129.3508,
+}
+
+// TestPlanBytesGolden pins the SHA-256 of the canonical schedule bytes
+// (export.WriteSchedule, the encoding of `wrsn-plan -json` and of a
+// /v1/plan response) for a handful of plans. The geometric kernels under
+// the planners (grid graphs, the MST, the 2-opt neighbour lists, the tour
+// split, the canonical request order) are tuned for speed under a
+// byte-identity contract; this test turns that contract into a `go test`
+// fact. A change that alters plans on purpose re-pins the digests (they
+// are printed on failure) and records the objective delta in
+// EXPERIMENTS.md.
+func TestPlanBytesGolden(t *testing.T) {
+	cases := []struct {
+		name    string
+		planner string
+		in      *repro.Instance
+		want    string
+	}{
+		{"appro-n1200-k2-seed1", "Appro", workload.RequestSet(1200, 2, 1, 100), "13a58349698d8e13dbb34de8a0d3de307730304ee32dae1b3eaf964885492c13"},
+		{"appro-n300-k3-seed7", "Appro", workload.RequestSet(300, 3, 7, 100), "65ef72eb6e89bad53d7ceeb1be2c3cc7bf258e46bb69e7d45118652b9ed46884"},
+		{"appro-citygrid", "Appro", cityGridInstance(), "0cba1e7718a5ce1a4e2c4a0489dffbc35523adb6742f5b64f33f54dedfa07e58"},
+		{"kminmax-n1200-k2-seed1", "K-minMax", workload.RequestSet(1200, 2, 1, 100), "d9447a06a72f589093e74a62bc188d90c14626cfbd5698114bebede16a75927c"},
+		{"aa-n1200-k2-seed1", "AA", workload.RequestSet(1200, 2, 1, 100), "c2af481a7ce826ca8df7dcfc333601f3ef873257e60e186a31de0a4853bf9d3c"},
+		{"bilevel-n1200-k2-seed1", "BiLevel", workload.RequestSet(1200, 2, 1, 100), "f993b971d73713bf569454e153a50e164f5c5ae70c53830ca43612dff13dbaa2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := repro.NewPlanner(tc.planner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.Plan(context.Background(), tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := export.WriteSchedule(h, s); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("%s plan bytes drifted: sha256 %s, pinned %s", tc.planner, got, tc.want)
+			}
+		})
+	}
+}
+
+// cityGridInstance is examples/citygrid's charging round: a 20x20
+// street-grid lattice 2.5 m apart, K=2, durations cycling through 80-100%
+// depletion of a 10.8 kJ battery at 2 W.
+func cityGridInstance() *repro.Instance {
+	in := &repro.Instance{Depot: geom.Pt(23.75, 23.75), Gamma: 2.7, Speed: 1, K: 2}
+	for row := 0; row < 20; row++ {
+		for col := 0; col < 20; col++ {
+			depletion := 0.8 + 0.2*float64((row*20+col)%5)/5
+			in.Requests = append(in.Requests, repro.Request{
+				Pos:      geom.Pt(float64(col)*2.5, float64(row)*2.5),
+				Duration: depletion * 10800 / 2,
+				Lifetime: float64(1+(row+col)%7) * 86400,
+			})
+		}
+	}
+	return in
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -27,33 +29,44 @@ import (
 // case of sensors equidistant from the depot with identical demands.
 
 // canonicalOrder returns the request indices sorted by the canonical key,
-// i.e. perm[rank] = original index.
+// i.e. perm[rank] = original index. It sorts a pointer-free (depot
+// distance, index) array and reads the rest of the key from the requests
+// only on a distance tie. Ties of the whole key fall back to the index,
+// which makes the order a stable sort's. That needs the key to be a
+// strict weak order, which Instance.Validate guarantees by rejecting NaN
+// coordinates and lifetimes; every caller validates first.
 func canonicalOrder(in *Instance) []int {
-	n := len(in.Requests)
-	dist := make([]float64, n)
+	type key struct {
+		dist float64
+		i    int
+	}
+	keys := make([]key, len(in.Requests))
 	for i := range in.Requests {
-		dist[i] = geom.Dist(in.Depot, in.Requests[i].Pos)
+		keys[i] = key{geom.Dist(in.Depot, in.Requests[i].Pos), i}
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := &in.Requests[perm[a]], &in.Requests[perm[b]]
-		if dist[perm[a]] != dist[perm[b]] {
-			return dist[perm[a]] < dist[perm[b]]
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		if ra.Duration != rb.Duration {
-			return ra.Duration < rb.Duration
+		ra, rb := &in.Requests[a.i], &in.Requests[b.i]
+		if c := cmp.Compare(ra.Duration, rb.Duration); c != 0 {
+			return c
 		}
-		if ra.Lifetime != rb.Lifetime {
-			return ra.Lifetime < rb.Lifetime
+		if c := cmp.Compare(ra.Lifetime, rb.Lifetime); c != 0 {
+			return c
 		}
-		if ra.Pos.X != rb.Pos.X {
-			return ra.Pos.X < rb.Pos.X
+		if c := cmp.Compare(ra.Pos.X, rb.Pos.X); c != 0 {
+			return c
 		}
-		return ra.Pos.Y < rb.Pos.Y
+		if c := cmp.Compare(ra.Pos.Y, rb.Pos.Y); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
+	perm := make([]int, len(keys))
+	for rank, k := range keys {
+		perm[rank] = k.i
+	}
 	return perm
 }
 

@@ -50,6 +50,9 @@ type Instance struct {
 }
 
 // Validate reports the first structural problem with the instance, or nil.
+// It rejects NaN and infinite coordinates and NaN lifetimes: planners
+// would silently leave such requests uncovered, and the canonical request
+// order (canon.go) needs every key to be a number.
 func (in *Instance) Validate() error {
 	if in.K < 1 {
 		return fmt.Errorf("core: K = %d, want >= 1", in.K)
@@ -60,12 +63,26 @@ func (in *Instance) Validate() error {
 	if in.Gamma < 0 || math.IsNaN(in.Gamma) {
 		return fmt.Errorf("core: gamma = %v, want >= 0", in.Gamma)
 	}
+	if !finitePoint(in.Depot) {
+		return fmt.Errorf("core: depot = (%v, %v), want finite coordinates", in.Depot.X, in.Depot.Y)
+	}
 	for i, r := range in.Requests {
+		if !finitePoint(r.Pos) {
+			return fmt.Errorf("core: request %d position = (%v, %v), want finite coordinates", i, r.Pos.X, r.Pos.Y)
+		}
 		if r.Duration < 0 || math.IsNaN(r.Duration) || math.IsInf(r.Duration, 0) {
 			return fmt.Errorf("core: request %d duration = %v, want finite >= 0", i, r.Duration)
 		}
+		if math.IsNaN(r.Lifetime) {
+			return fmt.Errorf("core: request %d lifetime = NaN, want a number", i)
+		}
 	}
 	return nil
+}
+
+// finitePoint reports whether both coordinates of p are finite.
+func finitePoint(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Positions returns the request locations as a slice, in request order.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +39,63 @@ func TestInstanceValidateTable(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN or infinite coordinate or a NaN
+// lifetime used to pass Validate, and Appro then returned a plan that
+// left requests uncovered, with no error. Appro and Analyze must both
+// refuse the instance and name the offending request (or the depot).
+func TestNonFiniteInputsRejected(t *testing.T) {
+	field := func() *Instance {
+		rng := rand.New(rand.NewSource(9))
+		in := &Instance{Depot: geom.Pt(15, 15), Gamma: 2.7, Speed: 1, K: 2}
+		for range 50 {
+			in.Requests = append(in.Requests, Request{
+				Pos:      geom.Pt(rng.Float64()*30, rng.Float64()*30),
+				Duration: 3600 + rng.Float64()*1800,
+				Lifetime: 86400,
+			})
+		}
+		return in
+	}
+	if _, err := Appro(context.Background(), field(), Options{}); err != nil {
+		t.Fatalf("finite instance rejected: %v", err)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	tests := []struct {
+		name, want string
+		mutate     func(*Instance)
+	}{
+		{"request y -Inf", "request 7", func(in *Instance) { in.Requests[7].Pos = geom.Pt(5, -inf) }},
+		{"request x NaN", "request 7", func(in *Instance) { in.Requests[7].Pos = geom.Pt(nan, 5) }},
+		{"request x +Inf", "request 7", func(in *Instance) { in.Requests[7].Pos.X = inf }},
+		{"request lifetime NaN", "request 7", func(in *Instance) { in.Requests[7].Lifetime = nan }},
+		{"depot x NaN", "depot", func(in *Instance) { in.Depot.X = nan }},
+		{"depot y +Inf", "depot", func(in *Instance) { in.Depot.Y = inf }},
+		{"depot x -Inf", "depot", func(in *Instance) { in.Depot.X = -inf }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := field()
+			tt.mutate(in)
+			if s, err := Appro(context.Background(), in, Options{}); err == nil {
+				t.Errorf("Appro accepted the instance (%d violations)", len(Verify(in, s)))
+			} else if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("Appro error %q does not name %s", err, tt.want)
+			}
+			if _, err := Analyze(context.Background(), in, Options{}); err == nil {
+				t.Error("Analyze accepted the instance")
+			} else if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("Analyze error %q does not name %s", err, tt.want)
+			}
+		})
+	}
+	// An infinite lifetime is a number: the sensor never runs dry.
+	in := field()
+	in.Requests[7].Lifetime = inf
+	if _, err := Appro(context.Background(), in, Options{}); err != nil {
+		t.Errorf("infinite lifetime rejected: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -122,41 +123,46 @@ func fromArcs(n int, deg []int32, emit func(put func(u, v int))) *Undirected {
 // UnitDisk builds the graph on pts with an edge between every pair at
 // Euclidean distance <= radius. This is the paper's charging graph G_c when
 // radius is the charging range gamma, and (with the transmission range) the
-// communication graph G_s. Construction makes two spatial-grid passes —
-// count degrees, then fill the frozen CSR rows — and costs O(n + m)
-// expected time with no per-edge dedup scans.
+// communication graph G_s. Construction makes one spatial-grid pass: each
+// vertex's query gives its whole row, which is appended to the frozen CSR
+// at once. It costs O(n + m) expected time with no per-edge dedup scans.
+//
+// Row u holds u's lower neighbors ascending, then its upper neighbors in
+// grid order — the append order of incremental construction, in which
+// each pair is added once, from its lower endpoint, outer u ascending.
+// u's lower neighbors are exactly the vertices whose queries found u,
+// because the distance test is symmetric.
 func UnitDisk(pts []geom.Point, radius float64) *Undirected {
 	n := len(pts)
 	if radius < 0 || n == 0 {
 		return emptyGraph(n)
 	}
 	grid := geom.NewGrid(pts, radius)
-	deg := make([]int32, n)
+	off := make([]int32, n+1)
+	// Room for an average degree of 4 (the paper's density gives ~2.7)
+	// before append grows the arena.
+	adj := make([]int32, 0, 4*n)
 	var buf []int
 	for u := range pts {
 		buf = grid.NeighborsOf(u, radius, buf)
+		row := len(adj)
 		for _, v := range buf {
-			if v > u { // each pair once
-				deg[u]++
-				deg[v]++
+			if v < u {
+				adj = append(adj, int32(v))
 			}
 		}
+		slices.Sort(adj[row:])
+		for _, v := range buf {
+			if v > u {
+				adj = append(adj, int32(v))
+			}
+		}
+		if len(adj) > math.MaxInt32 {
+			panic(fmt.Sprintf("graph: %d arcs overflow int32 offsets", len(adj)))
+		}
+		off[u+1] = int32(len(adj))
 	}
-	return fromArcs(n, deg, func(put func(u, v int)) {
-		// Same query order as the count pass: for each u ascending, the
-		// neighbors v > u in grid order. Row u therefore holds its lower
-		// neighbors ascending, then its upper neighbors in grid order —
-		// identical to the append order of incremental construction.
-		for u := range pts {
-			buf = grid.NeighborsOf(u, radius, buf)
-			for _, v := range buf {
-				if v > u {
-					put(u, v)
-					put(v, u)
-				}
-			}
-		}
-	})
+	return &Undirected{off: off, adj: adj, edges: len(adj) / 2}
 }
 
 // IntersectionGraph builds the paper's auxiliary graph H over the points

@@ -133,14 +133,19 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 	// bound (some vehicle must serve the worst single node); hi is the
 	// delay of the whole grand tour done by one vehicle.
 	splitSpan := obs.FromContext(ctx).Start(obs.StageKMinMaxSplit)
-	lo := 0.0
-	for i := 0; i < n; i++ {
-		if t := TourDelay(in, []int{i}); t > lo {
+	l := tourLegs(in, order)
+	lo, hi := 0.0, l.depot[0]+l.svc[0]
+	for i := range n {
+		if t := l.depot[i] + l.svc[i] + l.depot[i]; t > lo {
 			lo = t
 		}
+		if i > 0 {
+			hi += l.step[i]
+			hi += l.svc[i]
+		}
 	}
-	hi := TourDelay(in, order)
-	if splitCountAtTarget(in, order, hi) > in.K {
+	hi += l.depot[n-1]
+	if l.split(hi, nil) > in.K {
 		// Cannot happen (one tour always fits at hi), but guard anyway.
 		hi *= 2
 	}
@@ -151,17 +156,19 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 			}
 		}
 		mid := (lo + hi) / 2
-		if splitCountAtTarget(in, order, mid) <= in.K {
+		if l.split(mid, nil) <= in.K {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	parts := splitAtTarget(in, order, hi)
-	splitSpan.End()
-	for k, part := range parts {
-		sol.Tours[k] = part
+	ends := make([]int, in.K)
+	parts := l.split(hi, ends)
+	for k, start := 0, 0; k < parts; k++ {
+		sol.Tours[k] = append([]int(nil), order[start:ends[k]]...)
+		start = ends[k]
 	}
+	splitSpan.End()
 	// Balance pass: locally improve each tour with 2-opt on its own nodes
 	// (cannot increase any delay, so the max cannot increase).
 	for k := range sol.Tours {
@@ -208,57 +215,51 @@ func GrandTourOrder(ctx context.Context, in Input) []int {
 	return order
 }
 
-// splitAtTarget greedily packs the ordered nodes into consecutive closed
-// tours each of delay at most target (a tour whose single node already
-// exceeds target still gets its own tour, so the result is always a
-// partition). The number of returned parts is non-increasing in target.
-func splitAtTarget(in Input, order []int, target float64) [][]int {
-	var parts [][]int
-	i := 0
-	for i < len(order) {
-		// Grow the segment [i..j) while its closed-tour delay fits.
-		j := i + 1
-		cost := TourDelay(in, order[i:j])
-		for j < len(order) {
-			next := cost -
-				geom.Dist(in.Nodes[order[j-1]], in.Depot)/in.Speed +
-				geom.Dist(in.Nodes[order[j-1]], in.Nodes[order[j]])/in.Speed +
-				in.service(order[j]) +
-				geom.Dist(in.Nodes[order[j]], in.Depot)/in.Speed
-			if next > target+1e-12 {
-				break
-			}
-			cost = next
-			j++
-		}
-		part := append([]int(nil), order[i:j]...)
-		parts = append(parts, part)
-		i = j
-	}
-	return parts
+// legs holds the grand tour's travel and service times by position in
+// the tour order, each computed once per MinMax: depot[i] is the travel
+// time between the depot and the i-th node, step[i] the travel time
+// from the (i-1)-th node to the i-th (step[0] is unused), and svc[i] the
+// i-th node's service time. They are the same floats TourDelay adds.
+type legs struct {
+	depot, step, svc []float64
 }
 
-// splitCountAtTarget is splitAtTarget without materializing the parts: the
-// same greedy packing loop, float for float, returning only how many tours
-// it needs. The binary search in MinMax probes ~60 targets and cares only
-// about the count, so this keeps the search allocation-free.
-func splitCountAtTarget(in Input, order []int, target float64) int {
+func tourLegs(in Input, order []int) legs {
+	n := len(order)
+	l := legs{depot: make([]float64, n), step: make([]float64, n), svc: make([]float64, n)}
+	for i, v := range order {
+		l.depot[i] = geom.Dist(in.Depot, in.Nodes[v]) / in.Speed
+		if i > 0 {
+			l.step[i] = geom.Dist(in.Nodes[order[i-1]], in.Nodes[v]) / in.Speed
+		}
+		l.svc[i] = in.service(v)
+	}
+	return l
+}
+
+// split greedily packs the tour order into consecutive closed tours each
+// of delay at most target (a tour whose single node already exceeds
+// target still gets its own tour, so the result is always a partition),
+// and returns the number of tours, which is non-increasing in target.
+// When ends is non-nil it receives each tour's end position (exclusive)
+// and must have room for every tour. A tour's delay is grown float for
+// float as TourDelay would sum it for the first node and then swap the
+// return leg for the next step, service and return.
+func (l legs) split(target float64, ends []int) int {
+	n := len(l.svc)
 	parts := 0
-	i := 0
-	for i < len(order) {
+	for i := 0; i < n; {
+		cost := l.depot[i] + l.svc[i] + l.depot[i]
 		j := i + 1
-		cost := TourDelay(in, order[i:j])
-		for j < len(order) {
-			next := cost -
-				geom.Dist(in.Nodes[order[j-1]], in.Depot)/in.Speed +
-				geom.Dist(in.Nodes[order[j-1]], in.Nodes[order[j]])/in.Speed +
-				in.service(order[j]) +
-				geom.Dist(in.Nodes[order[j]], in.Depot)/in.Speed
+		for ; j < n; j++ {
+			next := cost - l.depot[j-1] + l.step[j] + l.svc[j] + l.depot[j]
 			if next > target+1e-12 {
 				break
 			}
 			cost = next
-			j++
+		}
+		if ends != nil {
+			ends[parts] = j
 		}
 		parts++
 		i = j

@@ -227,17 +227,79 @@ func TestSplitAtTargetMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	in := randInput(rng, 30, 1)
 	order := GrandTourOrder(context.Background(), in)
+	l := tourLegs(in, order)
 	full := TourDelay(in, order)
-	prevParts := len(splitAtTarget(in, order, full/16))
+	prevParts := l.split(full/16, nil)
 	for _, f := range []float64{8, 4, 2, 1} {
-		parts := len(splitAtTarget(in, order, full/f))
+		parts := l.split(full/f, nil)
 		if parts > prevParts {
 			t.Errorf("target up, parts went %d -> %d", prevParts, parts)
 		}
 		prevParts = parts
 	}
-	if got := len(splitAtTarget(in, order, full+1)); got != 1 {
+	if got := l.split(full+1, nil); got != 1 {
 		t.Errorf("full-delay target should need 1 part, got %d", got)
+	}
+}
+
+// TestSplitMatchesReference checks the one split loop over precomputed
+// legs against the two loops it replaced, which recompute every leg:
+// the same tour count at every probe of a dense target sweep, and the
+// same cut positions, on uniform, lattice, duplicate, collinear and
+// far-clustered nodes, with and without service times.
+func TestSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	cases := map[string]Input{
+		"uniform":    randInput(rng, 200, 3),
+		"no-service": {Depot: geom.Pt(3, -4), Nodes: randInput(rng, 150, 4).Nodes, Speed: 1.7, K: 4},
+	}
+	lattice := randInput(rng, 144, 2)
+	for i := range lattice.Nodes {
+		lattice.Nodes[i] = geom.Pt(float64(i%12)*2.5, float64(i/12)*2.5)
+		lattice.Service[i] = float64(1+i%5) * 900
+	}
+	cases["lattice"] = lattice
+	dup := randInput(rng, 60, 2)
+	for i := range dup.Nodes {
+		dup.Nodes[i] = dup.Nodes[i/6]
+	}
+	cases["duplicates"] = dup
+	line := randInput(rng, 80, 3)
+	for i := range line.Nodes {
+		line.Nodes[i].Y = 50
+	}
+	cases["collinear"] = line
+	far := randInput(rng, 90, 5)
+	for i := range far.Nodes {
+		far.Nodes[i] = far.Nodes[i].Add(geom.Pt(float64(i%3)*1e5, 0))
+	}
+	cases["far-clusters"] = far
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			order := GrandTourOrder(context.Background(), in)
+			l := tourLegs(in, order)
+			full := TourDelay(in, order)
+			ends := make([]int, len(order))
+			for step := 0; step <= 400; step++ {
+				target := full * float64(step) / 400
+				want := splitAtTarget(in, order, target)
+				if got := splitCountAtTarget(in, order, target); got != len(want) {
+					t.Fatalf("references disagree at target %v: %d vs %d tours", target, got, len(want))
+				}
+				parts := l.split(target, ends)
+				if parts != len(want) {
+					t.Fatalf("target %v: %d tours, reference %d", target, parts, len(want))
+				}
+				start := 0
+				for p, part := range want {
+					if ends[p]-start != len(part) || order[start] != part[0] {
+						t.Fatalf("target %v: tour %d is order[%d:%d], reference starts at node %d with %d nodes",
+							target, p, start, ends[p], part[0], len(part))
+					}
+					start = ends[p]
+				}
+			}
+		})
 	}
 }
 

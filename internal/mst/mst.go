@@ -5,7 +5,6 @@
 package mst
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -75,13 +74,13 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int) ([]in
 		dist[i] = math.Inf(1)
 	}
 	dist[root] = 0
-	pq := &primHeap{items: []primItem{{v: root, d: 0}}}
+	pq := primHeap{{v: root, d: 0}}
 	total := 0.0
 	reached := 0
 	next := 0 // monotone scan cursor for restart seeds
 	for {
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(primItem)
+		for len(pq) > 0 {
+			it := pq.pop()
 			if inTree[it.v] {
 				continue
 			}
@@ -96,7 +95,7 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int) ([]in
 				if d := geom.Dist(pts[it.v], pts[wv]); d < dist[wv] {
 					dist[wv] = d
 					parent[wv] = it.v
-					heap.Push(pq, primItem{v: wv, d: d})
+					pq.push(primItem{v: wv, d: d})
 				}
 			}
 		}
@@ -107,7 +106,7 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int) ([]in
 			next++
 		}
 		dist[next] = 0
-		heap.Push(pq, primItem{v: next, d: 0})
+		pq.push(primItem{v: next, d: 0})
 	}
 	return parent, total
 }
@@ -130,16 +129,48 @@ type primItem struct {
 	d float64
 }
 
-type primHeap struct{ items []primItem }
+// primHeap is a binary min-heap of primItems on d. push and pop make
+// exactly the comparisons and moves of container/heap's Push and Pop
+// (a swap chain is a hole moving the other way), so items of equal d pop
+// in the same order as they would from a container/heap; the items are
+// just not boxed into interfaces.
+type primHeap []primItem
 
-func (h *primHeap) Len() int           { return len(h.items) }
-func (h *primHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *primHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *primHeap) Push(x interface{}) { h.items = append(h.items, x.(primItem)) }
-func (h *primHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (h *primHeap) push(it primItem) {
+	*h = append(*h, it)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.d < s[i].d) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = it
+}
+
+func (h *primHeap) pop() primItem {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].d < s[j].d {
+			j = j2
+		}
+		if !(s[j].d < x.d) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
 }

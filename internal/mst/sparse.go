@@ -164,26 +164,24 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 // candidate edge set: all pairs within a radius chosen so a vertex sees a
 // small constant number of neighbors at the point set's average density
 // (r = geom.CellFor, which is 2*sqrt(area/n) for uniform points and
-// covers ~12 expected neighbors, enough for connectivity at planning
-// densities while keeping the edge count linear). Correctness never
-// depends on r, only the edge count does.
+// covers ~4π ≈ 12.6 expected neighbors, enough for connectivity at
+// planning densities while keeping the edge count linear). Correctness
+// never depends on r, only the edge count does. Each vertex is queried
+// once and its row appended in query order; the arena starts at the
+// uniform-density size and grows if the set is denser.
 func candidateGraph(pts []geom.Point) (*geom.Grid, []int32, []int32) {
 	n := len(pts)
 	r := geom.CellFor(geom.Bounds(pts), n)
 	grid := geom.NewGrid(pts, r)
 	off := make([]int32, n+1)
+	adj := make([]int32, 0, 13*n)
 	var buf []int
-	for u := 0; u < n; u++ {
+	for u := range n {
 		buf = grid.NeighborsOf(u, r, buf)
-		off[u+1] = off[u] + int32(len(buf))
-	}
-	adj := make([]int32, off[n])
-	for u := 0; u < n; u++ {
-		buf = grid.NeighborsOf(u, r, buf)
-		at := off[u]
-		for i, v := range buf {
-			adj[at+int32(i)] = int32(v)
+		for _, v := range buf {
+			adj = append(adj, int32(v))
 		}
+		off[u+1] = int32(len(adj))
 	}
 	return grid, off, adj
 }

@@ -165,8 +165,12 @@ func reverseCyclic(order []int, pos []int, from, count int) {
 // neighborLists builds the symmetrized k-nearest-neighbor candidate CSR
 // over pts, k = DefaultNeighborK: row v holds the union of v's k nearest
 // and every vertex that ranks v among its own k nearest, sorted by
-// (distance from v, index). Neighbors are found by grid ring expansion,
-// so construction is O(n·k log k) at bounded density.
+// (squared distance from v, index). Each vertex's k nearest are found by
+// grid ring expansion into a fixed k-slot list kept in (d², index) order
+// by insertion, so no candidate set is sorted. Row v starts as v's own
+// list; a vertex u that lists v joins it, by insertion on the same key,
+// only where v does not list u already. Construction is O(n·k²) at
+// bounded density.
 func neighborLists(pts []geom.Point) ([]int32, []int32) {
 	const k = DefaultNeighborK
 	n := len(pts)
@@ -174,14 +178,12 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 	r := geom.CellFor(b, n)
 	grid := geom.NewGrid(pts, r)
 	maxR := math.Hypot(b.Width(), b.Height())
-	type cand struct {
-		d2 float64
-		v  int32
-	}
-	pairs := make([][2]int32, 0, n*k)
+	// near[v*k : v*k+cnt[v]] is v's list of nearest, ascending by (d², index).
+	near := make([]int32, n*k)
+	cnt := make([]int32, n)
+	var d2 [k]float64
 	var buf []int
-	cands := make([]cand, 0, 4*k)
-	for u := 0; u < n; u++ {
+	for u := range n {
 		radius := r
 		for {
 			buf = grid.NeighborsOf(u, radius, buf)
@@ -190,74 +192,63 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 			}
 			radius *= 2
 		}
-		cands = cands[:0]
-		for _, v := range buf {
-			cands = append(cands, cand{geom.DistSq(pts[u], pts[v]), int32(v)})
-		}
-		slices.SortFunc(cands, func(a, b cand) int {
-			switch {
-			case a.d2 < b.d2:
-				return -1
-			case a.d2 > b.d2:
-				return 1
-			case a.v < b.v:
-				return -1
-			case a.v > b.v:
-				return 1
+		row := near[u*k : u*k+k]
+		m := 0
+		for _, vi := range buf {
+			v, dv := int32(vi), geom.DistSq(pts[u], pts[vi])
+			if m == k && !keyLess(dv, v, d2[k-1], row[k-1]) {
+				continue
 			}
-			return 0
-		})
-		m := min(k, len(cands))
-		for _, c := range cands[:m] {
-			lo, hi := int32(u), c.v
-			if lo > hi {
-				lo, hi = hi, lo
+			j := min(m, k-1)
+			m = min(m+1, k)
+			for ; j > 0 && keyLess(dv, v, d2[j-1], row[j-1]); j-- {
+				d2[j], row[j] = d2[j-1], row[j-1]
 			}
-			pairs = append(pairs, [2]int32{lo, hi})
+			d2[j], row[j] = dv, v
 		}
+		cnt[u] = int32(m)
 	}
-	slices.SortFunc(pairs, func(a, b [2]int32) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	})
-	pairs = slices.Compact(pairs)
-	deg := make([]int32, n+1)
-	for _, p := range pairs {
-		deg[p[0]]++
-		deg[p[1]]++
-	}
+	list := func(v int) []int32 { return near[v*k : v*k+int(cnt[v])] }
+
+	// Row u holds u's own list plus one reverse entry for each v that
+	// lists u while u does not list v.
 	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
+	for v := range n {
+		off[v+1] += cnt[v]
+		for _, u := range list(v) {
+			if !slices.Contains(list(int(u)), int32(v)) {
+				off[u+1]++
+			}
+		}
+	}
+	for v := range n {
+		off[v+1] += off[v]
 	}
 	adj := make([]int32, off[n])
-	cur := deg[:n]
-	copy(cur, off[:n])
-	for _, p := range pairs {
-		adj[cur[p[0]]] = p[1]
-		cur[p[0]]++
-		adj[cur[p[1]]] = p[0]
-		cur[p[1]]++
+	end := make([]int32, n)
+	for v := range n {
+		end[v] = off[v] + int32(copy(adj[off[v]:], list(v)))
 	}
-	for v := 0; v < n; v++ {
-		row := adj[off[v]:off[v+1]]
-		pv := pts[v]
-		slices.SortFunc(row, func(a, b int32) int {
-			da, db := geom.DistSq(pv, pts[a]), geom.DistSq(pv, pts[b])
-			switch {
-			case da < db:
-				return -1
-			case da > db:
-				return 1
-			case a < b:
-				return -1
-			case a > b:
-				return 1
+	// Reverse entries join their rows by insertion on (d², index). They
+	// arrive in ascending v, and usually sort after the row's own list.
+	for v := range n {
+		for _, u := range list(v) {
+			if slices.Contains(list(int(u)), int32(v)) {
+				continue
 			}
-			return 0
-		})
+			pu, dv := pts[u], geom.DistSq(pts[u], pts[v])
+			j := end[u]
+			for ; j > off[u] && keyLess(dv, int32(v), geom.DistSq(pu, pts[adj[j-1]]), adj[j-1]); j-- {
+				adj[j] = adj[j-1]
+			}
+			adj[j] = int32(v)
+			end[u]++
+		}
 	}
 	return off, adj
+}
+
+// keyLess orders neighbor candidates by (squared distance, index).
+func keyLess(da float64, a int32, db float64, b int32) bool {
+	return da < db || (da == db && a < b)
 }

@@ -135,3 +135,117 @@ func TestTwoOptNeighborListQualityVsFull(t *testing.T) {
 		}
 	}
 }
+
+// neighborListCases are the point sets the neighbor-list oracle runs on:
+// uniform, exact lattices (every distance tied many times over),
+// duplicates, collinear and near-collinear lines, far clusters, and sets
+// smaller than k+1.
+func neighborListCases() map[string][]geom.Point {
+	rng := rand.New(rand.NewSource(31))
+	cases := map[string][]geom.Point{
+		"uniform-300":  rngPoints(rng, 300, 100),
+		"uniform-1500": rngPoints(rng, 1500, 100),
+		"tiny-1":       rngPoints(rng, 1, 10),
+		"tiny-2":       rngPoints(rng, 2, 10),
+		"tiny-11":      rngPoints(rng, 11, 10),
+		"tiny-12":      rngPoints(rng, 12, 10),
+	}
+	lattice := func(side int, pitch float64) []geom.Point {
+		var pts []geom.Point
+		for i := range side * side {
+			pts = append(pts, geom.Pt(float64(i%side)*pitch, float64(i/side)*pitch))
+		}
+		return pts
+	}
+	cases["lattice-20"] = lattice(20, 2.5)
+	cases["lattice-7"] = lattice(7, 1)
+	var dup []geom.Point
+	for range 40 {
+		p := geom.Pt(rng.Float64()*20, rng.Float64()*20)
+		for range 1 + rng.Intn(6) {
+			dup = append(dup, p)
+		}
+	}
+	cases["duplicates"] = dup
+	var same []geom.Point
+	for range 30 {
+		same = append(same, geom.Pt(4, -2))
+	}
+	cases["all-identical"] = same
+	var line, vline, near []geom.Point
+	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
+	for i := range 80 {
+		line = append(line, geom.Pt(rng.Float64()*500, 0))
+		vline = append(vline, geom.Pt(3, float64(i%13)*1.5))
+		y := 0.3
+		if i%2 == 1 {
+			y = a + b
+		}
+		near = append(near, geom.Pt(50*float64(i), y))
+	}
+	cases["collinear"] = line
+	cases["collinear-ties"] = vline
+	cases["near-collinear"] = near
+	var far []geom.Point
+	for c := range 6 {
+		for range 15 {
+			far = append(far, geom.Pt(float64(c)*1e5+rng.Float64(), float64(c%2)*3e4+rng.Float64()))
+		}
+	}
+	cases["far-clusters"] = far
+	return cases
+}
+
+// TestNeighborListsMatchReference checks the grid-built, sort-free
+// neighbor lists against the O(n²) exact reference: the same rows in the
+// same (d², index) order, entry for entry.
+func TestNeighborListsMatchReference(t *testing.T) {
+	for name, pts := range neighborListCases() {
+		t.Run(name, func(t *testing.T) {
+			assertNeighborListsMatch(t, pts)
+		})
+	}
+}
+
+func assertNeighborListsMatch(t *testing.T, pts []geom.Point) {
+	t.Helper()
+	off, adj := neighborLists(pts)
+	wantOff, wantAdj := neighborListsReference(pts)
+	for u := range pts {
+		got, want := adj[off[u]:off[u+1]], wantAdj[wantOff[u]:wantOff[u+1]]
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d of %d: got %v, want %v", u, len(pts), got, want)
+		}
+	}
+	if len(off) != len(pts)+1 || len(adj) != len(wantAdj) {
+		t.Fatalf("CSR shape: %d offsets, %d entries; want %d, %d", len(off), len(adj), len(pts)+1, len(wantAdj))
+	}
+}
+
+// FuzzNeighborListsMatchReference runs the neighbor-list oracle on
+// fuzzed point sets: uniform points, optionally snapped to a lattice of
+// the fuzzed pitch (ties everywhere) or squashed onto a line.
+func FuzzNeighborListsMatchReference(f *testing.F) {
+	f.Add(int64(1), uint16(40), 100.0, uint8(0))
+	f.Add(int64(2), uint16(200), 10.0, uint8(1))
+	f.Add(int64(3), uint16(12), 1e6, uint8(2))
+	f.Add(int64(4), uint16(3), 1.0, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, side float64, shape uint8) {
+		if !(side > 0 && side < 1e12) {
+			t.Skip()
+		}
+		n := int(nRaw % 400)
+		rng := rand.New(rand.NewSource(seed))
+		pts := rngPoints(rng, n, side)
+		for i := range pts {
+			switch shape % 3 {
+			case 1: // lattice of pitch side/16
+				pitch := side / 16
+				pts[i] = geom.Pt(math.Round(pts[i].X/pitch)*pitch, math.Round(pts[i].Y/pitch)*pitch)
+			case 2: // a line
+				pts[i].Y = 0
+			}
+		}
+		assertNeighborListsMatch(t, pts)
+	})
+}
