@@ -17,8 +17,7 @@ import (
 )
 
 // TestBuildInstanceShape checks the request set wrsn-plan builds, the
-// one workload.RequestSet shared with wrsn-bench -scaling and wrsn-serve
-// -loadgen.
+// one workload.RequestSet shared with wrsn-bench -scaling.
 func TestBuildInstanceShape(t *testing.T) {
 	in := workload.RequestSet(50, 3, 7, 100)
 	if len(in.Requests) != 50 || in.K != 3 || in.Gamma != 2.7 {

@@ -63,14 +63,14 @@ func (in *Instance) Validate() error {
 	if in.Gamma < 0 || math.IsNaN(in.Gamma) {
 		return fmt.Errorf("core: gamma = %v, want >= 0", in.Gamma)
 	}
-	if !finitePoint(in.Depot) {
+	if !in.Depot.Finite() {
 		return fmt.Errorf("core: depot = (%v, %v), want finite coordinates", in.Depot.X, in.Depot.Y)
 	}
 	for i, r := range in.Requests {
-		if !finitePoint(r.Pos) {
+		if !r.Pos.Finite() {
 			return fmt.Errorf("core: request %d position = (%v, %v), want finite coordinates", i, r.Pos.X, r.Pos.Y)
 		}
-		if r.Duration < 0 || math.IsNaN(r.Duration) || math.IsInf(r.Duration, 0) {
+		if r.Duration < 0 || !geom.Finite(r.Duration) {
 			return fmt.Errorf("core: request %d duration = %v, want finite >= 0", i, r.Duration)
 		}
 		if math.IsNaN(r.Lifetime) {
@@ -78,11 +78,6 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
-}
-
-// finitePoint reports whether both coordinates of p are finite.
-func finitePoint(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Positions returns the request locations as a slice, in request order.

@@ -4,11 +4,11 @@ import "math"
 
 // This file exports the package's deterministic draw keying so other
 // subsystems that need same-seed-same-run stochastic decisions — notably
-// the HTTP-layer chaos transport in internal/resilience — share one
-// keying discipline with the simulator's injectors instead of inventing
-// a second RNG scheme. Every draw is a pure hash of (seed, kind,
-// coordinates): independent of call order, wall clock and goroutine
-// interleaving.
+// internal/resilience's retry jitter and the fault-injecting transport of
+// internal/serve's router tests — share one keying discipline with the
+// simulator's injectors instead of inventing a second RNG scheme. Every
+// draw is a pure hash of (seed, kind, coordinates): independent of call
+// order, wall clock and goroutine interleaving.
 
 // Mix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mixer.
 // It is the hash at the bottom of every deterministic draw in this

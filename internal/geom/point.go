@@ -53,6 +53,12 @@ func (p Point) Scale(f float64) Point { return Point{X: p.X * f, Y: p.Y * f} }
 // Norm returns the Euclidean length of the vector p.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
+// Finite reports whether v is neither NaN nor infinite.
+func Finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// Finite reports whether both coordinates of p are finite.
+func (p Point) Finite() bool { return Finite(p.X) && Finite(p.Y) }
+
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 

@@ -102,6 +102,29 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
+func TestFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		p    Point
+		want bool
+	}{
+		{Pt(0, 0), true},
+		{Pt(-1e308, math.MaxFloat64), true},
+		{Pt(nan, 0), false},
+		{Pt(0, nan), false},
+		{Pt(inf, 0), false},
+		{Pt(0, -inf), false},
+	}
+	for _, tt := range tests {
+		if got := tt.p.Finite(); got != tt.want {
+			t.Errorf("%v.Finite() = %v, want %v", tt.p, got, tt.want)
+		}
+		if got := Finite(tt.p.X) && Finite(tt.p.Y); got != tt.want {
+			t.Errorf("Finite(%v) && Finite(%v) = %v, want %v", tt.p.X, tt.p.Y, got, tt.want)
+		}
+	}
+}
+
 func TestPathAndTourLength(t *testing.T) {
 	square := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
 	if got := PathLength(square); !almostEq(got, 3) {

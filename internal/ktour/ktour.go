@@ -17,7 +17,6 @@ package ktour
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -48,11 +47,19 @@ func (in Input) validate() error {
 	if in.Speed <= 0 {
 		return fmt.Errorf("ktour: speed = %v, want > 0", in.Speed)
 	}
+	if !in.Depot.Finite() {
+		return fmt.Errorf("ktour: depot = %v, want finite coordinates", in.Depot)
+	}
+	for i, p := range in.Nodes {
+		if !p.Finite() {
+			return fmt.Errorf("ktour: node[%d] = %v, want finite coordinates", i, p)
+		}
+	}
 	if in.Service != nil && len(in.Service) != len(in.Nodes) {
 		return fmt.Errorf("ktour: %d service times for %d nodes", len(in.Service), len(in.Nodes))
 	}
 	for i, s := range in.Service {
-		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		if s < 0 || !geom.Finite(s) {
 			return fmt.Errorf("ktour: service[%d] = %v, want finite >= 0", i, s)
 		}
 	}

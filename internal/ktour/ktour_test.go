@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/tsp"
 )
 
 func randInput(rng *rand.Rand, n, k int) Input {
@@ -76,6 +79,45 @@ func TestMinMaxValidation(t *testing.T) {
 			tt.mutate(&in)
 			if _, err := MinMax(context.Background(), in); err == nil {
 				t.Error("expected error")
+			}
+		})
+	}
+}
+
+// TestNonFiniteCoordinates checks that a NaN or infinite coordinate
+// cannot hang the kernels: a direct TwoOpt call over depot + nodes
+// returns, and MinMax rejects the input, naming the point.
+func TestNonFiniteCoordinates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		at   int // index into depot + nodes
+		p    geom.Point
+		want string
+	}{
+		{"NaN x at 0", 0, geom.Pt(nan, 1), "depot"},
+		{"NaN y at 0", 0, geom.Pt(1, nan), "depot"},
+		{"+Inf at 4", 4, geom.Pt(inf, 1), "node[3]"},
+		{"-Inf at 0", 0, geom.Pt(-inf, 1), "depot"},
+		{"NaN x at 4", 4, geom.Pt(nan, 1), "node[3]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10), geom.Pt(5, 5)}
+			pts[tc.at] = tc.p
+			done := make(chan error, 1)
+			go func() {
+				tour := tsp.Tour{Order: []int{0, 1, 2, 3, 4}}
+				tsp.TwoOpt(&tour, pts, 0)
+				_, err := MinMax(context.Background(), Input{Depot: pts[0], Nodes: pts[1:], Speed: 1, K: 2})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("MinMax error %v, want one naming %s", err, tc.want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("TwoOpt or MinMax did not return within 2 s")
 			}
 		})
 	}

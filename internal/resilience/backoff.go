@@ -1,19 +1,17 @@
 // Package resilience is the client-side survival kit for the serving
 // tier: retry with capped exponential backoff and deterministic seeded
-// jitter, per-backend circuit breakers with half-open probing, hedged
-// second requests after a quantile-derived delay, singleflight
-// collapsing of concurrent identical requests, an HDR-style latency
-// histogram, and a seed-deterministic chaos http.RoundTripper for
-// drilling all of the above.
+// jitter, per-backend circuit breakers with half-open probing,
+// singleflight collapsing of concurrent identical requests, and an
+// HDR-style latency histogram that times routed attempts and sets the
+// hedge delay.
 //
 // The simulator's internal/fault package injects MCV breakdowns with
 // retry-with-backoff *inside* the simulation; this package is the same
 // philosophy applied to the HTTP path in front of it. It shares fault's
-// keying discipline: every stochastic decision — a jitter fraction, an
-// injected latency, a synthetic 5xx — is a pure hash of (seed, kind,
+// keying discipline: a jitter fraction is a pure hash of (seed, kind,
 // coordinates) via fault.U01, never of call order or wall clock, so a
-// chaos drill at a fixed seed replays the identical fault sequence no
-// matter how goroutines interleave.
+// request retried at one seed sees the same delays however goroutines
+// interleave.
 package resilience
 
 import (
@@ -22,22 +20,16 @@ import (
 	"repro/internal/fault"
 )
 
-// Draw kinds for this package's deterministic decisions. They live far
-// from the fault injector's own kinds (small integers) so a seed shared
-// between a simulation and a chaos drill can never correlate draws.
-const (
-	kindBackoff uint64 = 0x7265730000000001 + iota // "res\0..."
-	kindChaosLatency
-	kindChaosLatencyAmount
-	kindChaosReset
-	kindChaos5xx
-)
+// kindBackoff is the draw kind of the backoff jitter. It lives far from
+// the fault injector's own kinds (small integers) so a seed shared with a
+// simulation can never correlate draws.
+const kindBackoff uint64 = 0x7265730000000001 // "res\0..."
 
 // Backoff computes retry delays: capped exponential growth with
 // deterministic jitter. The zero value is usable (50 ms base, 2 s cap,
 // seed 0). Jitter is a pure hash of (Seed, key, attempt) — two processes
 // with one seed retrying the same request agree on every delay, which is
-// what makes the chaos drill's retry counts replayable.
+// what makes the router's retry counts replayable under injected faults.
 type Backoff struct {
 	// Base is the attempt-0 delay; 0 means 50 ms.
 	Base time.Duration

@@ -22,14 +22,13 @@ const (
 )
 
 // Histogram is a fixed-size log-linear latency histogram. The zero value
-// is ready to use; Observe is lock-free (one atomic add plus a max CAS),
+// is ready to use; Observe is lock-free (two atomic adds plus a max CAS),
 // so request paths can record into a shared instance without contention.
 // Quantile readers see a live snapshot that is approximately consistent
 // under concurrent writes — fine for metrics, which is all it is for.
 type Histogram struct {
 	counts [numBuckets]atomic.Int64
 	count  atomic.Int64
-	sum    atomic.Int64 // microseconds
 	max    atomic.Int64 // microseconds
 }
 
@@ -65,7 +64,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	us := int64(d / time.Microsecond)
 	h.counts[bucketIndex(uint64(us))].Add(1)
 	h.count.Add(1)
-	h.sum.Add(us)
 	for {
 		cur := h.max.Load()
 		if us <= cur || h.max.CompareAndSwap(cur, us) {
@@ -80,15 +78,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Max returns the largest observed latency.
 func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.max.Load()) * time.Microsecond
-}
-
-// Mean returns the average observed latency.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load()/n) * time.Microsecond
 }
 
 // Quantile returns the latency at quantile q in [0, 1]: the bucket

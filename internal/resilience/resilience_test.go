@@ -2,11 +2,6 @@ package resilience
 
 import (
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,9 +134,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Quantile(1) != h.Max() {
 		t.Errorf("Quantile(1) = %v, want Max %v", h.Quantile(1), h.Max())
 	}
-	if m := h.Mean(); m < 480*time.Millisecond || m > 520*time.Millisecond {
-		t.Errorf("Mean = %v, want ~500ms", m)
-	}
 }
 
 // TestHistogramBucketRoundTrip checks index/value inversion across the
@@ -182,83 +174,5 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("Count = %d, want 8000", h.Count())
-	}
-}
-
-// TestChaosTripperDeterminism replays one request sequence through two
-// trippers at the same seed and requires identical event sequences and
-// counters; a different seed must diverge.
-func TestChaosTripperDeterminism(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	defer backend.Close()
-
-	run := func(seed int64) ([]ChaosEvent, map[string]int64) {
-		tr := NewChaosTripper(nil, ChaosPlan{
-			Seed: seed, LatencyRate: 0.3, LatencyBase: time.Microsecond,
-			ResetRate: 0.3, Err5xxRate: 0.3,
-		})
-		client := &http.Client{Transport: tr}
-		for i := 0; i < 50; i++ {
-			req, _ := http.NewRequest("GET", backend.URL, nil)
-			req.Header.Set(ChaosKeyHeader, fmt.Sprintf("%x", i))
-			// Two attempts per key, mirroring a retry loop.
-			for a := 0; a < 2; a++ {
-				resp, err := client.Do(req.Clone(req.Context()))
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
-		}
-		return tr.Events(), tr.Counts()
-	}
-
-	e1, c1 := run(7)
-	e2, c2 := run(7)
-	if !reflect.DeepEqual(e1, e2) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", e1, e2)
-	}
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatalf("same-seed counters diverged: %v vs %v", c1, c2)
-	}
-	if len(e1) == 0 {
-		t.Fatal("no faults injected at 0.3 rates over 100 attempts")
-	}
-	e3, _ := run(8)
-	if reflect.DeepEqual(e1, e3) {
-		t.Fatal("different seeds produced identical fault sequences")
-	}
-}
-
-// TestChaosTripperBlackhole checks the administrative blackhole fails
-// fast with ErrChaosBlackhole and clears on revive.
-func TestChaosTripperBlackhole(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	defer backend.Close()
-	host := backend.Listener.Addr().String()
-
-	tr := NewChaosTripper(nil, ChaosPlan{Seed: 1, LatencyBase: time.Microsecond})
-	client := &http.Client{Transport: tr}
-
-	tr.Blackhole(host, true)
-	_, err := client.Get(backend.URL)
-	if !errors.Is(err, ErrChaosBlackhole) {
-		t.Fatalf("blackholed request: err = %v, want ErrChaosBlackhole", err)
-	}
-	tr.Blackhole(host, false)
-	resp, err := client.Get(backend.URL)
-	if err != nil {
-		t.Fatalf("revived request failed: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("revived status = %d", resp.StatusCode)
-	}
-	if n := tr.Counts()["blackhole"]; n != 1 {
-		t.Fatalf("blackhole count = %d, want 1", n)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // HTTP (httptest server + default transport). The warm variant replans
 // one instance and serves from the shared plan cache — the hot replan
 // path; the cold variant disables the cache so every request pays a full
-// Appro plan. cmd/wrsn-serve -loadgen drives the same handler from N
-// concurrent clients and records the req/s into BENCH_serve.json.
+// Appro plan. e2ebench's serve-mix workload measures the service's
+// latency and throughput end to end.
 func BenchmarkServePlan(b *testing.B) {
 	body, err := json.Marshal(testInstance(200, 2, 1))
 	if err != nil {

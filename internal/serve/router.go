@@ -30,7 +30,7 @@ var errNoBackends = errors.New("serve: no eligible backend")
 // request outcomes.
 type backend struct {
 	url     string // normalized base URL, e.g. "http://127.0.0.1:9001"
-	host    string // host:port, the metrics label and chaos blackhole key
+	host    string // host:port, the metrics label and X-Plan-Backend value
 	score   uint64 // fnv64(host), mixed with plan keys for rendezvous
 	healthy atomic.Bool
 	breaker *resilience.Breaker
@@ -53,7 +53,7 @@ type proxyResult struct {
 // degraded-local fallback owned by the handler.
 type router struct {
 	backends      []*backend
-	client        *http.Client // request path; cfg.Transport (chaos) aware
+	client        *http.Client // request path; cfg.Transport when set
 	healthClient  *http.Client // health loop; always a plain transport
 	backoff       resilience.Backoff
 	maxAttempts   int
@@ -141,9 +141,9 @@ func (r *router) close() {
 }
 
 // healthLoop probes every backend's /readyz on a fixed cadence, starting
-// immediately. It uses a plain transport on purpose: chaos injection on
-// the request path must not flap health verdicts, and the drill's
-// injected-fault ledger stays exactly the request-path faults.
+// immediately. It uses a plain transport on purpose: faults injected on
+// the request path must not flap health verdicts, and a fault-injecting
+// transport's ledger stays exactly the request-path faults.
 func (r *router) healthLoop() {
 	defer r.wg.Done()
 	for {
@@ -225,7 +225,7 @@ type attemptOutcome struct {
 // attempt proxies the plan request once to b. It reports the outcome to
 // b's breaker: transport errors and 5xx count against it, 2xx/4xx/429
 // count for it (a shedding backend is an alive backend).
-func (r *router) attempt(ctx context.Context, b *backend, keyHash uint64, rawQuery string, body []byte) attemptOutcome {
+func (r *router) attempt(ctx context.Context, b *backend, rawQuery string, body []byte) attemptOutcome {
 	actx, cancel := context.WithTimeout(ctx, r.attemptTO)
 	defer cancel()
 	u := b.url + "/v1/plan"
@@ -237,7 +237,6 @@ func (r *router) attempt(ctx context.Context, b *backend, keyHash uint64, rawQue
 		return attemptOutcome{err: err, backend: b}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(resilience.ChaosKeyHeader, strconv.FormatUint(keyHash, 16))
 	start := time.Now()
 	resp, err := r.client.Do(req)
 	if err != nil {
@@ -299,7 +298,6 @@ func (r *router) retryAfterHint(resp *http.Response) time.Duration {
 // every path is exhausted — the caller's cue to plan locally.
 func (r *router) fetch(ctx context.Context, key plancache.Key, rawQuery string, body []byte) (*proxyResult, error) {
 	prefs := r.rank(key)
-	keyHash := key.Hash64()
 	lastErr := errNoBackends
 	var prev *backend
 	var hint time.Duration
@@ -315,7 +313,7 @@ func (r *router) fetch(ctx context.Context, key plancache.Key, rawQuery string, 
 			}
 			d := hint
 			if d <= 0 {
-				d = r.backoff.Delay(keyHash, attempt-1)
+				d = r.backoff.Delay(key.Hash64(), attempt-1)
 			}
 			if err := r.sleep(ctx, d); err != nil {
 				b.breaker.Report(true) // admission unused; not the backend's fault
@@ -325,9 +323,9 @@ func (r *router) fetch(ctx context.Context, key plancache.Key, rawQuery string, 
 		}
 		var out attemptOutcome
 		if attempt == 0 && r.hedgeDelay() > 0 {
-			out = r.hedgedAttempt(ctx, prefs, b, keyHash, rawQuery, body)
+			out = r.hedgedAttempt(ctx, prefs, b, rawQuery, body)
 		} else {
-			out = r.attempt(ctx, b, keyHash, rawQuery, body)
+			out = r.attempt(ctx, b, rawQuery, body)
 		}
 		prev = out.backend
 		if out.res != nil {
@@ -364,9 +362,9 @@ func (r *router) hedgeDelay() time.Duration {
 // after the quantile-derived delay on the next-ranked eligible backend.
 // The first final response wins; a losing in-flight attempt still
 // reports to its breaker from its own goroutine.
-func (r *router) hedgedAttempt(ctx context.Context, prefs []*backend, primary *backend, keyHash uint64, rawQuery string, body []byte) attemptOutcome {
+func (r *router) hedgedAttempt(ctx context.Context, prefs []*backend, primary *backend, rawQuery string, body []byte) attemptOutcome {
 	ch := make(chan attemptOutcome, 2)
-	go func() { ch <- r.attempt(ctx, primary, keyHash, rawQuery, body) }()
+	go func() { ch <- r.attempt(ctx, primary, rawQuery, body) }()
 	var timer = time.NewTimer(r.hedgeDelay())
 	defer timer.Stop()
 	hedged := false
@@ -387,7 +385,7 @@ func (r *router) hedgedAttempt(ctx context.Context, prefs []*backend, primary *b
 		}
 		hedged = true
 		r.hedges.Add(1)
-		go func() { ch <- r.attempt(ctx, second, keyHash, rawQuery, body) }()
+		go func() { ch <- r.attempt(ctx, second, rawQuery, body) }()
 	}
 	first := <-ch
 	if first.res != nil && first.res.status < 500 {
@@ -409,42 +407,4 @@ func (r *router) hedgedAttempt(ctx context.Context, prefs []*backend, primary *b
 		return first
 	}
 	return outcome
-}
-
-// RouterStats is a point-in-time snapshot of the shard router's
-// resilience counters, for the loadgen/chaos drill and operators who
-// prefer one JSON blob over scraping /metrics.
-type RouterStats struct {
-	Routed          int64 // requests answered by a backend
-	DegradedLocal   int64 // requests that fell back to local planning
-	Retries         int64 // proxy attempts beyond the first
-	Failovers       int64 // retries that switched backends
-	Hedges          int64 // hedged second requests launched
-	HedgeWins       int64 // hedges whose response was used
-	Collapsed       int64 // singleflight duplicate deliveries
-	BreakerOpens    int64 // breaker trips summed across backends
-	HealthyBackends int   // backends currently probing healthy
-}
-
-// RouterStats snapshots the router's counters; ok is false when the
-// server is not in router mode.
-func (s *Server) RouterStats() (RouterStats, bool) {
-	if s.router == nil {
-		return RouterStats{}, false
-	}
-	r := s.router
-	st := RouterStats{
-		Routed:          r.routedOK.Load(),
-		DegradedLocal:   r.degraded.Load(),
-		Retries:         r.retries.Load(),
-		Failovers:       r.failovers.Load(),
-		Hedges:          r.hedges.Load(),
-		HedgeWins:       r.hedgeWins.Load(),
-		Collapsed:       r.collapsed.Load(),
-		HealthyBackends: r.healthyCount(),
-	}
-	for _, b := range r.backends {
-		st.BreakerOpens += b.breaker.Opens()
-	}
-	return st, true
 }

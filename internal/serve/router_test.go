@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,31 +21,48 @@ import (
 	"repro/internal/export"
 	"repro/internal/plancache"
 	"repro/internal/resilience"
+	"repro/internal/workload"
 )
 
-// startBackend runs a real backend server on a loopback port and tears
-// it down with the test.
+// startBackend runs a real backend server on cfg.Addr, a loopback port
+// when empty, and tears it down with the test.
 func startBackend(t *testing.T, cfg Config) *Server {
+	s, _ := runBackend(t, cfg)
+	return s
+}
+
+// runBackend is startBackend that also returns a stop func, which drains
+// the server and waits for ListenAndServe to return. Stopping twice is
+// harmless.
+func runBackend(t *testing.T, cfg Config) (*Server, func()) {
 	t.Helper()
-	cfg.Addr = "127.0.0.1:0"
+	if cfg.Addr == "" {
+		cfg.Addr = "127.0.0.1:0"
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := New(cfg)
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe(ctx) }()
+	done := make(chan struct{})
+	go func() {
+		s.ListenAndServe(ctx)
+		close(done)
+	}()
 	waitFor(t, func() bool { return s.Addr() != "" })
-	t.Cleanup(func() {
+	stop := func() {
 		cancel()
 		<-done
-	})
-	return s
+	}
+	t.Cleanup(stop)
+	return s, stop
 }
 
 // startRouter builds a router server over the given backend addresses
 // and waits until its health loop has found them (or not, when
-// expectReady is false).
+// expectReady is false). A zero HealthInterval probes every 20 ms.
 func startRouter(t *testing.T, cfg Config, expectReady bool) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg.HealthInterval = 20 * time.Millisecond
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = 20 * time.Millisecond
+	}
 	s := New(cfg)
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
@@ -81,7 +101,7 @@ func wantBytes(t *testing.T, in *core.Instance) []byte {
 func TestRouterFailoverBlackholedBackend(t *testing.T) {
 	b1 := startBackend(t, Config{})
 	b2 := startBackend(t, Config{})
-	chaos := resilience.NewChaosTripper(nil, resilience.ChaosPlan{Seed: 1, LatencyBase: time.Millisecond})
+	chaos := newChaosTripper(nil, chaosPlan{Seed: 1, LatencyBase: time.Millisecond})
 	s, ts := startRouter(t, Config{
 		Shards:    []string{b1.Addr(), b2.Addr()},
 		Transport: chaos,
@@ -123,6 +143,198 @@ func TestRouterFailoverBlackholedBackend(t *testing.T) {
 	if n := chaos.Counts()["blackhole"]; n == 0 {
 		t.Error("chaos transport recorded no blackhole hits")
 	}
+}
+
+// chaosTopology is two real backends behind a router whose backend
+// transport injects faults at seed 7: 15% of attempts are delayed by
+// 2 ms * (1 + Exp(1)), 12% are reset and 12% are answered 503.
+type chaosTopology struct {
+	router   *Server
+	url      string // the router's /v1/plan
+	tripper  *chaosTripper
+	backends [2]*Server
+	stops    [2]func()
+}
+
+// startChaosTopology starts the backends and a router over them with
+// cfg, waiting until the router sees both healthy.
+func startChaosTopology(t *testing.T, cfg Config) *chaosTopology {
+	t.Helper()
+	topo := &chaosTopology{tripper: newChaosTripper(nil, chaosPlan{
+		Seed:        7,
+		LatencyRate: 0.15,
+		LatencyBase: 2 * time.Millisecond,
+		ResetRate:   0.12,
+		Err5xxRate:  0.12,
+	})}
+	for i := range topo.backends {
+		topo.backends[i], topo.stops[i] = runBackend(t, Config{})
+		cfg.Shards = append(cfg.Shards, topo.backends[i].Addr())
+	}
+	cfg.Transport = topo.tripper
+	s, ts := startRouter(t, cfg, true)
+	topo.router, topo.url = s, ts.URL+"/v1/plan"
+	return topo
+}
+
+// TestRouterChaosReplay checks that injected faults replay: two fresh
+// topologies at one seed answer the same 48 sequential n=60 requests
+// with 200, inject the same faults and drive the same router counters.
+// The events are compared by their (key, attempt, kind) coordinates:
+// hosts stay out, since the backends' ports differ between topologies.
+// Breakers never trip and hedging is off, because open and half-open
+// timing and hedge delays follow the wall clock, not the seed; a slow
+// health interval keeps a late probe from flipping a verdict mid-run.
+func TestRouterChaosReplay(t *testing.T) {
+	type replay struct {
+		digest string
+		events int
+		faults map[string]int64
+		// The router's counters.
+		retries, failovers, degraded, hedges, breakerOpens int64
+	}
+	run := func() replay {
+		topo := startChaosTopology(t, Config{
+			BreakerThreshold: 1 << 20,
+			BreakerCooldown:  time.Hour,
+			HealthInterval:   time.Second,
+		})
+		for i := 0; i < 48; i++ {
+			body, err := json.Marshal(workload.RequestSet(60, 2, int64(i+1), 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, out := postJSON(t, topo.url, body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, out)
+			}
+		}
+		events := topo.tripper.Events()
+		h := sha256.New()
+		for _, e := range events {
+			fmt.Fprintf(h, "%016x|%d|%s\n", e.Key, e.Attempt, e.Kind)
+		}
+		r := topo.router.router
+		out := replay{
+			digest:    hex.EncodeToString(h.Sum(nil)),
+			events:    len(events),
+			faults:    topo.tripper.Counts(),
+			retries:   r.retries.Load(),
+			failovers: r.failovers.Load(),
+			degraded:  r.degraded.Load(),
+			hedges:    r.hedges.Load(),
+		}
+		for _, b := range r.backends {
+			out.breakerOpens += b.breaker.Opens()
+		}
+		return out
+	}
+	first, second := run(), run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("same seed diverged:\n%+v\n%+v", first, second)
+	}
+	if first.events == 0 || first.retries == 0 {
+		t.Fatalf("no faults reached the router: %+v", first)
+	}
+	t.Logf("%d events %v, %d retries, %d failovers, %d degraded", first.events, first.faults, first.retries, first.failovers, first.degraded)
+}
+
+// TestRouterKillRevive hard-kills a backend mid-run and revives it: six
+// clients send 120 requests over six n=60 instances; after 40
+// completions backend 0, the owner of the first instance, is
+// blackholed and drained, and after 80 it comes back on its address.
+// Every request must answer 200 with the single-process bytes, and the
+// survivor must answer some of the victim's keys: a router that never
+// fails over would plan them locally instead.
+func TestRouterKillRevive(t *testing.T) {
+	const (
+		requests = 120
+		clients  = 6
+		variants = 6
+	)
+	topo := startChaosTopology(t, Config{
+		BreakerThreshold: 3,
+		BreakerCooldown:  300 * time.Millisecond,
+		HealthInterval:   50 * time.Millisecond,
+	})
+	planner, err := DefaultPlanner("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, opts := plancache.Identity(planner)
+	bodies := make([][]byte, variants)
+	want := make([][]byte, variants)
+	owner := make([]string, variants)
+	for v := range bodies {
+		in := workload.RequestSet(60, 2, int64(v+1), 100)
+		if bodies[v], err = json.Marshal(in); err != nil {
+			t.Fatal(err)
+		}
+		want[v] = wantBytes(t, in)
+		owner[v] = topo.router.router.rank(plancache.KeyOf(name, opts, in))[0].host
+	}
+	victim, survivor := 0, 1
+	if topo.backends[0].Addr() != owner[0] {
+		victim, survivor = 1, 0
+	}
+	victimAddr, survivorAddr := topo.backends[victim].Addr(), topo.backends[survivor].Addr()
+
+	// Clients record outcomes only; the checks run once they are done.
+	codes := make([]int, requests)
+	same := make([]bool, requests)
+	answeredBy := make([]string, requests)
+	var next, done atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < requests; i = int(next.Add(1)) - 1 {
+				v := i % variants
+				resp, err := http.Post(topo.url, "application/json", bytes.NewReader(bodies[v]))
+				if err == nil {
+					body, rerr := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if rerr == nil {
+						codes[i], same[i] = resp.StatusCode, bytes.Equal(body, want[v])
+						answeredBy[i] = resp.Header.Get("X-Plan-Backend")
+					}
+				}
+				done.Add(1)
+			}
+		}()
+	}
+	for done.Load() < requests/3 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	topo.tripper.Blackhole(victimAddr, true)
+	killedAt := done.Load()
+	topo.stops[victim]()
+	for done.Load() < 2*requests/3 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	startBackend(t, Config{Addr: victimAddr})
+	topo.tripper.Blackhole(victimAddr, false)
+	wg.Wait()
+
+	failedOver := 0
+	for i := range codes {
+		if codes[i] != http.StatusOK || !same[i] {
+			t.Errorf("request %d: status %d, byte-identical %v; want 200 and the single-process bytes", i, codes[i], same[i])
+		}
+		if owner[i%variants] == victimAddr && answeredBy[i] == survivorAddr {
+			failedOver++
+		}
+	}
+	if killedAt >= 2*requests/3 {
+		t.Errorf("the kill landed after %d completions, past the revival at %d", killedAt, 2*requests/3)
+	}
+	if failedOver == 0 {
+		t.Error("the survivor answered none of the victim's requests")
+	}
+	r := topo.router.router
+	t.Logf("killed at %d completions; %d of the victim's requests failed over; %d retries, %d failovers, %d degraded, %d breaker opens",
+		killedAt, failedOver, r.retries.Load(), r.failovers.Load(), r.degraded.Load(),
+		r.backends[0].breaker.Opens()+r.backends[1].breaker.Opens())
 }
 
 // TestRouterDegradedLocalFallback points the router at two dead

@@ -150,11 +150,11 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// HedgeQuantile, when > 0 (e.g. 0.99), hedges a second request to
 	// the next-ranked backend once the first attempt has outlived that
-	// latency quantile. 0 disables hedging (the chaos drill's
-	// deterministic mode requires it off).
+	// latency quantile. 0 disables hedging (a seeded fault replay
+	// requires it off: hedge delays follow the wall clock).
 	HedgeQuantile float64
-	// Transport overrides the router's backend transport — the chaos
-	// drill injects resilience.NewChaosTripper here. nil means
+	// Transport overrides the router's backend transport — the router
+	// tests install a fault-injecting transport here. nil means
 	// http.DefaultTransport. Health probes always use a plain
 	// transport so injected faults cannot flap health verdicts.
 	Transport http.RoundTripper
@@ -284,9 +284,6 @@ func (s *Server) Addr() string {
 	a, _ := s.addr.Load().(string)
 	return a
 }
-
-// Draining reports whether the server has begun a graceful drain.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close releases background resources (the router's health loop).
 // Idempotent and safe on a non-router server; ListenAndServe calls it

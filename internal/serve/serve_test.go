@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -374,52 +375,97 @@ func TestPlanDeadline504(t *testing.T) {
 	}
 }
 
-// TestGracefulDrainSIGTERM is the drain acceptance test: with a request
+// TestGracefulDrainSIGTERM is the drain acceptance test: with requests
 // pinned in flight, SIGTERM must flip /readyz (and its /healthz alias)
 // and new /v1 requests to 503 — while /livez stays 200, since the
-// process is still alive — the in-flight request runs to a normal 200,
-// and ListenAndServe must return nil: zero dropped in-flight requests.
+// process is still alive — every in-flight request runs to a normal
+// 200 carrying its schedule's bytes, and ListenAndServe must return
+// nil: zero dropped in-flight requests. It pins one request on two
+// workers, four distinct instances on four workers, and six distinct
+// instances routed through a shard router whose backend holds them:
+// the router is the server that drains.
 func TestGracefulDrainSIGTERM(t *testing.T) {
-	bp := blockingPlanner{started: make(chan struct{}, 1), release: make(chan struct{})}
-	s := New(Config{
+	for _, tc := range []struct {
+		pinned, workers int
+		routed          bool
+	}{{1, 2, false}, {4, 4, false}, {6, 6, true}} {
+		name := fmt.Sprintf("pinned=%d", tc.pinned)
+		if tc.routed {
+			name = "router/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			testGracefulDrain(t, tc.pinned, tc.workers, tc.routed)
+		})
+	}
+}
+
+func testGracefulDrain(t *testing.T, pinned, workers int, routed bool) {
+	bp := blockingPlanner{started: make(chan struct{}, pinned), release: make(chan struct{})}
+	cfg := Config{
 		Addr:         "127.0.0.1:0",
-		Workers:      2,
+		Workers:      workers,
 		DrainTimeout: 20 * time.Second,
 		NewPlanner:   func(string, *core.Options) (core.Planner, error) { return bp, nil },
-	})
+	}
+	// Routed, the blocking planner runs on the backend, and the router
+	// keeps the default planner: a request the router failed to route
+	// would plan locally, never signal bp.started, and carry no
+	// X-Plan-Backend header.
+	wantBackend := ""
+	if routed {
+		b := startBackend(t, cfg)
+		wantBackend = b.Addr()
+		cfg = Config{Addr: "127.0.0.1:0", Shards: []string{wantBackend},
+			HealthInterval: 20 * time.Millisecond, DrainTimeout: 20 * time.Second}
+	}
+	s := New(cfg)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
 	defer stop()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.ListenAndServe(ctx) }()
 	waitFor(t, func() bool { return s.Addr() != "" })
+	if routed {
+		waitFor(t, func() bool { return s.router.healthyCount() == 1 })
+	}
 	base := "http://" + s.Addr()
 
-	// Pin one request in flight.
-	body, _ := json.Marshal(testInstance(30, 2, 6))
-	inflight := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader(body))
-		if err != nil {
-			inflight <- -1
-			return
+	// Pin the requests in flight, each on its own instance.
+	type answer struct {
+		i, code int
+		backend string
+		body    []byte
+	}
+	inflight := make(chan answer, pinned)
+	instances := make([]*core.Instance, pinned)
+	for i := range instances {
+		instances[i] = testInstance(30+i, 2, int64(6+i))
+		body, _ := json.Marshal(instances[i])
+		go func() {
+			resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader(body))
+			if err != nil {
+				inflight <- answer{i: i, code: -1}
+				return
+			}
+			defer resp.Body.Close()
+			out, _ := io.ReadAll(resp.Body)
+			inflight <- answer{i, resp.StatusCode, resp.Header.Get("X-Plan-Backend"), out}
+		}()
+	}
+	for i := 0; i < pinned; i++ {
+		select {
+		case <-bp.started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d in-flight plans started", i, pinned)
 		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		inflight <- resp.StatusCode
-	}()
-	select {
-	case <-bp.started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight plan never started")
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, s.Draining)
+	waitFor(t, s.draining.Load)
 
-	// New work is refused while the in-flight request still runs:
+	// New work is refused while the in-flight requests still run:
 	// readiness (and its legacy /healthz alias) reports 503, but the
 	// process is still live for the orchestrator.
 	for route, want := range map[string]int{
@@ -436,20 +482,28 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 			t.Fatalf("draining %s = %d, want %d", route, resp.StatusCode, want)
 		}
 	}
+	body, _ := json.Marshal(testInstance(29, 2, 5))
 	resp, out := postJSON(t, base+"/v1/plan", body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining /v1/plan = %d, want 503 (%s)", resp.StatusCode, out)
 	}
 
-	// Release the pinned request: it must finish with a clean 200.
+	// Release the pinned requests: each must finish with a clean 200
+	// and its schedule's bytes.
 	close(bp.release)
-	select {
-	case code := <-inflight:
-		if code != http.StatusOK {
-			t.Fatalf("in-flight request finished with %d, want 200", code)
+	for i := 0; i < pinned; i++ {
+		select {
+		case a := <-inflight:
+			if a.code != http.StatusOK || a.backend != wantBackend {
+				t.Fatalf("in-flight request %d finished with %d from backend %q, want 200 from %q",
+					a.i, a.code, a.backend, wantBackend)
+			}
+			if !bytes.Equal(a.body, wantBytes(t, instances[a.i])) {
+				t.Fatalf("in-flight request %d: schedule bytes differ from the single-process encoding", a.i)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%d of %d in-flight requests finished", i, pinned)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("in-flight request never finished")
 	}
 	select {
 	case err := <-serveDone:

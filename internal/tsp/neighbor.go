@@ -183,11 +183,13 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 	cnt := make([]int32, n)
 	var d2 [k]float64
 	var buf []int
+	// A NaN or infinite coordinate makes maxR or the radius non-finite,
+	// where radius > maxR never holds; the search then stops at once.
 	for u := range n {
 		radius := r
 		for {
 			buf = grid.NeighborsOf(u, radius, buf)
-			if len(buf) >= k || radius > maxR {
+			if len(buf) >= k || radius > maxR || !geom.Finite(radius) || !geom.Finite(maxR) {
 				break
 			}
 			radius *= 2

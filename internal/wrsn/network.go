@@ -75,25 +75,25 @@ func (nw *Network) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidNetwork, fmt.Sprintf(format, args...))
 	}
-	if !finitePoint(nw.Base) {
+	if !nw.Base.Finite() {
 		return bad("base position %v is not finite", nw.Base)
 	}
-	if !finitePoint(nw.Depot) {
+	if !nw.Depot.Finite() {
 		return bad("depot position %v is not finite", nw.Depot)
 	}
-	if !finitePoint(nw.Field.Min) || !finitePoint(nw.Field.Max) {
+	if !nw.Field.Min.Finite() || !nw.Field.Max.Finite() {
 		return bad("field %v is not finite", nw.Field)
 	}
-	if nw.TxRange <= 0 || !finite(nw.TxRange) {
+	if nw.TxRange <= 0 || !geom.Finite(nw.TxRange) {
 		return bad("tx range = %v, want finite > 0", nw.TxRange)
 	}
-	if nw.Gamma < 0 || !finite(nw.Gamma) {
+	if nw.Gamma < 0 || !geom.Finite(nw.Gamma) {
 		return bad("gamma = %v, want finite >= 0", nw.Gamma)
 	}
-	if nw.ChargeRate <= 0 || !finite(nw.ChargeRate) {
+	if nw.ChargeRate <= 0 || !geom.Finite(nw.ChargeRate) {
 		return bad("charge rate = %v, want finite > 0", nw.ChargeRate)
 	}
-	if nw.Speed <= 0 || !finite(nw.Speed) {
+	if nw.Speed <= 0 || !geom.Finite(nw.Speed) {
 		return bad("speed = %v, want finite > 0", nw.Speed)
 	}
 	if err := nw.Radio.Validate(); err != nil {
@@ -109,10 +109,10 @@ func (nw *Network) Validate() error {
 		if s.ID != i {
 			return bad("sensor %d has ID %d, want IDs to match indices", i, s.ID)
 		}
-		if !finitePoint(s.Pos) {
+		if !s.Pos.Finite() {
 			return bad("sensor %d position %v is not finite", i, s.Pos)
 		}
-		if s.DataRate < 0 || !finite(s.DataRate) {
+		if s.DataRate < 0 || !geom.Finite(s.DataRate) {
 			return bad("sensor %d data rate = %v, want finite >= 0", i, s.DataRate)
 		}
 		if err := s.Battery.Validate(); err != nil {
@@ -121,10 +121,6 @@ func (nw *Network) Validate() error {
 	}
 	return nil
 }
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func finitePoint(p geom.Point) bool { return finite(p.X) && finite(p.Y) }
 
 // Positions returns all sensor locations in ID order.
 func (nw *Network) Positions() []geom.Point {
