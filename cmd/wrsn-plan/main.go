@@ -204,14 +204,20 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 	for ki, tour := range s.Tours {
 		fmt.Printf("  charger %d: %d stops, delay %.2f h\n", ki+1, len(tour.Stops), tour.Delay/3600)
 	}
-	if viol := len(repro.VerifyScheme(in, s)); viol != 0 {
+	tracer := obs.FromContext(ctx)
+	sp := tracer.Start(obs.StageVerify)
+	viol := len(repro.VerifyScheme(in, s))
+	sp.End()
+	if viol != 0 {
 		return fmt.Errorf("%d feasibility violations", viol)
 	}
 	fmt.Println("feasibility: OK (coverage, disjointness, timing, no simultaneous charging)")
 
 	// Quality report: a provable lower bound on the optimum and the
 	// instance's theoretical approximation guarantee (Theorem 1).
+	sp = tracer.Start(obs.StageLowerBound)
 	lb := repro.ComputeLowerBound(in)
+	sp.End()
 	if lb.Value > 0 {
 		fmt.Printf("lower bound on optimum:   %.2f h (farthest %.2f, packing %.2f+%.2f over %d packed)\n",
 			lb.Value/3600, lb.Farthest/3600, lb.PackingWork/3600, lb.PackingTravel/3600, lb.PackingSize)

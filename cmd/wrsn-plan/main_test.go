@@ -13,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/export"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -44,6 +45,25 @@ func TestRunSingleAndCompare(t *testing.T) {
 	}
 	if err := run(context.Background(), 40, 2, "", 1, 100, repro.ApproOptions{}, "", "", true, false, ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunTracesTheCheck runs text mode under a tracer: the plan's check
+// is reported under the verify and lowerbound stages, once each.
+func TestRunTracesTheCheck(t *testing.T) {
+	tracer := repro.NewTracer()
+	ctx := repro.WithTracer(context.Background(), tracer)
+	if err := run(ctx, 60, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, st := range tracer.Report().Stages {
+		counts[st.Name] = st.Count
+	}
+	for _, stage := range []string{obs.StageVerify, obs.StageLowerBound} {
+		if counts[stage] != 1 {
+			t.Errorf("stage %q recorded %d times, want 1 (stages %v)", stage, counts[stage], counts)
+		}
 	}
 }
 

@@ -78,7 +78,8 @@ func main() {
 		if len(cfg.Shards) > 0 {
 			log.Printf("wrsn-serve: routing on %s across %d shards", s.Addr(), len(cfg.Shards))
 		} else {
-			log.Printf("wrsn-serve: listening on %s (workers=%d queue=%d)", s.Addr(), *workers, *queue)
+			w, q := s.PoolSize()
+			log.Printf("wrsn-serve: listening on %s (workers=%d queue=%d)", s.Addr(), w, q)
 		}
 	}()
 	if err := s.ListenAndServe(ctx); err != nil {

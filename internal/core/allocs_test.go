@@ -34,3 +34,30 @@ func TestApproAllocationCeiling(t *testing.T) {
 		t.Errorf("Appro made %.0f allocations per plan at n=1200, K=2; the ceiling is %.0f", allocs, approAllocCeiling)
 	}
 }
+
+// verifyAllocs is the measured allocation count of one Verify of the plan
+// below, on the same instance as approAllocs (1,153 when every stop built
+// its cover set before any pair was tested). A feasible plan needs no
+// cover set, so a count that grows with the stops fails here.
+const verifyAllocs = 12
+
+func TestVerifyAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	in := paperInstance(rand.New(rand.NewSource(1)), 1200, 2)
+	s, err := (ApproPlanner{}).Plan(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if v := Verify(in, s); len(v) != 0 {
+			t.Fatalf("%d violations, first %v", len(v), v[0])
+		}
+	})
+	const ceiling = 1.25 * verifyAllocs
+	t.Logf("%.0f allocations per Verify (ceiling %.0f)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("Verify made %.0f allocations at n=1200, K=2; the ceiling is %.0f", allocs, ceiling)
+	}
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -211,49 +211,68 @@ func Verify(in *Instance, s *Schedule) []Violation {
 //
 // Two stops that share a sensor lie within 2*gamma of each other, so a
 // grid over the stop positions narrows each stop's partners to its
-// neighbors at geom.PairRadius(2*gamma), visited in ascending order; the
-// tour, interval and cover tests alone decide.
+// neighbors at geom.PairRadius(2*gamma); the tour, interval and cover
+// tests alone decide. The tour and interval tests come first, and a
+// feasible plan leaves few pairs past them, so only the partners that
+// pass are sorted, and a stop's cover set (the requests within gamma of
+// it, over a request grid built on first use) is built only when one of
+// its pairs reaches the cover test.
 func overlapViolations(in *Instance, s *Schedule) []Violation {
-	var out []Violation
 	type flatStop struct {
-		tour  int
-		stop  Stop
-		cover []int
+		tour int
+		stop *Stop
 	}
-	grid := geom.NewGrid(in.Positions(), in.Gamma)
-	var flat []flatStop
-	var pos []geom.Point
+	n := 0
+	for _, tour := range s.Tours {
+		n += len(tour.Stops)
+	}
+	flat := make([]flatStop, 0, n)
+	pos := make([]geom.Point, 0, n)
 	for k, tour := range s.Tours {
-		for _, stop := range tour.Stops {
+		for si := range tour.Stops {
+			stop := &tour.Stops[si]
 			if stop.Node < 0 || stop.Node >= len(in.Requests) {
 				continue
 			}
-			p := in.Requests[stop.Node].Pos
-			cs := grid.Neighbors(p, in.Gamma, nil)
-			sort.Ints(cs)
-			flat = append(flat, flatStop{tour: k, stop: stop, cover: cs})
-			pos = append(pos, p)
+			flat = append(flat, flatStop{tour: k, stop: stop})
+			pos = append(pos, in.Requests[stop.Node].Pos)
 		}
+	}
+	var requests *geom.Grid
+	var covers [][]int
+	cover := func(i int) []int {
+		if covers == nil {
+			requests = geom.NewGrid(in.Positions(), in.Gamma)
+			covers = make([][]int, len(flat))
+		}
+		if covers[i] == nil {
+			covers[i] = requests.Neighbors(pos[i], in.Gamma, nil)
+			slices.Sort(covers[i])
+		}
+		return covers[i]
 	}
 	reach := geom.PairRadius(2 * in.Gamma)
 	stops := geom.NewGrid(pos, reach)
 	const eps = 1e-9
+	var out []Violation
 	var near []int
-	for i := range flat {
+	for i, a := range flat {
 		near = stops.Neighbors(pos[i], reach, near)
-		sort.Ints(near)
+		contested := near[:0]
 		for _, j := range near {
-			if j <= i {
-				continue
-			}
-			a, b := flat[i], flat[j]
-			if a.tour == b.tour {
-				continue // a single charger cannot overlap itself
+			b := flat[j]
+			if j <= i || a.tour == b.tour {
+				continue // each pair once; a single charger cannot overlap itself
 			}
 			if a.stop.Arrive >= b.stop.Finish()-eps || b.stop.Arrive >= a.stop.Finish()-eps {
 				continue // disjoint time intervals
 			}
-			if !intersectsSorted(a.cover, b.cover) {
+			contested = append(contested, j)
+		}
+		slices.Sort(contested)
+		for _, j := range contested {
+			b := flat[j]
+			if !intersectsSorted(cover(i), cover(j)) {
 				continue
 			}
 			out = append(out, Violation{

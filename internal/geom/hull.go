@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ConvexHull returns the convex hull of pts in counter-clockwise order
 // (Andrew's monotone chain, O(n log n)). Collinear boundary points are
@@ -12,11 +15,11 @@ func ConvexHull(pts []Point) []Point {
 		return nil
 	}
 	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
+	slices.SortFunc(sorted, func(a, b Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		return sorted[i].Y < sorted[j].Y
+		return cmp.Compare(a.Y, b.Y)
 	})
 	// Dedupe.
 	uniq := sorted[:1]

@@ -26,8 +26,6 @@ package lowerbound
 import (
 	"math"
 
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mst"
@@ -111,38 +109,72 @@ func Compute(in *core.Instance) Bound {
 }
 
 // pack returns the greedy max-weight 2*gamma packing: requests scanned by
-// decreasing duration (stable), each kept when it lies farther than
-// 2*gamma from everything kept so far. Only a kept request within 2*gamma
-// can reject a candidate, so a grid over all requests, queried at
-// geom.PairRadius(2*gamma), narrows the comparisons to the candidate's
-// neighbors; the distance predicate alone decides, so the packing is
-// exactly the all-pairs scan's.
+// decreasing duration, ties by ascending index, each kept when it lies
+// farther than 2*gamma from everything kept so far. Each kept request
+// marks its neighbours within 2*gamma blocked, and a request is kept
+// exactly when it is not blocked. That is the all-pairs scan's rule read
+// from the other end of each pair: geom.Dist is symmetric bit for bit, and
+// a grid over all requests, queried at geom.PairRadius(2*gamma), finds
+// every pair the predicate accepts, so only the distance predicate
+// decides. The grid is queried once per kept request, not per candidate.
 func pack(in *core.Instance) []int {
-	order := make([]int, len(in.Requests))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, c int) bool {
-		return in.Requests[order[a]].Duration > in.Requests[order[c]].Duration
-	})
 	pos := in.Positions()
 	reach := geom.PairRadius(2 * in.Gamma)
 	grid := geom.NewGrid(pos, reach)
-	kept := make([]bool, len(pos))
+	blocked := make([]bool, len(pos))
 	var packed, near []int
-	for _, i := range order {
-		near = grid.Neighbors(pos[i], reach, near)
-		ok := true
-		for _, j := range near {
-			if kept[j] && geom.Dist(pos[i], pos[j]) <= 2*in.Gamma {
-				ok = false
-				break
-			}
+	for _, i := range durationOrder(in.Requests) {
+		if blocked[i] {
+			continue
 		}
-		if ok {
-			kept[i] = true
-			packed = append(packed, i)
+		packed = append(packed, int(i))
+		near = grid.Neighbors(pos[i], reach, near)
+		for _, j := range near {
+			if geom.Dist(pos[i], pos[j]) <= 2*in.Gamma {
+				blocked[j] = true
+			}
 		}
 	}
 	return packed
+}
+
+// durationOrder returns the request indices by decreasing duration, ties
+// by ascending index: the order of a stable sort on duration. It is an
+// LSD radix sort, one byte a pass, on the inverted bits of each duration;
+// radix passes are stable, so equal keys keep their index order, and a
+// pass whose byte is the same in every key is skipped. A valid duration is
+// finite and not below zero, so its bits order like its value, except -0:
+// its sign bit would sort it apart from +0, which it equals, and adding +0
+// turns it into +0.
+func durationOrder(reqs []core.Request) []int32 {
+	n := len(reqs)
+	key, idx := make([]uint64, 2*n), make([]int32, 2*n)
+	src, dst := key[:n], key[n:]
+	srcIdx, dstIdx := idx[:n], idx[n:]
+	var count [8][256]int
+	for i, r := range reqs {
+		k := ^math.Float64bits(r.Duration + 0)
+		src[i], srcIdx[i] = k, int32(i)
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		if n == 0 || c[byte(src[0]>>(8*d))] == n {
+			continue
+		}
+		sum := 0
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for j, k := range src {
+			b := byte(k >> (8 * d))
+			dst[c[b]], dstIdx[c[b]] = k, srcIdx[j]
+			c[b]++
+		}
+		src, dst = dst, src
+		srcIdx, dstIdx = dstIdx, srcIdx
+	}
+	return srcIdx
 }

@@ -354,6 +354,27 @@ func TestComputeMatchesQuadraticReference(t *testing.T) {
 	}
 	cases = append(cases, tc{"near-collinear", nearLine})
 
+	// Ties: with every duration equal the walk is the index order, and
+	// -0 ties with +0 (-0 == +0) though their bits differ.
+	equal := uniform(300, 60, 2.7)
+	for i := range equal.Requests {
+		equal.Requests[i].Duration = 3600
+	}
+	zeros := uniform(300, 60, 2.7)
+	for i := range zeros.Requests {
+		zeros.Requests[i].Duration = []float64{math.Copysign(0, -1), 0, 1800, 3600}[rng.Intn(4)]
+	}
+	latticeEqual := &core.Instance{Depot: geom.Pt(0, 0), Gamma: 2.7, Speed: 1, K: 2}
+	for x := 0; x < 15; x++ {
+		for y := 0; y < 15; y++ {
+			latticeEqual.Requests = append(latticeEqual.Requests, core.Request{
+				Pos: geom.Pt(float64(x)*2*2.7, float64(y)*2*2.7), Duration: 3600,
+			})
+		}
+	}
+	cases = append(cases, tc{"equal-durations", equal}, tc{"signed-zero-durations", zeros},
+		tc{"lattice-2gamma-equal-durations", latticeEqual})
+
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, wantPacked := computeReference(c.in)
@@ -369,6 +390,44 @@ func TestComputeMatchesQuadraticReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzPackMatchesQuadratic compares pack with the all-pairs packing,
+// order included, on random, exact-2*gamma lattice and coincident
+// geometry. Durations come from a small set that holds both signed
+// zeros, so ties decide much of the order.
+func FuzzPackMatchesQuadratic(f *testing.F) {
+	f.Add(int64(1), uint8(120), 2.7, uint8(0))
+	f.Add(int64(2), uint8(200), 1.0, uint8(1))
+	f.Add(int64(3), uint8(150), 2.7, uint8(2))
+	f.Add(int64(4), uint8(60), 0.0, uint8(2))
+	f.Add(int64(5), uint8(90), 0.3, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, gamma float64, shape uint8) {
+		if !(gamma >= 0 && gamma <= 1e4) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw)
+		side := 2*gamma*math.Sqrt(float64(n)) + 1
+		cols := 1 + int(math.Sqrt(float64(n)))
+		durations := []float64{math.Copysign(0, -1), 0, 1800, 3600, 3600 * (1 + rng.Float64())}
+		in := &core.Instance{Depot: geom.Pt(0, 0), Gamma: gamma, Speed: 1, K: 1}
+		for i := 0; i < n; i++ {
+			p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
+			switch shape % 3 {
+			case 1:
+				p = geom.Pt(float64(i%cols)*2*gamma, float64(i/cols)*2*gamma)
+			case 2:
+				if i > 0 && rng.Intn(4) != 0 {
+					p = in.Requests[rng.Intn(i)].Pos
+				}
+			}
+			in.Requests = append(in.Requests, core.Request{Pos: p, Duration: durations[rng.Intn(len(durations))]})
+		}
+		if got, want := pack(in), packQuadratic(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d gamma=%v shape=%d: packed set differs:\ngot  %v\nwant %v", n, gamma, shape%3, got, want)
+		}
+	})
 }
 
 // TestComputeAllocationBounded guards the near-linear bound against a

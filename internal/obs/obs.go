@@ -13,7 +13,8 @@
 // Stage* constants): the paper's Algorithm Appro records charging-graph,
 // mis, kminmax and insertion; the conflict-aware executor records execute;
 // the simulator records verify around its per-round feasibility checks,
-// and the scaling ladder records verify and lowerbound after each plan.
+// and the scaling ladder and wrsn-plan's text mode record verify and
+// lowerbound around the check of each plan.
 // The planning stage timings therefore partition a plan's runtime: summed,
 // they account for approximately the total planning time.
 package obs

@@ -285,6 +285,12 @@ func (s *Server) Addr() string {
 	return a
 }
 
+// PoolSize returns the planning pool's worker slots and admission-queue
+// depth, after Config's defaults: what the pool runs, not what was asked.
+func (s *Server) PoolSize() (workers, queue int) {
+	return par.Size(s.cfg.Workers), s.cfg.QueueDepth
+}
+
 // Close releases background resources (the router's health loop).
 // Idempotent and safe on a non-router server; ListenAndServe calls it
 // after draining, so only embedders using Handler directly need it.

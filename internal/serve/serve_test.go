@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -309,6 +310,25 @@ func (p blockingPlanner) Plan(ctx context.Context, in *core.Instance) (*core.Sch
 
 // TestPlanSaturation429 drives the admission pool past workers+queue and
 // checks the overflow request is shed with 429 and a Retry-After hint.
+// TestPoolSize checks the sizes wrsn-serve logs at startup: the pool's
+// worker slots and queue depth after Config's defaults, not the raw
+// settings.
+func TestPoolSize(t *testing.T) {
+	for _, c := range []struct {
+		cfg            Config
+		workers, queue int
+	}{
+		{Config{}, runtime.GOMAXPROCS(0), DefaultQueueDepth},
+		{Config{Workers: -2, QueueDepth: -1}, runtime.GOMAXPROCS(0), 0},
+		{Config{Workers: 3, QueueDepth: 5}, 3, 5},
+	} {
+		if w, q := New(c.cfg).PoolSize(); w != c.workers || q != c.queue {
+			t.Errorf("Workers=%d QueueDepth=%d: PoolSize = (%d, %d), want (%d, %d)",
+				c.cfg.Workers, c.cfg.QueueDepth, w, q, c.workers, c.queue)
+		}
+	}
+}
+
 func TestPlanSaturation429(t *testing.T) {
 	bp := blockingPlanner{started: make(chan struct{}, 4), release: make(chan struct{})}
 	s := New(Config{
