@@ -206,10 +206,3 @@ func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point, opts O
 	}
 	return c, nil
 }
-
-// insertStop inserts st at position pos in the tour's stop list.
-func insertStop(t *Tour, pos int, st Stop) {
-	t.Stops = append(t.Stops, Stop{})
-	copy(t.Stops[pos+1:], t.Stops[pos:])
-	t.Stops[pos] = st
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -185,7 +186,7 @@ func approOrderedReference(ctx context.Context, in *Instance, opts Options) (*Sc
 			}
 			pos = len(sched.Tours[k].Stops)
 		}
-		insertStop(&sched.Tours[k], pos, stop)
+		sched.Tours[k].Stops = slices.Insert(sched.Tours[k].Stops, pos, stop)
 		recomputeTourTimes(in, &sched.Tours[k])
 		inTour[hIdx] = k
 		stopPos[hIdx] = [2]int{k, pos}

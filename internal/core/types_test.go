@@ -238,23 +238,6 @@ func TestApproInsertsAfterLatestFinishNeighbor(t *testing.T) {
 	}
 }
 
-func TestInsertStopPositions(t *testing.T) {
-	tour := Tour{Stops: []Stop{{Node: 1}, {Node: 2}}}
-	insertStop(&tour, 1, Stop{Node: 99})
-	got := []int{tour.Stops[0].Node, tour.Stops[1].Node, tour.Stops[2].Node}
-	if got[0] != 1 || got[1] != 99 || got[2] != 2 {
-		t.Errorf("after insert: %v", got)
-	}
-	insertStop(&tour, 0, Stop{Node: 7})
-	if tour.Stops[0].Node != 7 {
-		t.Errorf("insert at head: %v", tour.Stops[0].Node)
-	}
-	insertStop(&tour, len(tour.Stops), Stop{Node: 8})
-	if tour.Stops[len(tour.Stops)-1].Node != 8 {
-		t.Error("insert at tail failed")
-	}
-}
-
 func TestCoverage(t *testing.T) {
 	pts := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0),

@@ -459,3 +459,29 @@ func TestComputeAllocationBounded(t *testing.T) {
 	}
 	t.Logf("Compute allocated %.1f MB at n=%d, %d packed", mb, n, b.PackingSize)
 }
+
+// computeAllocs is the measured allocation count of one Compute on the
+// instance below (249 when every minimum spanning tree built a children
+// list per vertex that Compute never reads). A count that grows with the
+// packed requests fails here.
+const computeAllocs = 60
+
+func TestComputeAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(1))
+	in := &core.Instance{Depot: geom.Pt(50, 50), Gamma: 2.7, Speed: 1, K: 2}
+	for i := 0; i < 1200; i++ {
+		in.Requests = append(in.Requests, core.Request{
+			Pos:      geom.Pt(rng.Float64()*100, rng.Float64()*100),
+			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
+		})
+	}
+	allocs := testing.AllocsPerRun(5, func() { Compute(in) })
+	const ceiling = 1.25 * computeAllocs
+	t.Logf("%.0f allocations per Compute (ceiling %.0f)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("Compute made %.0f allocations at n=1200; the ceiling is %.0f", allocs, ceiling)
+	}
+}

@@ -6,7 +6,6 @@ package mst
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -18,42 +17,57 @@ type Edge struct {
 }
 
 // Tree is a spanning tree (or forest) given as a parent array rooted at
-// Root: Parent[Root] == -1 and Parent[v] is v's parent. Adj holds the
-// children lists for traversal. Weight is the total edge weight.
+// Root: Parent[Root] == -1 and Parent[v] is v's parent, or -1 for the
+// roots of components Root does not reach. Weight is the total edge
+// weight.
 type Tree struct {
 	Root   int
 	Parent []int
-	Adj    [][]int
 	Weight float64
 }
 
 // Len returns the number of vertices in the tree.
 func (t *Tree) Len() int { return len(t.Parent) }
 
-// PreorderDFS returns the vertices of t in depth-first preorder starting at
-// the root, visiting children in ascending index order. This is the walk
-// used by the MST-doubling TSP approximation.
+// PreorderDFS returns the vertices of Root's tree in depth-first preorder
+// starting at the root, visiting children in ascending index order. This
+// is the walk used by the MST-doubling TSP approximation.
 func (t *Tree) PreorderDFS() []int {
-	if t.Len() == 0 {
+	n := t.Len()
+	if n == 0 {
 		return nil
 	}
-	order := make([]int, 0, t.Len())
+	// The children lists in CSR form, by a counting sort of v on
+	// Parent[v]: counts land in off[p+2], their prefix sums make off[p+1]
+	// the start of p's list, and the fill advances it to the end, which
+	// leaves p's children in child[off[p]:off[p+1]]. Scanning v upwards
+	// fills each list in ascending order.
+	off := make([]int, n+2)
+	for _, p := range t.Parent {
+		if p >= 0 {
+			off[p+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	child := make([]int, off[n+1])
+	for v, p := range t.Parent {
+		if p >= 0 {
+			child[off[p+1]] = v
+			off[p+1]++
+		}
+	}
+	order := make([]int, 0, n)
 	// Iterative DFS; push children in reverse so lowest index pops first.
+	// Every vertex has one parent, so none is pushed twice.
 	stack := []int{t.Root}
-	seen := make([]bool, t.Len())
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
 		order = append(order, v)
-		children := t.Adj[v]
-		for i := len(children) - 1; i >= 0; i-- {
-			if !seen[children[i]] {
-				stack = append(stack, children[i])
-			}
+		for i := off[v+1] - 1; i >= off[v]; i-- {
+			stack = append(stack, child[i])
 		}
 	}
 	return order
@@ -109,19 +123,6 @@ func primForest(pts []geom.Point, neighbors func(v int) []int32, root int) ([]in
 		pq.push(primItem{v: next, d: 0})
 	}
 	return parent, total
-}
-
-func buildTree(root int, parent []int, weight float64) *Tree {
-	adj := make([][]int, len(parent))
-	for v, p := range parent {
-		if p >= 0 {
-			adj[p] = append(adj[p], v)
-		}
-	}
-	for _, children := range adj {
-		sort.Ints(children)
-	}
-	return &Tree{Root: root, Parent: parent, Adj: adj, Weight: weight}
 }
 
 type primItem struct {

@@ -48,14 +48,14 @@ func Euclidean(pts []geom.Point, root int) *Tree {
 			}
 		}
 	}
-	return buildTree(root, parent, total)
+	return &Tree{Root: root, Parent: parent, Weight: total}
 }
 
 // FromEdges is the Kruskal reference the Prim kernels are checked
 // against: an MST (or minimum spanning forest, if disconnected) of the
 // n-vertex graph with the given edge list. For a disconnected input only
 // the component containing root becomes the returned tree; other
-// components are absent from Adj and keep Parent -1.
+// components keep Parent -1.
 func FromEdges(n int, edges []Edge, root int) *Tree {
 	if n == 0 || root < 0 || root >= n {
 		return nil
@@ -97,7 +97,7 @@ func FromEdges(n int, edges []Edge, root int) *Tree {
 			}
 		}
 	}
-	return buildTree(root, parent, compWeight)
+	return &Tree{Root: root, Parent: parent, Weight: compWeight}
 }
 
 func TestEuclideanSmall(t *testing.T) {

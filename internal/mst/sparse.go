@@ -48,7 +48,7 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 	parent, total := primForest(pts, neighbors, root)
 	if countComponents(parent) == 1 {
 		// The candidate graph was connected: the forest is the MST.
-		return buildTree(root, parent, total)
+		return &Tree{Root: root, Parent: parent, Weight: total}
 	}
 
 	// Ring-expansion fallback: the candidate graph is disconnected (e.g.
@@ -157,7 +157,7 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 			}
 		}
 	}
-	return buildTree(root, oriented, total)
+	return &Tree{Root: root, Parent: oriented, Weight: total}
 }
 
 // candidateGraph builds the grid and the CSR adjacency of the pruned

@@ -98,11 +98,11 @@ func FuzzPlanCacheKey(f *testing.F) {
 
 		// A warm cache must hit the equal input and miss the mutated one.
 		c := New(4)
-		c.Put(t.Context(), KeyOf("Appro", nil, base), &core.Schedule{})
-		if _, ok := c.Get(t.Context(), KeyOf("Appro", nil, same)); !ok {
+		c.Put(t.Context(), KeyOf("Appro", nil, base), "Appro", []byte("{}"))
+		if _, _, ok := c.Get(t.Context(), KeyOf("Appro", nil, same)); !ok {
 			t.Fatal("equal instance missed the cache")
 		}
-		if _, ok := c.Get(t.Context(), KeyOf("Appro", mutOpts, mutated)); ok {
+		if _, _, ok := c.Get(t.Context(), KeyOf("Appro", mutOpts, mutated)); ok {
 			t.Fatal("mutated input hit the cache")
 		}
 	})

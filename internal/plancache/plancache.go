@@ -1,11 +1,13 @@
-// Package plancache memoizes planner outputs by problem instance, so a
-// repeated plan request — the common case in the planning service's
-// traffic (cmd/wrsn-serve) — skips the plan. The batch tools keep no
-// cache: the evaluation replans every round from fresh residual energies
-// and never plans one request set twice.
+// Package plancache memoizes the planning service's answers by problem
+// instance, so a repeated plan request — the common case in the traffic
+// of cmd/wrsn-serve's /v1/plan — skips the plan and its encoding. The
+// batch tools and /v1/simulate keep no cache: the evaluation replans
+// every round from fresh residual energies and almost never plans one
+// request set twice.
 //
-// A Cache maps an instance key to a stored *core.Schedule. The key is the
-// first 16 bytes of the SHA-256 of a canonical binary encoding of
+// A Cache maps an instance key to one value: the /v1/plan response bytes
+// of the plan and the planner name they were answered under. The key is
+// the first 16 bytes of the SHA-256 of a canonical binary encoding of
 // everything the planners read: the planner's canonical registry name
 // (see Identity — internal/registry panics at init when two planners
 // register one name or an alias shadows one, so keys can never alias
@@ -17,16 +19,15 @@
 // therefore changes the key (see FuzzPlanCacheKey), and SHA-256 makes a
 // crafted instance that shares another's key infeasible.
 //
-// Schedules cross the cache boundary by deep copy in both directions:
-// callers may freely mutate what Get returns (the simulator's executor
-// does), and a schedule mutated after Put does not corrupt the cached
-// value. Eviction is LRU with a bounded entry count.
+// The stored bytes are handed to every caller as they are, shared and
+// read-only, so a hit copies nothing. Eviction is LRU with a bounded
+// entry count.
 //
-// For the planning service an entry also keeps the schedule's response
-// bytes once the service has encoded them (Remember), and the cache keeps
-// a body index: the digest of a raw request, mapped to its entry's key
-// and planner name. A byte-identical repeat of a request is answered from
-// the index (Lookup) without decoding the body.
+// Besides its key, an entry can be found by the digest of one raw
+// request (Index), the body index: a byte-identical repeat of that
+// request is answered by Lookup without decoding the body. A digest
+// leaves the index with its entry, or when the entry is indexed under
+// another digest, so the index never holds more digests than entries.
 //
 // Cache methods are safe for concurrent use and record cache.hits,
 // cache.body_hits, cache.misses, cache.puts and cache.evictions on any
@@ -49,15 +50,13 @@ import (
 )
 
 // DefaultCapacity is the entry bound used when New is given a
-// non-positive capacity; the body index holds at most as many digests.
-// At paper scale (1200 requests, ~430 stops) an entry holds a ~30 KB
-// schedule and, once /v1/plan has answered it, ~88 KB of response bytes,
-// so a full default cache holds ~8 MB. At n=30k an entry is ~0.75 MB
-// plus 2.2 MB, ~190 MB at capacity: a default wrsn-serve that has
-// answered 64 distinct n=30k plans peaks at ~0.39 GB resident, and at
-// ~0.45 GB while it goes on evicting. The bound is sized to that worst
-// case, which is where 256 schedules without response bytes put it;
-// 256 entries with them took the same server to ~1.5 GB.
+// non-positive capacity; the body index holds at most one digest per
+// entry. An entry is one response: ~88 KB at paper scale (1200 requests,
+// ~430 stops), so a full default cache holds ~6 MB, and ~2.2 MB at
+// n=30k, ~140 MB at capacity. A default wrsn-serve that has answered 64
+// distinct n=30k plans peaks at 280–295 MB resident, and at ~330 MB
+// while it goes on evicting (352–380 and 431 MB when an entry also held
+// the schedule). The bound is sized to that worst case.
 const DefaultCapacity = 64
 
 // Key identifies a (planner, options, instance) triple: the first 16
@@ -191,34 +190,30 @@ type Stats struct {
 	Size, Capacity int
 }
 
+// entry is one cached answer: the response bytes and the planner name
+// they were answered under.
 type entry struct {
-	key   Key
-	sched *core.Schedule
-	// body is the schedule's response bytes once Remember has stored
-	// them; nil until then. Shared with every caller it is handed to, so
-	// never modified.
-	body []byte
-}
-
-// indexed is a body-index record: the entry and the planner name that
-// answered a request digest.
-type indexed struct {
-	digest  Digest
 	key     Key
 	planner string
+	// body is shared with every caller it is handed to, so never
+	// modified; Put swaps in a new slice.
+	body []byte
+	// digest is the request digest the body index maps to this entry,
+	// when indexed.
+	digest  Digest
+	indexed bool
 }
 
-// Cache is a bounded LRU of planned schedules with a body index in front
-// of it. The zero value is not usable; call New. All methods are safe for
-// concurrent use and no-ops on a nil receiver, so optional caching costs
-// callers a single nil check.
+// Cache is a bounded LRU of /v1/plan answers, each found by its key and
+// by at most one request digest. The zero value is not usable; call New.
+// All methods are safe for concurrent use and no-ops on a nil receiver,
+// so optional caching costs callers a single nil check.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
+	ll       *list.List // *entry, front = most recently used
 	byKey    map[Key]*list.Element
-	index    *list.List // the body index: *indexed, at most capacity, front = most recently used
-	byDigest map[Digest]*list.Element
+	byDigest map[Digest]*list.Element // the body index
 
 	hits, bodyHits, misses, puts, evictions int64
 }
@@ -233,56 +228,58 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		byKey:    make(map[Key]*list.Element, capacity),
-		index:    list.New(),
 		byDigest: make(map[Digest]*list.Element, capacity),
 	}
 }
 
-// Get returns a deep copy of the schedule cached under key, or
-// (nil, false). It records cache.hits or cache.misses on any tracer in
-// ctx.
-func (c *Cache) Get(ctx context.Context, key Key) (*core.Schedule, bool) {
+// Get returns the response bytes and planner name cached under key,
+// shared and read-only, or ok=false. It records cache.hits or
+// cache.misses on any tracer in ctx.
+func (c *Cache) Get(ctx context.Context, key Key) (body []byte, planner string, ok bool) {
 	if c == nil {
-		return nil, false
+		return nil, "", false
 	}
 	c.mu.Lock()
 	el, ok := c.byKey[key]
-	if !ok {
+	if ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		e := el.Value.(*entry)
+		body, planner = e.body, e.planner
+	} else {
 		c.misses++
-		c.mu.Unlock()
-		obs.FromContext(ctx).Add("cache.misses", 1)
-		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	s := el.Value.(*entry).sched
 	c.mu.Unlock()
-	obs.FromContext(ctx).Add("cache.hits", 1)
-	// A cached schedule is never modified (Put swaps in a new one), so
-	// the copy needs no lock.
-	return Clone(s), true
+	if ok {
+		obs.FromContext(ctx).Add("cache.hits", 1)
+	} else {
+		obs.FromContext(ctx).Add("cache.misses", 1)
+	}
+	return body, planner, ok
 }
 
-// Put stores a deep copy of the schedule under key, evicting the least
-// recently used entry when the cache is full. It records cache.puts (and
-// cache.evictions) on any tracer in ctx.
-func (c *Cache) Put(ctx context.Context, key Key, s *core.Schedule) {
-	if c == nil || s == nil {
+// Put stores body, the response answered under planner, under key,
+// evicting the least recently used entry (and its digest) when the cache
+// is full. The caller must not modify body afterwards. It records
+// cache.puts (and cache.evictions) on any tracer in ctx.
+func (c *Cache) Put(ctx context.Context, key Key, planner string, body []byte) {
+	if c == nil {
 		return
 	}
-	cp := Clone(s)
 	evicted := false
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*entry)
-		e.sched, e.body = cp, nil
+		e.planner, e.body = planner, body
 		c.ll.MoveToFront(el)
 	} else {
-		c.byKey[key] = c.ll.PushFront(&entry{key: key, sched: cp})
+		c.byKey[key] = c.ll.PushFront(&entry{key: key, planner: planner, body: body})
 		if c.ll.Len() > c.capacity {
-			last := c.ll.Back()
-			c.ll.Remove(last)
-			delete(c.byKey, last.Value.(*entry).key)
+			last := c.ll.Remove(c.ll.Back()).(*entry)
+			delete(c.byKey, last.key)
+			if last.indexed {
+				delete(c.byDigest, last.digest)
+			}
 			c.evictions++
 			evicted = true
 		}
@@ -296,12 +293,11 @@ func (c *Cache) Put(ctx context.Context, key Key, s *core.Schedule) {
 	}
 }
 
-// Remember stores body, the encoding of the schedule cached under key, on
-// key's entry, and indexes the request digest d to key and planner (the
-// name the response carries), where Lookup finds both. The caller must not modify body afterwards. The index
-// keeps the capacity most recently used digests. Remember is a no-op
-// when key's entry has been evicted since its Put.
-func (c *Cache) Remember(d Digest, key Key, planner string, body []byte) {
+// Index maps the request digest d to key's entry, where Lookup finds it.
+// The digest replaces the one the entry was indexed under before, and
+// leaves any other entry it indexed. Index is a no-op when key has no
+// entry (it has been evicted since its Put).
+func (c *Cache) Index(d Digest, key Key) {
 	if c == nil {
 		return
 	}
@@ -311,65 +307,42 @@ func (c *Cache) Remember(d Digest, key Key, planner string, body []byte) {
 	if !ok {
 		return
 	}
-	el.Value.(*entry).body = body
-	if iel, ok := c.byDigest[d]; ok {
-		rec := iel.Value.(*indexed)
-		rec.key, rec.planner = key, planner
-		c.index.MoveToFront(iel)
-		return
+	if prev, ok := c.byDigest[d]; ok {
+		prev.Value.(*entry).indexed = false
 	}
-	c.byDigest[d] = c.index.PushFront(&indexed{digest: d, key: key, planner: planner})
-	if c.index.Len() > c.capacity {
-		last := c.index.Back()
-		c.index.Remove(last)
-		delete(c.byDigest, last.Value.(*indexed).digest)
+	e := el.Value.(*entry)
+	if e.indexed {
+		delete(c.byDigest, e.digest)
 	}
+	e.digest, e.indexed = d, true
+	c.byDigest[d] = el
 }
 
-// Lookup returns the response bytes and planner name Remember stored for
-// the request digest d, shared and read-only, or ok=false when d is not
-// indexed or its entry has since been evicted or replaced. A hit records
-// cache.hits and cache.body_hits on any tracer in ctx; a miss records
-// nothing, because the caller goes on to decode the request and look it
-// up by key.
+// Lookup returns the response bytes and planner name of the entry the
+// request digest d is indexed to, shared and read-only, or ok=false. A
+// hit records cache.hits and cache.body_hits on any tracer in ctx; a miss
+// records nothing, because the caller goes on to decode the request and
+// look it up by key.
 func (c *Cache) Lookup(ctx context.Context, d Digest) (body []byte, planner string, ok bool) {
 	if c == nil {
 		return nil, "", false
 	}
 	c.mu.Lock()
-	iel, ok := c.byDigest[d]
-	if !ok {
-		c.mu.Unlock()
-		return nil, "", false
+	el, ok := c.byDigest[d]
+	if ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		c.bodyHits++
+		e := el.Value.(*entry)
+		body, planner = e.body, e.planner
 	}
-	rec := iel.Value.(*indexed)
-	el, ok := c.byKey[rec.key]
-	if !ok || el.Value.(*entry).body == nil {
-		c.index.Remove(iel)
-		delete(c.byDigest, d)
-		c.mu.Unlock()
-		return nil, "", false
-	}
-	c.index.MoveToFront(iel)
-	c.ll.MoveToFront(el)
-	c.hits++
-	c.bodyHits++
-	body, planner = el.Value.(*entry).body, rec.planner
 	c.mu.Unlock()
-	tr := obs.FromContext(ctx)
-	tr.Add("cache.hits", 1)
-	tr.Add("cache.body_hits", 1)
-	return body, planner, true
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
+	if ok {
+		tr := obs.FromContext(ctx)
+		tr.Add("cache.hits", 1)
+		tr.Add("cache.body_hits", 1)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return body, planner, ok
 }
 
 // Stats snapshots the cache counters.
@@ -387,7 +360,9 @@ func (c *Cache) Stats() Stats {
 
 // Clone returns a deep copy of the schedule: no slice is shared with the
 // original, so either side may mutate freely. Nil slices stay nil and
-// empty ones empty.
+// empty ones empty. No serving path copies a schedule since the cache
+// stores response bytes; Clone stays for e2ebench, whose
+// plancache.clone_s layer times it.
 func Clone(s *core.Schedule) *core.Schedule {
 	if s == nil {
 		return nil
@@ -409,46 +384,4 @@ func Clone(s *core.Schedule) *core.Schedule {
 		out.Tours[k] = ct
 	}
 	return out
-}
-
-// cachedPlanner adapts a Planner with read-through caching.
-type cachedPlanner struct {
-	p    core.Planner
-	name string // canonical key name, resolved once by Identity
-	opts *core.Options
-	c    *Cache
-}
-
-// Wrap returns a Planner that consults the cache before delegating to p
-// and stores p's successful results. A nil cache returns p unchanged. The
-// wrapped planner keeps p's Name, so caching is invisible to result
-// tables, and byte-identical to p's output: a hit returns a deep copy of
-// exactly what p produced for the equal instance. Keys use Identity:
-// the canonical registry name plus p's plan-shaping options when it
-// implements Optioned, so planners sharing a name but planning under
-// different options never serve each other's entries.
-func Wrap(p core.Planner, c *Cache) core.Planner {
-	if c == nil {
-		return p
-	}
-	cp := cachedPlanner{p: p, c: c}
-	cp.name, cp.opts = Identity(p)
-	return cp
-}
-
-// Name implements core.Planner.
-func (cp cachedPlanner) Name() string { return cp.p.Name() }
-
-// Plan implements core.Planner with read-through memoization.
-func (cp cachedPlanner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, error) {
-	key := KeyOf(cp.name, cp.opts, in)
-	if s, ok := cp.c.Get(ctx, key); ok {
-		return s, nil
-	}
-	s, err := cp.p.Plan(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	cp.c.Put(ctx, key, s)
-	return s, nil
 }

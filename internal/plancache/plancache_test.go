@@ -1,8 +1,8 @@
 package plancache
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -61,7 +61,8 @@ func TestKeyOfSensitivity(t *testing.T) {
 // bug: the cache used to key on planner name + instance only, so two
 // ApproPlanners sharing the name "Appro" but planning under different
 // core.Options (e.g. MISOrder) aliased to one entry, and the second
-// planner was served the first one's stale schedule.
+// planner was served the first one's stale schedule. The serve package's
+// TestPlanOptionsDoNotAlias checks the same end to end through /v1/plan.
 func TestOptionsNoLongerAlias(t *testing.T) {
 	in := testInstance(30, 9)
 
@@ -96,95 +97,59 @@ func TestOptionsNoLongerAlias(t *testing.T) {
 			t.Errorf("%s: plan-equivalent option set %+v does not share the default key", name, *o)
 		}
 	}
-
-	// End to end through Wrap: each planner gets its own entry and its
-	// warm plan equals its own cold plan, not the other planner's.
-	c := New(8)
-	fast := Wrap(core.ApproPlanner{}, c)
-	tuned := Wrap(core.ApproPlanner{Opts: core.Options{MISOrder: graph.MISMinDegree}}, c)
-	ctx := context.Background()
-	coldFast, err := fast.Plan(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldTuned, err := tuned.Plan(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.Size != 2 {
-		t.Fatalf("two differently-optioned planners should occupy two entries: %+v", st)
-	}
-	warmFast, err := fast.Plan(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmTuned, err := tuned.Plan(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(coldFast, warmFast) {
-		t.Error("default-options planner served a schedule it did not produce")
-	}
-	if !reflect.DeepEqual(coldTuned, warmTuned) {
-		t.Error("tuned planner served a schedule it did not produce")
-	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("warm replans should both hit their own entries: %+v", st)
-	}
 }
 
-func TestCacheRoundTripDeepCopies(t *testing.T) {
+// TestCacheRoundTrip checks that Get hands back the bytes and planner
+// name Put stored, shared rather than copied, that a second Put under a
+// key replaces both, and that one planner's key never hits another's
+// entry.
+func TestCacheRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	c := New(8)
 	in := testInstance(10, 2)
-	s, err := core.ApproPlanner{}.Plan(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
+	key := KeyOf("Appro", nil, in)
+	body := []byte(`{"tours": null}`)
+	c.Put(ctx, key, "Appro", body)
+	got, name, ok := c.Get(ctx, key)
+	if !ok || name != "Appro" || !bytes.Equal(got, body) {
+		t.Fatalf("Get = %q, %q, %v; want the stored bytes and planner", got, name, ok)
 	}
-	c.Put(context.Background(), KeyOf("Appro", nil, in), s)
-	// Mutating the original after Put must not corrupt the cached copy.
-	s.Longest = -1
-	s.Tours[0].Stops[0].Covers[0] = -7
-
-	got, ok := c.Get(context.Background(), KeyOf("Appro", nil, in))
-	if !ok {
-		t.Fatal("expected a hit")
+	if &got[0] != &body[0] {
+		t.Fatal("Get copied the stored bytes")
 	}
-	if got.Longest == -1 || got.Tours[0].Stops[0].Covers[0] == -7 {
-		t.Fatal("cache returned memory shared with the Put schedule")
+	c.Put(ctx, key, "Other", []byte("2"))
+	if got, name, _ := c.Get(ctx, key); string(got) != "2" || name != "Other" {
+		t.Fatalf("after a second Put, Get = %q, %q", got, name)
 	}
-	// Two Gets must not share memory with each other either.
-	again, _ := c.Get(context.Background(), KeyOf("Appro", nil, in))
-	got.Tours[0].Stops[0].Covers[0] = -9
-	if again.Tours[0].Stops[0].Covers[0] == -9 {
-		t.Fatal("two Gets share memory")
-	}
-	if _, ok := c.Get(context.Background(), KeyOf("K-EDF", nil, in)); ok {
+	if _, _, ok := c.Get(ctx, KeyOf("K-EDF", nil, in)); ok {
 		t.Fatal("hit across planner names")
+	}
+	if st := c.Stats(); st.Size != 1 || st.Puts != 2 || st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(3)
 	ctx := context.Background()
-	sched := &core.Schedule{Tours: []core.Tour{{}}}
 	ins := make([]*core.Instance, 5)
 	for i := range ins {
 		ins[i] = testInstance(5, int64(100+i))
 	}
 	for i := 0; i < 3; i++ {
-		c.Put(ctx, KeyOf("p", nil, ins[i]), sched)
+		c.Put(ctx, KeyOf("p", nil, ins[i]), "p", []byte{byte(i)})
 	}
 	// Touch 0 so 1 becomes the LRU victim.
-	if _, ok := c.Get(ctx, KeyOf("p", nil, ins[0])); !ok {
+	if _, _, ok := c.Get(ctx, KeyOf("p", nil, ins[0])); !ok {
 		t.Fatal("expected hit on 0")
 	}
-	c.Put(ctx, KeyOf("p", nil, ins[3]), sched)
-	if _, ok := c.Get(ctx, KeyOf("p", nil, ins[1])); ok {
+	c.Put(ctx, KeyOf("p", nil, ins[3]), "p", []byte{3})
+	if _, _, ok := c.Get(ctx, KeyOf("p", nil, ins[1])); ok {
 		t.Fatal("LRU entry 1 should have been evicted")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(ctx, KeyOf("p", nil, ins[i])); !ok {
-			t.Fatalf("entry %d missing", i)
+		if body, _, ok := c.Get(ctx, KeyOf("p", nil, ins[i])); !ok || !bytes.Equal(body, []byte{byte(i)}) {
+			t.Fatalf("entry %d: Get = %v, %v", i, body, ok)
 		}
 	}
 	st := c.Stats()
@@ -197,81 +162,72 @@ func TestCacheCounters(t *testing.T) {
 	tr := obs.New()
 	ctx := obs.WithTracer(context.Background(), tr)
 	c := New(4)
-	in := testInstance(5, 3)
-	if _, ok := c.Get(ctx, KeyOf("p", nil, in)); ok {
+	key := KeyOf("p", nil, testInstance(5, 3))
+	if _, _, ok := c.Get(ctx, key); ok {
 		t.Fatal("unexpected hit")
 	}
-	c.Put(ctx, KeyOf("p", nil, in), &core.Schedule{})
-	if _, ok := c.Get(ctx, KeyOf("p", nil, in)); !ok {
+	c.Put(ctx, key, "p", []byte("{}"))
+	if _, _, ok := c.Get(ctx, key); !ok {
 		t.Fatal("expected hit")
 	}
+	c.Index(Digest{1}, key)
+	if _, _, ok := c.Lookup(ctx, Digest{1}); !ok {
+		t.Fatal("expected a body-index hit")
+	}
+	if _, _, ok := c.Lookup(ctx, Digest{2}); ok {
+		t.Fatal("unexpected body-index hit")
+	}
 	got := tr.Report().Counters
-	if got["cache.hits"] != 1 || got["cache.misses"] != 1 || got["cache.puts"] != 1 {
+	if got["cache.hits"] != 2 || got["cache.body_hits"] != 1 || got["cache.misses"] != 1 || got["cache.puts"] != 1 {
 		t.Fatalf("tracer counters = %v", got)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	if st.Hits != 2 || st.BodyHits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestNilCacheIsNoOp(t *testing.T) {
 	var c *Cache
-	in := testInstance(3, 4)
-	if _, ok := c.Get(context.Background(), KeyOf("p", nil, in)); ok {
+	ctx := context.Background()
+	key := KeyOf("p", nil, testInstance(3, 4))
+	if _, _, ok := c.Get(ctx, key); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Put(context.Background(), KeyOf("p", nil, in), &core.Schedule{})
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	c.Put(ctx, key, "p", []byte("{}"))
+	c.Index(Digest{1}, key)
+	if _, _, ok := c.Lookup(ctx, Digest{1}); ok {
+		t.Fatal("nil cache body-index hit")
+	}
+	if c.Stats() != (Stats{}) {
 		t.Fatal("nil cache not empty")
 	}
-	p := core.ApproPlanner{}
-	if got := Wrap(p, nil); got != core.Planner(p) {
-		t.Fatal("Wrap(nil cache) should return the planner unchanged")
-	}
 }
 
-// TestWrapByteIdentical is the cache's determinism guarantee: a warm hit
-// returns exactly what the underlying planner produced cold.
-func TestWrapByteIdentical(t *testing.T) {
-	c := New(8)
-	p := Wrap(core.ApproPlanner{}, c)
-	if p.Name() != "Appro" {
-		t.Fatalf("wrapped name = %q", p.Name())
+// checkIndex fails t unless the body index and the entries agree: every
+// indexed digest names an entry indexed under that digest, and every
+// indexed entry is in the index, so the index holds at most one digest
+// per entry.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for d, el := range c.byDigest {
+		if e := el.Value.(*entry); !e.indexed || e.digest != d {
+			t.Fatalf("digest %x names an entry indexed %v under %x", d[:2], e.indexed, e.digest[:2])
+		}
+		if c.byKey[el.Value.(*entry).key] != el {
+			t.Fatalf("digest %x names an evicted entry", d[:2])
+		}
 	}
-	in := testInstance(60, 5)
-	cold, err := p.Plan(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if el.Value.(*entry).indexed {
+			n++
+		}
 	}
-	warm, err := p.Plan(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("warm plan differs from cold plan")
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-type failingPlanner struct{}
-
-func (failingPlanner) Name() string { return "failing" }
-func (failingPlanner) Plan(context.Context, *core.Instance) (*core.Schedule, error) {
-	return nil, errors.New("planner broke")
-}
-
-func TestWrapDoesNotCacheErrors(t *testing.T) {
-	c := New(4)
-	p := Wrap(failingPlanner{}, c)
-	in := testInstance(3, 6)
-	if _, err := p.Plan(context.Background(), in); err == nil {
-		t.Fatal("want error")
-	}
-	if c.Len() != 0 {
-		t.Fatal("error result was cached")
+	if n != len(c.byDigest) {
+		t.Fatalf("%d entries are indexed, the index holds %d digests", n, len(c.byDigest))
 	}
 }
 
@@ -282,24 +238,33 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ctx := context.Background()
 			for i := 0; i < 50; i++ {
-				in := testInstance(4, int64(i%20))
 				name := fmt.Sprintf("p%d", g%3)
-				if s, ok := c.Get(context.Background(), KeyOf(name, nil, in)); ok {
-					if len(s.Tours) != 1 {
-						t.Error("corrupt cached schedule")
+				want := fmt.Sprintf("%s/%d", name, i%20)
+				key := KeyOf(name, nil, testInstance(4, int64(i%20)))
+				d := Digest{byte(g % 3), byte(i % 20)}
+				if body, _, ok := c.Lookup(ctx, d); ok && string(body) != want {
+					t.Errorf("Lookup answered %q, want %q", body, want)
+					return
+				}
+				if body, planner, ok := c.Get(ctx, key); ok {
+					if string(body) != want || planner != name {
+						t.Errorf("Get answered %q under %q, want %q under %q", body, planner, want, name)
 						return
 					}
 				} else {
-					c.Put(context.Background(), KeyOf(name, nil, in), &core.Schedule{Tours: []core.Tour{{}}})
+					c.Put(ctx, key, name, []byte(want))
 				}
+				c.Index(d, key)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.Len())
+	if st := c.Stats(); st.Size > 16 {
+		t.Fatalf("cache exceeded capacity: %d", st.Size)
 	}
+	checkIndex(t, c)
 }
 
 func TestCloneNil(t *testing.T) {
@@ -311,7 +276,7 @@ func TestCloneNil(t *testing.T) {
 // TestCloneKeepsShape checks that Clone keeps nil slices nil and empty
 // ones empty and non-nil (WriteSchedule writes the two differently), and
 // that an append to one stop's Covers in a copy changes neither its
-// neighbours nor the cached entry.
+// neighbours nor the original.
 func TestCloneKeepsShape(t *testing.T) {
 	orig := &core.Schedule{Tours: []core.Tour{
 		{Stops: []core.Stop{{Node: 0, Covers: []int{0, 1}}, {Node: 2, Covers: []int{}}, {Node: 3}, {Node: 4, Covers: []int{4, 5}}}},
@@ -321,11 +286,7 @@ func TestCloneKeepsShape(t *testing.T) {
 	if got := Clone(&core.Schedule{}); got.Tours != nil {
 		t.Fatal("Clone turned nil Tours into an empty slice")
 	}
-	ctx := context.Background()
-	c := New(2)
-	key := KeyOf("p", nil, testInstance(3, 1))
-	c.Put(ctx, key, orig)
-	cp, _ := c.Get(ctx, key)
+	cp := Clone(orig)
 	if !reflect.DeepEqual(cp, orig) { // DeepEqual tells nil from empty
 		t.Fatalf("copy %+v differs from the original %+v", cp, orig)
 	}
@@ -335,15 +296,15 @@ func TestCloneKeepsShape(t *testing.T) {
 	if !reflect.DeepEqual(stops[3].Covers, []int{4, 5}) {
 		t.Fatalf("an append to a neighbour's Covers overwrote stop 3's: %v", stops[3].Covers)
 	}
-	if again, _ := c.Get(ctx, key); !reflect.DeepEqual(again, orig) {
-		t.Fatalf("an append to a copy changed the cached entry: %+v", again)
+	if !reflect.DeepEqual(orig.Tours[0].Stops[0].Covers, []int{0, 1}) || len(orig.Tours[0].Stops[1].Covers) != 0 {
+		t.Fatalf("an append to a copy changed the original: %+v", orig.Tours[0].Stops)
 	}
 }
 
-// TestBodyIndexBounded checks that the body index keeps at most the
-// cache's capacity digests however many requests name one entry, and
-// that a digest misses once its entry is evicted, or once Put has
-// replaced the entry's schedule.
+// TestBodyIndexBounded checks that an entry is indexed under at most one
+// digest however many requests name it, that a digest moves with Index
+// from one entry to another, that it leaves the index with its evicted
+// entry, and that a Put replacing an entry's bytes keeps its digest.
 func TestBodyIndexBounded(t *testing.T) {
 	ctx := context.Background()
 	c := New(2)
@@ -351,59 +312,69 @@ func TestBodyIndexBounded(t *testing.T) {
 	for i := range keys {
 		keys[i] = KeyOf("p", nil, testInstance(5, int64(200+i)))
 	}
-	c.Put(ctx, keys[0], &core.Schedule{})
+	c.Put(ctx, keys[0], "p", []byte("zero"))
 	for i := 0; i < 10; i++ {
-		c.Remember(Digest{0, byte(i)}, keys[0], "p", []byte("zero"))
-		if n := len(c.byDigest); n > 2 || c.index.Len() != n {
-			t.Fatalf("after %d digests the index holds %d (list %d), capacity 2", i+1, n, c.index.Len())
+		c.Index(Digest{0, byte(i)}, keys[0])
+		checkIndex(t, c)
+		if n := len(c.byDigest); n != 1 {
+			t.Fatalf("after %d digests the index holds %d, want the last one", i+1, n)
 		}
 	}
 	if _, _, ok := c.Lookup(ctx, Digest{0, 0}); ok {
-		t.Fatal("the least recently used digest should have left the index")
+		t.Fatal("a digest the entry was indexed under before still hit")
 	}
 	body, name, ok := c.Lookup(ctx, Digest{0, 9})
 	if !ok || string(body) != "zero" || name != "p" {
 		t.Fatalf("Lookup = %q, %q, %v; want the stored bytes and planner", body, name, ok)
 	}
 
-	// Evicting the entry makes its digests miss, and Remember on an
-	// evicted key stores nothing.
-	c.Put(ctx, keys[1], &core.Schedule{})
-	c.Put(ctx, keys[2], &core.Schedule{})
-	if _, _, ok := c.Lookup(ctx, Digest{0, 9}); ok {
-		t.Fatal("a digest whose entry was evicted hit")
-	}
-	c.Remember(Digest{1}, keys[0], "p", []byte("zero"))
-	if _, _, ok := c.Lookup(ctx, Digest{1}); ok {
-		t.Fatal("Remember indexed a digest for an evicted entry")
+	// A digest indexed to another entry moves there, and the entry it
+	// left keeps no digest.
+	c.Put(ctx, keys[1], "q", []byte("one"))
+	c.Index(Digest{0, 9}, keys[1])
+	c.Index(Digest{1}, keys[0])
+	checkIndex(t, c)
+	if body, name, ok := c.Lookup(ctx, Digest{0, 9}); !ok || string(body) != "one" || name != "q" {
+		t.Fatalf("moved digest: Lookup = %q, %q, %v; want entry 1", body, name, ok)
 	}
 
-	// A Put that replaces the schedule drops the stored bytes, so the
-	// digest misses.
-	c.Remember(Digest{2}, keys[2], "p", []byte("two"))
-	c.Put(ctx, keys[2], &core.Schedule{Longest: 7})
-	if _, _, ok := c.Lookup(ctx, Digest{2}); ok {
-		t.Fatal("a digest outlived the schedule its bytes encode")
+	// A Put replacing an entry's bytes keeps its digest.
+	c.Put(ctx, keys[1], "q", []byte("ONE"))
+	if body, _, ok := c.Lookup(ctx, Digest{0, 9}); !ok || string(body) != "ONE" {
+		t.Fatalf("after a second Put, Lookup = %q, %v; want the new bytes", body, ok)
 	}
-	if st := c.Stats(); st.BodyHits != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v, want 1 body hit and 2 entries", st)
+
+	// Evicting an entry takes its digest out of the index, and Index on
+	// an evicted key stores nothing. Entry 0 is now the LRU one.
+	c.Put(ctx, keys[2], "p", []byte("two"))
+	checkIndex(t, c)
+	if _, _, ok := c.Lookup(ctx, Digest{1}); ok {
+		t.Fatal("a digest whose entry was evicted hit")
+	}
+	c.Index(Digest{2}, keys[0])
+	checkIndex(t, c)
+	if _, _, ok := c.Lookup(ctx, Digest{2}); ok {
+		t.Fatal("Index indexed a digest for an evicted entry")
+	}
+	if st := c.Stats(); st.BodyHits != 3 || st.Size != 2 || len(c.byDigest) != 1 {
+		t.Fatalf("stats = %+v with %d digests, want 3 body hits, 2 entries and 1 digest", st, len(c.byDigest))
 	}
 }
 
-// BenchmarkPlanCacheHit measures a warm lookup through Wrap — key hash
-// plus schedule deep copy — which is what a repeated /v1/plan request
-// costs the planning service instead of a cold plan.
+// BenchmarkPlanCacheHit times what a /v1/plan request that decodes to a
+// cached instance costs the cache: the key hash and a Get, which hands
+// back the stored response bytes without copying them.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	in := testInstance(400, 2)
-	planner := Wrap(core.ApproPlanner{}, New(0))
-	if _, err := planner.Plan(context.Background(), in); err != nil {
-		b.Fatal(err) // warm the cache
-	}
+	name, opts := Identity(core.ApproPlanner{})
+	c := New(0)
+	ctx := context.Background()
+	c.Put(ctx, KeyOf(name, opts, in), name, []byte("{}"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(context.Background(), in); err != nil {
-			b.Fatal(err)
+		if _, _, ok := c.Get(ctx, KeyOf(name, opts, in)); !ok {
+			b.Fatal("cache miss")
 		}
 	}
 }

@@ -56,8 +56,8 @@ func BenchmarkServePlan(b *testing.B) {
 // read, one SHA-256 and the stored response. The reformatted case gives
 // each call a body the index has not seen (one more leading space than
 // the call before), so it takes the decode-and-key path: the body read,
-// the decode, validation and the cache key, then a deep copy of the
-// cached schedule and its encoding.
+// one SHA-256, the decode, validation and the cache key, then the same
+// stored response.
 func BenchmarkPlanHit(b *testing.B) {
 	for _, c := range []struct {
 		n, k int

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // bodyCase is one /v1/plan request: a ?planner= value and a body.
@@ -100,8 +103,8 @@ func checkBodyIndex(tb testing.TB, cached, uncached http.Handler, planner string
 // a cache: a repeated request is answered from the body index, and a
 // request written differently from one answered before from the stored
 // bytes of its entry, with the same status, bytes and X-Planner. A 400 is
-// never indexed, but an overflowing plan stays cached, so its second post
-// is still a hit.
+// never cached: an overflowing plan has no bytes, so its second post
+// replans.
 func TestBodyIndexMatchesUncached(t *testing.T) {
 	cached := New(Config{})
 	uncached := New(Config{CacheCapacity: -1})
@@ -114,8 +117,8 @@ func TestBodyIndexMatchesUncached(t *testing.T) {
 			if bodyHits != 0 {
 				t.Errorf("%s: a %d answer was indexed (%d body-index hits)", tc.name, first.Code, bodyHits)
 			}
-			if strings.HasPrefix(tc.name, "overflowing") && hits < 1 {
-				t.Errorf("%s: the second post of an overflowing plan must be a cache hit", tc.name)
+			if strings.HasPrefix(tc.name, "overflowing") && (hits != 0 || after.Puts != before.Puts) {
+				t.Errorf("%s: an overflowing plan was cached: %d hits, %d puts", tc.name, hits, after.Puts-before.Puts)
 			}
 			continue
 		}
@@ -125,6 +128,47 @@ func TestBodyIndexMatchesUncached(t *testing.T) {
 		if c := second.Header().Get("X-Plan-Cache"); c != "hit" || bodyHits != 1 {
 			t.Errorf("%s: second post X-Plan-Cache %q with %d body-index hits, want a hit from the index", tc.name, c, bodyHits)
 		}
+	}
+}
+
+// TestPlanOptionsDoNotAlias posts one instance bare and in an envelope
+// with the min-degree MIS order, which plans it differently, and requires
+// two cache entries, each answering its repeats — byte-identical ones
+// from the body index, a ?planner= spelling through the key — with its
+// own first bytes.
+func TestPlanOptionsDoNotAlias(t *testing.T) {
+	in := testInstance(60, 2, 3)
+	bare, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := json.Marshal(PlanRequest{Instance: in, Options: &core.Options{MISOrder: graph.MISMinDegree}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	h := s.Handler()
+	var firsts [][]byte
+	for _, body := range [][]byte{bare, env} {
+		first := postPlan(h, "", body)
+		if first.Code != http.StatusOK || first.Header().Get("X-Plan-Cache") != "miss" {
+			t.Fatalf("first post: status %d, X-Plan-Cache %q, want 200 and miss", first.Code, first.Header().Get("X-Plan-Cache"))
+		}
+		firsts = append(firsts, first.Body.Bytes())
+	}
+	if bytes.Equal(firsts[0], firsts[1]) {
+		t.Fatal("the two MIS orders plan the instance alike, so the test cannot tell their entries apart")
+	}
+	for i, body := range [][]byte{bare, env} {
+		for _, planner := range []string{"", "appro"} {
+			rec := postPlan(h, planner, body)
+			if rec.Header().Get("X-Plan-Cache") != "hit" || !bytes.Equal(rec.Body.Bytes(), firsts[i]) {
+				t.Errorf("body %d, ?planner=%q: X-Plan-Cache %q, want a hit with the body's own first bytes", i, planner, rec.Header().Get("X-Plan-Cache"))
+			}
+		}
+	}
+	if st := s.cache.Stats(); st.Size != 2 || st.Misses != 2 || st.Hits != 4 || st.BodyHits != 2 {
+		t.Errorf("stats %+v: want two entries, two misses and four hits, two of them from the index", st)
 	}
 }
 

@@ -211,9 +211,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	// A byte-identical repeat of a request answered before — the same
 	// ?planner= value and body bytes — is answered from the plan cache's
-	// body index with the stored response: no decode, validation, key,
-	// copy or encoding. Router mode leaves the index out: a routed
-	// request belongs to its shard's cache.
+	// body index with the stored response: no decode, validation or key.
+	// Router mode leaves the index out: a routed request belongs to its
+	// shard's cache.
 	var digest plancache.Digest
 	indexed := s.cache != nil && s.router == nil
 	if indexed {
@@ -259,52 +259,52 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache lookup runs outside the admission pool: a hit is a key hash
-	// plus a deep copy and should not queue behind a worker slot. Misses
-	// plan under admission control and publish the result for the next
-	// caller. The key identity (canonical registry name + plan-shaping
-	// options) comes from plancache.Identity, so an aliased or lowercased
-	// ?planner= spelling hits the same entries as the canonical one.
+	// and a write of the stored response, and should not queue behind a
+	// worker slot. Misses plan under admission control and publish their
+	// response bytes for the next caller. The key identity (canonical
+	// registry name + plan-shaping options) comes from plancache.Identity,
+	// so an aliased or lowercased ?planner= spelling hits the same entries
+	// as the canonical one.
 	cacheState := "off"
 	var key plancache.Key
-	var sched *core.Schedule
+	var body []byte
+	name := planner.Name()
 	if s.cache != nil {
 		cacheName, opts := plancache.Identity(planner)
 		key = plancache.KeyOf(cacheName, opts, req.Instance)
 		cacheState = "miss"
-		if hit, ok := s.cache.Get(ctx, key); ok {
-			sched, cacheState = hit, "hit"
+		if hit, hitName, ok := s.cache.Get(ctx, key); ok {
+			body, name, cacheState = hit, hitName, "hit"
 		}
 	}
 	start := time.Now()
-	if sched == nil {
+	if cacheState != "hit" {
+		var sched *core.Schedule
 		admitted := s.admit(ctx, w, "plan", func(ctx context.Context) error {
-			out, err := planner.Plan(ctx, req.Instance)
-			if err != nil {
-				return err
-			}
-			s.cache.Put(ctx, key, out)
-			sched = out
-			return nil
+			var err error
+			sched, err = planner.Plan(ctx, req.Instance)
+			return err
 		})
 		if !admitted {
 			return
 		}
+		// The body is the canonical schedule encoding and nothing else —
+		// byte-identical to `wrsn-plan -json` on the same instance. It is
+		// built before any header is written, so a schedule whose times
+		// overflowed to ±Inf is a 400 rather than a 200 with an empty
+		// body; such a plan has no bytes to cache, so its repeat replans.
+		if body, err = export.AppendSchedule(nil, sched); err != nil {
+			s.writeError(w, "plan", http.StatusBadRequest, err.Error())
+			return
+		}
+		s.cache.Put(ctx, key, name, body)
 	}
-
-	// The body is the canonical schedule encoding and nothing else —
-	// byte-identical to `wrsn-plan -json` on the same instance. It is
-	// built before any header is written, so a schedule whose times
-	// overflowed to ±Inf is a 400 rather than a 200 with an empty body;
-	// such a schedule stays cached but is never indexed.
-	body, err := export.AppendSchedule(nil, sched)
-	if err != nil {
-		s.writeError(w, "plan", http.StatusBadRequest, err.Error())
-		return
-	}
+	// A 200 indexes the request digest to its entry, so the next
+	// byte-identical repeat takes the index.
 	if indexed {
-		s.cache.Remember(digest, key, planner.Name(), body)
+		s.cache.Index(digest, key)
 	}
-	s.writePlan(w, body, planner.Name(), cacheState, start)
+	s.writePlan(w, body, name, cacheState, start)
 }
 
 // bodyDigest is the body-index key of a /v1/plan request: the SHA-256 of
@@ -425,9 +425,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.writeError(w, "simulate", http.StatusBadRequest, err.Error())
 		return
-	}
-	if s.cache != nil {
-		planner = plancache.Wrap(planner, s.cache)
 	}
 	days := req.DurationDays
 	if days <= 0 {

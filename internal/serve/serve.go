@@ -40,14 +40,16 @@
 // engine's context plumbing, so a deadline that expires mid-plan aborts
 // the plan, frees the worker, and returns 504.
 //
-// All requests share one plan cache keyed on planner name, plan-shaping
-// options and canonical instance encoding. A request whose ?planner=
-// value and body bytes repeat one answered before is answered by a
-// SHA-256 of those bytes and a lookup in the cache's body index, which
-// writes the stored response without decoding the body. A request that
-// decodes to a cached instance (a reformatted body, another spelling of
-// the planner) costs the decode, the key hash, a deep copy and the
-// encoding. Responses are byte-identical with and without the cache.
+// All /v1/plan requests share one plan cache of response bytes, keyed on
+// planner name, plan-shaping options and canonical instance encoding. A
+// request whose ?planner= value and body bytes repeat one answered
+// before is answered by a SHA-256 of those bytes and a lookup in the
+// cache's body index, which writes the stored response without decoding
+// the body. A request that decodes to a cached instance (a reformatted
+// body, another spelling of the planner) costs the decode and the key
+// hash, then writes the same stored bytes. Responses are byte-identical
+// with and without the cache. /v1/simulate plans every round afresh and
+// leaves the cache alone.
 //
 // Router mode (Config.Shards): instead of planning locally, /v1/plan
 // consistent-hashes the canonical plancache key across backend workers

@@ -165,8 +165,8 @@ var badPlanBodies = []struct {
 	{"trailing bracket", `{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}]}`},
 	{"trailing brace", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1}}}`},
 	// Valid instances whose plan times overflow to +Inf: the schedule
-	// has no JSON encoding. Each is posted twice, so the second answer
-	// comes from the plan cache.
+	// has no JSON encoding. Each is posted twice: a plan without bytes is
+	// not cached, so the second post replans and answers the same 400.
 	{"overflowing durations (miss)", overflowDurations},
 	{"overflowing durations (hit)", overflowDurations},
 	{"overflowing distance (miss)", overflowDistance},
@@ -210,8 +210,8 @@ func TestPlanBadRequests(t *testing.T) {
 			}
 		}
 	}
-	if st := s.cache.Stats(); st.Hits != 2 {
-		t.Errorf("plan cache hits = %d, want 2: the overflowing plans' second posts must be hits", st.Hits)
+	if st := s.cache.Stats(); st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("plan cache hits = %d, puts = %d, want none: a 400 has no bytes to cache", st.Hits, st.Puts)
 	}
 }
 
@@ -678,6 +678,45 @@ func TestSimulateEndpoint(t *testing.T) {
 		if resp, out := postJSON(t, ts.URL+"/v1/simulate", []byte(tc.body)); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, out)
 		}
+	}
+}
+
+// TestSimulateLeavesPlanCache checks that /v1/simulate does not write
+// its rounds into the plan cache: a month-long simulation replans every
+// round from fresh residual energies, and each round would evict a
+// /v1/plan answer that is likely to repeat.
+func TestSimulateLeavesPlanCache(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	bodies := make([][]byte, 10)
+	for i := range bodies {
+		body, err := json.Marshal(testInstance(60, 2, int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := postPlan(h, "", body); rec.Code != http.StatusOK {
+			t.Fatalf("plan %d: status %d (%s)", i, rec.Code, rec.Body.Bytes())
+		}
+		bodies[i] = body
+	}
+	before := s.cache.Stats()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate",
+		strings.NewReader(`{"n":200,"seed":1,"k":2,"duration_days":30}`)))
+	var sr SimulateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusOK || err != nil || sr.Rounds < 2 {
+		t.Fatalf("simulate: status %d, %d rounds (%s)", rec.Code, sr.Rounds, truncate(rec.Body.Bytes()))
+	}
+
+	for i, body := range bodies {
+		if c := postPlan(h, "", body).Header().Get("X-Plan-Cache"); c != "hit" {
+			t.Errorf("plan %d after a %d-round simulation: X-Plan-Cache %q, want hit", i, sr.Rounds, c)
+		}
+	}
+	after := s.cache.Stats()
+	if after.BodyHits-before.BodyHits != 10 || after.Puts != before.Puts || after.Evictions != before.Evictions {
+		t.Errorf("stats %+v after the simulation and the repeats, %+v before: want 10 body-index hits and no put or eviction", after, before)
 	}
 }
 
