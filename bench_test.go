@@ -110,7 +110,7 @@ func BenchmarkApproScaling(b *testing.B) {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.Appro(context.Background(), in, repro.ApproOptions{}); err != nil {
+				if _, err := repro.Appro(context.Background(), in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -121,7 +121,7 @@ func BenchmarkApproScaling(b *testing.B) {
 // BenchmarkVerify measures the independent feasibility verifier.
 func BenchmarkVerify(b *testing.B) {
 	in := benchInstance(400, 2)
-	s, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	s, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func run(ctx context.Context, fig string, opt experiments.Options, csv bool, svg
 			}
 		}
 	case "ablation":
-		for _, id := range []string{experiments.AblationMIS, experiments.AblationInsertion, experiments.AblationDispatch, experiments.AblationPartial, experiments.AblationContender} {
+		for _, id := range []string{experiments.AblationDispatch, experiments.AblationPartial, experiments.AblationContender} {
 			if err := runAblation(ctx, id, opt, csv); err != nil {
 				return err
 			}

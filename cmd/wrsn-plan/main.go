@@ -19,7 +19,6 @@ import (
 
 	"repro"
 	"repro/internal/export"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/workload"
@@ -32,8 +31,6 @@ func main() {
 		name       = flag.String("planner", "Appro", "algorithm: "+strings.Join(repro.PlannerNames(), ", ")+" (case-insensitive, aliases accepted)")
 		seed       = flag.Int64("seed", 1, "request set seed")
 		field      = flag.Float64("field", 100, "side of the square deployment field in meters (scale ~ sqrt(n) to keep the paper's density at large n)")
-		misFlag    = flag.String("mis", "", `MIS strategy for options-capable planners: "max-degree" (default), "min-degree", "lexicographic", "random"`)
-		misSeed    = flag.Int64("mis-seed", 1, `seed for the seeded MIS strategy "random"`)
 		svgPath    = flag.String("svg", "", "write an SVG rendering of the tours to this file")
 		gantt      = flag.String("gantt", "", "write an SVG timeline of charger activity to this file")
 		compare    = flag.Bool("compare", false, "plan with every registered algorithm and compare objectives")
@@ -59,19 +56,13 @@ func main() {
 		ctx = repro.WithTracer(ctx, tracer)
 	}
 
-	opts, err := plannerOptions(*misFlag, *misSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
-		os.Exit(1)
-	}
-
 	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
 		os.Exit(1)
 	}
 
-	err = run(ctx, *n, *k, *name, *seed, *field, opts, *svgPath, *gantt, *compare, *jsonOut, *dumpInst)
+	err = run(ctx, *n, *k, *name, *seed, *field, *svgPath, *gantt, *compare, *jsonOut, *dumpInst)
 	if tracer != nil {
 		if terr := writeTrace(*traceJSON, tracer); terr != nil && err == nil {
 			err = terr
@@ -88,27 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wrsn-plan:", err)
 		os.Exit(1)
 	}
-}
-
-// plannerOptions folds the option flags into core options for the
-// options-capable planners. An empty -mis keeps the planner's default
-// (max-degree for Appro).
-func plannerOptions(mis string, misSeed int64) (repro.ApproOptions, error) {
-	opts := repro.ApproOptions{Seed: misSeed}
-	switch strings.ToLower(mis) {
-	case "":
-	case "max-degree":
-		opts.MISOrder = graph.MISMaxDegree
-	case "min-degree":
-		opts.MISOrder = graph.MISMinDegree
-	case "lexicographic", "lex":
-		opts.MISOrder = graph.MISLexicographic
-	case "random":
-		opts.MISOrder = graph.MISRandom
-	default:
-		return opts, fmt.Errorf("unknown -mis strategy %q", mis)
-	}
-	return opts, nil
 }
 
 // writeTrace dumps the tracer's aggregated report as JSON to the path
@@ -146,7 +116,7 @@ func writeInstance(path string, in *repro.Instance) error {
 	return nil
 }
 
-func run(ctx context.Context, n, k int, name string, seed int64, field float64, opts repro.ApproOptions, svgPath, ganttPath string, compare, jsonOut bool, dumpInst string) error {
+func run(ctx context.Context, n, k int, name string, seed int64, field float64, svgPath, ganttPath string, compare, jsonOut bool, dumpInst string) error {
 	in := workload.RequestSet(n, k, seed, field)
 	if dumpInst != "" {
 		if err := writeInstance(dumpInst, in); err != nil {
@@ -157,7 +127,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 		if compare {
 			return errors.New("-json is incompatible with -compare")
 		}
-		planner, err := repro.NewPlannerWithOptions(name, opts)
+		planner, err := repro.NewPlanner(name)
 		if err != nil {
 			return err
 		}
@@ -191,7 +161,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 		return tb.WriteText(os.Stdout)
 	}
 
-	planner, err := repro.NewPlannerWithOptions(name, opts)
+	planner, err := repro.NewPlanner(name)
 	if err != nil {
 		return err
 	}
@@ -223,9 +193,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 			lb.Value/3600, lb.Farthest/3600, lb.PackingWork/3600, lb.PackingTravel/3600, lb.PackingSize)
 		fmt.Printf("empirical approx factor:  <= %.2f\n", s.Longest/lb.Value)
 	}
-	// Default options deliberately: the guarantee is for the paper's
-	// canonical construction.
-	if ana, err := repro.Analyze(ctx, in, repro.ApproOptions{}); err == nil {
+	if ana, err := repro.Analyze(ctx, in); err == nil {
 		fmt.Printf("theoretical guarantee:    %.1f (Delta_H=%d <= %d, tau_max/tau_min=%.2f, |S_I|=%d, |V'_H|=%d)\n",
 			ana.Ratio, ana.DeltaH, 26, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
 	} else if ctx.Err() != nil {

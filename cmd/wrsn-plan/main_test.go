@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,8 +15,8 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/export"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -40,10 +43,10 @@ func TestBuildInstanceShape(t *testing.T) {
 }
 
 func TestRunSingleAndCompare(t *testing.T) {
-	if err := run(context.Background(), 60, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err != nil {
+	if err := run(context.Background(), 60, 2, "Appro", 1, 100, "", "", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 40, 2, "", 1, 100, repro.ApproOptions{}, "", "", true, false, ""); err != nil {
+	if err := run(context.Background(), 40, 2, "", 1, 100, "", "", true, false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,7 +56,7 @@ func TestRunSingleAndCompare(t *testing.T) {
 func TestRunTracesTheCheck(t *testing.T) {
 	tracer := repro.NewTracer()
 	ctx := repro.WithTracer(context.Background(), tracer)
-	if err := run(ctx, 60, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err != nil {
+	if err := run(ctx, 60, 2, "Appro", 1, 100, "", "", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int64{}
@@ -69,7 +72,7 @@ func TestRunTracesTheCheck(t *testing.T) {
 
 func TestRunWritesSVG(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tours.svg")
-	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, path, "", false, false, ""); err != nil {
+	if err := run(context.Background(), 30, 2, "Appro", 1, 100, path, "", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -81,72 +84,71 @@ func TestRunWritesSVG(t *testing.T) {
 	}
 }
 
-// TestJSONOutputRoundTrip checks the -json / -dump-instance pair: the
-// dumped instance decodes back to exactly the generated one, and -json
-// prints the canonical schedule encoding for it (what a wrsn-serve
-// /v1/plan response body must match byte for byte).
+// TestJSONOutputRoundTrip checks the -json / -dump-instance pair for
+// every registered planner: the dumped instance decodes back to exactly
+// the generated one, and -json prints the bytes wrsn-serve's /v1/plan
+// answers for that instance under ?planner= the same name.
 func TestJSONOutputRoundTrip(t *testing.T) {
-	instPath := filepath.Join(t.TempDir(), "inst.json")
+	srv := serve.New(serve.Config{})
+	for _, name := range repro.PlannerNames() {
+		t.Run(name, func(t *testing.T) {
+			instPath := filepath.Join(t.TempDir(), "inst.json")
 
-	// Capture the schedule JSON that run(-json) writes to stdout.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run(context.Background(), 40, 2, "Appro", 1, 100, repro.ApproOptions{}, "", "", false, true, instPath)
-	w.Close()
-	os.Stdout = old
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+			// Capture the schedule JSON that run(-json) writes to stdout.
+			old := os.Stdout
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			os.Stdout = w
+			runErr := run(context.Background(), 40, 2, name, 1, 100, "", "", false, true, instPath)
+			w.Close()
+			os.Stdout = old
+			got, err := io.ReadAll(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
 
-	// The dumped instance must decode to exactly the generated one.
-	data, err := os.ReadFile(instPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded repro.Instance
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := workload.RequestSet(40, 2, 1, 100)
-	if !reflect.DeepEqual(&decoded, want) {
-		t.Fatal("dumped instance does not round-trip to the generated one")
-	}
+			// The dumped instance must decode to exactly the generated one.
+			data, err := os.ReadFile(instPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded repro.Instance
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&decoded, workload.RequestSet(40, 2, 1, 100)) {
+				t.Fatal("dumped instance does not round-trip to the generated one")
+			}
 
-	// And the stdout JSON must be the canonical encoding of its plan.
-	planner, err := repro.NewPlanner("Appro")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := planner.Plan(context.Background(), &decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantOut bytes.Buffer
-	if err := export.WriteSchedule(&wantOut, s); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantOut.Bytes()) {
-		t.Fatalf("-json output is not the canonical schedule encoding\ngot:  %.120s\nwant: %.120s", got, wantOut.Bytes())
+			// And the stdout JSON must be the service's answer to the
+			// dumped body.
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+				"/v1/plan?planner="+url.QueryEscape(name), bytes.NewReader(data)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/v1/plan: status %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			if !bytes.Equal(got, rec.Body.Bytes()) {
+				t.Fatalf("-json output differs from /v1/plan's answer\ngot:  %.120s\nwant: %.120s", got, rec.Body.Bytes())
+			}
+		})
 	}
 }
 
 func TestRunUnknownPlanner(t *testing.T) {
-	if err := run(context.Background(), 10, 1, "bogus", 1, 100, repro.ApproOptions{}, "", "", false, false, ""); err == nil {
+	if err := run(context.Background(), 10, 1, "bogus", 1, 100, "", "", false, false, ""); err == nil {
 		t.Error("unknown planner accepted")
 	}
 }
 
 func TestRunWritesGantt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gantt.svg")
-	if err := run(context.Background(), 30, 2, "Appro", 1, 100, repro.ApproOptions{}, "", path, false, false, ""); err != nil {
+	if err := run(context.Background(), 30, 2, "Appro", 1, 100, "", path, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

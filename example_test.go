@@ -23,7 +23,7 @@ func ExamplePlanAppro() {
 			{Pos: geom.Pt(-10, 0), Duration: 120},
 		},
 	}
-	sched, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	sched, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func ExampleComputeLowerBound() {
 			{Pos: geom.Pt(30, 40), Duration: 600},
 		},
 	}
-	sched, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	sched, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}

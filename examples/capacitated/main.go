@@ -34,7 +34,7 @@ func main() {
 		})
 	}
 
-	sched, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	sched, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}

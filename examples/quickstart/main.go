@@ -37,7 +37,7 @@ func main() {
 	// Plan with Algorithm Appro. PlanAppro also executes the plan, so the
 	// returned times respect the hard constraint that no sensor is ever
 	// charged by two chargers at once.
-	sched, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	sched, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,6 +26,13 @@
 // index-stable, so equal (instance, Options.Seed) inputs produce
 // byte-identical schedules at any GOMAXPROCS — the same contract as the
 // rest of the engine.
+//
+// core.Options.Seed is the one planner option, and BiLevel is the only
+// planner that reads it: the registry flags it Seeded, and PlanOptions
+// hands the seed to the plan-cache key (plancache.Optioned), so each seed
+// keys its own /v1/plan entry. The service, wrsn-plan and the golden
+// tests plan it under Seed 0 unless a request sets one; the contender
+// ablation runs seeds 1 and 2.
 package bilevel
 
 import (
@@ -48,27 +55,17 @@ const OuterRounds = 8
 
 // Planner is the bi-level metaheuristic as a core.Planner.
 type Planner struct {
-	// Opts tunes the search. Seed drives the outer perturbation.
-	// MISOrder and NoSortByFinishTime are ignored: the stop-set strategy
-	// is the algorithm itself.
+	// Opts tunes the search: Seed drives the outer perturbation.
 	Opts core.Options
 }
 
 // Name implements core.Planner.
 func (Planner) Name() string { return "BiLevel" }
 
-// PlanOptions exposes the options shaping the plans, normalized to the
-// representative the planner actually runs under, for plan-cache keys
-// (plancache.Optioned). MISOrder is reported as graph.MISRandom — the
-// search is inherently seeded — which also keeps Seed inside the cache
-// key (plancache drops Seed for deterministic MIS orders), so two
-// differently-seeded BiLevel planners never alias to one cached entry.
-func (p Planner) PlanOptions() core.Options {
-	o := p.Opts
-	o.MISOrder = graph.MISRandom
-	o.NoSortByFinishTime = false
-	return o
-}
+// PlanOptions exposes the options shaping the plans for plan-cache keys
+// (plancache.Optioned), so two differently-seeded BiLevel planners never
+// alias to one cached entry.
+func (p Planner) PlanOptions() core.Options { return p.Opts }
 
 // Plan implements core.Planner. It honors ctx between and inside rounds
 // (via ktour and the executor's caller) and returns an error wrapping
@@ -118,7 +115,7 @@ func (p Planner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 // jittered-degree perturbation for every later round.
 func candidateSet(gc *graph.Undirected, seed int64, r int) []int {
 	if r == 0 {
-		return graph.MaximalIndependentSet(gc, graph.MISMaxDegree, nil)
+		return graph.MaximalIndependentSet(gc, graph.MISMaxDegree)
 	}
 	rng := rand.New(rand.NewSource(mix(seed, int64(r))))
 	return perturbedMIS(gc, rng)

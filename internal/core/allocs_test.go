@@ -16,8 +16,10 @@ import (
 const approAllocCeiling = 1.25 * approAllocs
 
 // approAllocs is the measured allocation count per plan on the instance
-// below (2,957 before the kernels were made allocation-lean).
-const approAllocs = 1043
+// below (2,957 before the kernels were made allocation-lean, 1,043 before
+// minimum spanning trees dropped their per-vertex children lists, 736
+// while Appro seeded a math/rand source that no MIS order read).
+const approAllocs = 734
 
 func TestApproAllocationCeiling(t *testing.T) {
 	if raceEnabled {

@@ -34,14 +34,13 @@ type Analysis struct {
 // maximum degree of the auxiliary graph H (Lemma 2).
 const LemmaTwoBound = 26 // ceil(8 * pi)
 
-// Analyze computes the approximation-ratio ingredients for the instance
-// under the given options (the same MIS strategy Appro itself would use).
+// Analyze computes the approximation-ratio ingredients for the instance.
 // It is read-only: no schedule is produced. Analyze runs Appro's own steps
 // 1-4, so it honors ctx between those graph stages and records their
 // charging-graph/mis spans when ctx carries an obs.Tracer.
 // Like Appro it analyzes the canonically ordered request set, so its
 // report is invariant under request permutation.
-func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error) {
+func Analyze(ctx context.Context, in *Instance) (*Analysis, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -55,7 +54,7 @@ func Analyze(ctx context.Context, in *Instance, opts Options) (*Analysis, error)
 		out.Ratio = 1
 		return out, nil
 	}
-	c, err := buildCandidates(ctx, in, in.Positions(), opts)
+	c, err := buildCandidates(ctx, in, in.Positions())
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}

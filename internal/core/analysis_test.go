@@ -12,7 +12,7 @@ import (
 
 func TestAnalyzeEmpty(t *testing.T) {
 	in := &Instance{Depot: geom.Pt(0, 0), Gamma: 2.7, Speed: 1, K: 1}
-	a, err := Analyze(context.Background(), in, Options{})
+	a, err := Analyze(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,17 +23,18 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestAnalyzeRejectsInvalid(t *testing.T) {
 	in := &Instance{Depot: geom.Pt(0, 0), Gamma: 2.7, Speed: 0, K: 1}
-	if _, err := Analyze(context.Background(), in, Options{}); err == nil {
+	if _, err := Analyze(context.Background(), in); err == nil {
 		t.Error("invalid instance accepted")
 	}
 }
 
 // TestLemmaTwoDegreeBound is the paper's Lemma 2 as a property test: for
 // any instance, the auxiliary graph H over an MIS of the charging graph
-// has maximum degree at most ceil(8*pi) = 26.
+// has maximum degree at most ceil(8*pi) = 26. The lemma holds for any
+// MIS, so besides Analyze's (Appro's max-degree order) the trials build
+// S_I and H from a min-degree and a lexicographic MIS.
 func TestLemmaTwoDegreeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
-	orders := []graph.MISOrder{graph.MISMaxDegree, graph.MISMinDegree, graph.MISLexicographic}
 	for trial := 0; trial < 25; trial++ {
 		n := 50 + rng.Intn(1000)
 		// Vary density: fields from 20x20 (very dense) to 150x150.
@@ -45,15 +46,45 @@ func TestLemmaTwoDegreeBound(t *testing.T) {
 				Duration: 3600,
 			})
 		}
-		a, err := Analyze(context.Background(), in, Options{MISOrder: orders[trial%len(orders)]})
-		if err != nil {
-			t.Fatal(err)
+		var deltaH int
+		switch trial % 3 {
+		case 0:
+			a, err := Analyze(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltaH = a.DeltaH
+		case 1:
+			pts := in.Positions()
+			si := graph.MaximalIndependentSet(graph.UnitDisk(pts, in.Gamma), graph.MISMinDegree)
+			deltaH = graph.IntersectionGraph(pts, si, in.Gamma).MaxDegree()
+		default:
+			pts := in.Positions()
+			si := lexicographicMIS(graph.UnitDisk(pts, in.Gamma))
+			deltaH = graph.IntersectionGraph(pts, si, in.Gamma).MaxDegree()
 		}
-		if a.DeltaH > LemmaTwoBound {
+		if deltaH > LemmaTwoBound {
 			t.Fatalf("trial %d (n=%d side=%.0f): Delta_H = %d exceeds Lemma 2 bound %d",
-				trial, n, side, a.DeltaH, LemmaTwoBound)
+				trial, n, side, deltaH, LemmaTwoBound)
 		}
 	}
+}
+
+// lexicographicMIS greedily scans g's vertices in index order, keeping
+// each one no kept vertex is adjacent to; the result is ascending.
+func lexicographicMIS(g *graph.Undirected) []int {
+	blocked := make([]bool, g.Len())
+	var out []int
+	for v := range blocked {
+		if blocked[v] {
+			continue
+		}
+		out = append(out, v)
+		for _, w := range g.Neighbors(v) {
+			blocked[w] = true
+		}
+	}
+	return out
 }
 
 func TestAnalyzeRatioFormula(t *testing.T) {
@@ -68,7 +99,7 @@ func TestAnalyzeRatioFormula(t *testing.T) {
 			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
 		})
 	}
-	a, err := Analyze(context.Background(), in, Options{})
+	a, err := Analyze(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +129,7 @@ func TestAnalyzeZeroDurations(t *testing.T) {
 		},
 		Gamma: 2.7, Speed: 1, K: 1,
 	}
-	a, err := Analyze(context.Background(), in, Options{})
+	a, err := Analyze(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +138,7 @@ func TestAnalyzeZeroDurations(t *testing.T) {
 	}
 	// Mixed zero and positive durations degenerate the tau ratio.
 	in.Requests[0].Duration = 100
-	a, err = Analyze(context.Background(), in, Options{})
+	a, err = Analyze(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/geom"
@@ -11,25 +10,6 @@ import (
 	"repro/internal/ktour"
 	"repro/internal/obs"
 )
-
-// Options tunes Algorithm Appro. The zero value gives the paper's behavior
-// with deterministic maximal independent sets.
-type Options struct {
-	// MISOrder selects the maximal-independent-set strategy for both the
-	// charging graph G_c (step 2) and the auxiliary graph H (step 4).
-	// Zero means graph.MISMaxDegree, which greedily picks hub sensors
-	// whose charging disks cover the most neighbors — the ablation in
-	// EXPERIMENTS.md shows it yields ~20% fewer stops and shorter tours
-	// than min-degree or lexicographic selection on dense request sets.
-	MISOrder graph.MISOrder
-	// Seed drives graph.MISRandom; ignored for deterministic orders.
-	Seed int64
-	// NoSortByFinishTime disables the paper's processing of pending
-	// sojourn locations in increasing latest-neighbor-finish-time order
-	// (Algorithm 1, line 9) and processes them in index order instead.
-	// Used only by ablation studies.
-	NoSortByFinishTime bool
-}
 
 // Appro runs Algorithm 1 of the paper and returns a planned schedule for
 // the K chargers. The schedule covers every request, uses node-disjoint
@@ -52,12 +32,15 @@ type Options struct {
 // the requests (see canon.go) and maps the stop indices back, so
 // permuting the input requests permutes Stop.Node/Stop.Covers labels but
 // changes nothing else about the schedule.
-func Appro(ctx context.Context, in *Instance, opts Options) (*Schedule, error) {
+//
+// Appro ignores its Options argument, which stays for callers that pass
+// one.
+func Appro(ctx context.Context, in *Instance, _ Options) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	canon, perm := canonicalize(in)
-	s, err := approOrdered(ctx, canon, opts)
+	s, err := approOrdered(ctx, canon)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +52,7 @@ func Appro(ctx context.Context, in *Instance, opts Options) (*Schedule, error) {
 // canonical request order (or that the caller accepts index-order
 // sensitivity). It is the sequential planning core; all returned indices
 // are in the instance's own index space.
-func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, error) {
+func approOrdered(ctx context.Context, in *Instance) (*Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: appro: %w", err)
 	}
@@ -82,7 +65,7 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	tr.Add("appro.plans", 1)
 	tr.Add("appro.requests", int64(n))
 	pts := in.Positions()
-	c, err := buildCandidates(ctx, in, pts, opts)
+	c, err := buildCandidates(ctx, in, pts)
 	if err != nil {
 		return nil, fmt.Errorf("core: appro: %w", err)
 	}
@@ -118,11 +101,11 @@ func approOrdered(ctx context.Context, in *Instance, opts Options) (*Schedule, e
 	// min-heap on f_N and keeps tour times incrementally, producing
 	// byte-identical schedules to the straightforward rescan-everything
 	// loop (see TestInsertionMatchesReference).
-	eng := newInsEngine(in, c, service, kt.Tours, opts.NoSortByFinishTime)
+	eng := newInsEngine(in, c, service, kt.Tours)
 
 	sp := tr.Start(obs.StageInsertion)
 	defer sp.End()
-	if err := eng.run(ctx, opts.NoSortByFinishTime); err != nil {
+	if err := eng.run(ctx); err != nil {
 		return nil, err
 	}
 	eng.materialize(sched)
@@ -160,20 +143,20 @@ func (c *candidates) tau(in *Instance, i int) float64 {
 
 // buildCandidates runs steps 1-4 and the cover arena for Appro and
 // Analyze on a non-empty instance with request positions pts, recording
-// charging-graph and mis spans; it returns ctx.Err() between stages.
-func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point, opts Options) (candidates, error) {
-	if opts.MISOrder == 0 {
-		opts.MISOrder = graph.MISMaxDegree
-	}
+// charging-graph and mis spans; it returns ctx.Err() between stages. Both
+// MIS steps use the max-degree order, which picks hub sensors whose
+// charging disks cover the most neighbors: EXPERIMENTS.md's retired MIS
+// ablation measured 17-28% longer plans under the other orders.
+func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point) (candidates, error) {
 	tr := obs.FromContext(ctx)
-	misCfg := graph.MISConfig{Rng: rand.New(rand.NewSource(opts.Seed)), Tracer: tr}
+	misCfg := graph.MISConfig{Tracer: tr}
 
 	// Step 1-2: charging graph G_c and its MIS S_I (candidate sojourns).
 	sp := tr.Start(obs.StageChargingGraph)
 	gc := graph.UnitDisk(pts, in.Gamma)
 	sp.End()
 	sp = tr.Start(obs.StageMIS)
-	si := graph.MaximalIndependentSetWith(gc, opts.MISOrder, misCfg)
+	si := graph.MaximalIndependentSetWith(gc, graph.MISMaxDegree, misCfg)
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return candidates{}, err
@@ -184,7 +167,7 @@ func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point, opts O
 	h := graph.IntersectionGraph(pts, si, in.Gamma)
 	sp.End()
 	sp = tr.Start(obs.StageMIS)
-	vh := graph.MaximalIndependentSetWith(h, opts.MISOrder, misCfg)
+	vh := graph.MaximalIndependentSetWith(h, graph.MISMaxDegree, misCfg)
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return candidates{}, err

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
 // paperInstance builds a random instance with the paper's parameters:
@@ -94,7 +93,7 @@ func TestApproPlannedScheduleFeasibleOnRandomInstances(t *testing.T) {
 		n := 10 + rng.Intn(150)
 		k := 1 + rng.Intn(4)
 		in := paperInstance(rng, n, k)
-		s, err := Appro(context.Background(), in, Options{Seed: int64(trial)})
+		s, err := Appro(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,35 +130,19 @@ func TestApproCoversDenseCluster(t *testing.T) {
 	}
 }
 
-func TestApproMISOrders(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	in := paperInstance(rng, 120, 2)
-	for _, ord := range []graph.MISOrder{
-		graph.MISLexicographic, graph.MISMinDegree, graph.MISMaxDegree, graph.MISRandom,
-	} {
-		s, err := Appro(context.Background(), in, Options{MISOrder: ord, Seed: 5})
-		if err != nil {
-			t.Fatalf("%v: %v", ord, err)
-		}
-		if vs := Verify(in, Execute(context.Background(), in, s)); len(vs) != 0 {
-			t.Fatalf("%v: violations: %v", ord, vs[0])
-		}
-	}
-}
-
 func TestApproDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	in := paperInstance(rng, 80, 3)
-	a, err := Appro(context.Background(), in, Options{Seed: 4})
+	a, err := Appro(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Appro(context.Background(), in, Options{Seed: 4})
+	b, err := Appro(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Longest != b.Longest || a.NumStops() != b.NumStops() {
-		t.Error("Appro is not deterministic for a fixed seed")
+		t.Error("Appro is not deterministic")
 	}
 }
 

@@ -56,7 +56,7 @@ func TestPlanHonorsContext(t *testing.T) {
 			s, err = ApproPlanner{}.Plan(ctx, in)
 			checkCtxResult(t, "ApproPlanner.Plan", s == nil, err, tt.want)
 
-			a, err := Analyze(ctx, in, Options{})
+			a, err := Analyze(ctx, in)
 			checkCtxResult(t, "Analyze", a == nil, err, tt.want)
 		})
 	}

@@ -45,7 +45,7 @@ func FuzzApproPipeline(f *testing.F) {
 				Duration: rng.Float64() * 7200,
 			})
 		}
-		planned, err := Appro(context.Background(), in, Options{Seed: seed})
+		planned, err := Appro(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("Appro failed on valid instance: %v", err)
 		}

@@ -121,7 +121,7 @@ type insEngine struct {
 	placed   []bool    // si index -> stop exists for it
 	pend     []bool    // si index -> still awaiting processing
 	keyed    []bool    // si index -> has entered the heap
-	fheap    []finEnt  // min-heap on (f_N, si index); key 0 under NoSortByFinishTime
+	fheap    []finEnt  // min-heap on (f_N, si index)
 	stopCov  []int32   // arena of per-stop attributed covers
 	remain   int
 	minPend  int // monotone cursor for the no-placed-neighbor fallback
@@ -130,7 +130,7 @@ type insEngine struct {
 // newInsEngine seeds the engine with the initial V'_H placement from the
 // K-minMax tours, attributing coverage in the same k-then-tour-order walk
 // as the reference.
-func newInsEngine(in *Instance, c candidates, service []float64, ktTours [][]int, noSort bool) *insEngine {
+func newInsEngine(in *Instance, c candidates, service []float64, ktTours [][]int) *insEngine {
 	si := c.si
 	e := &insEngine{
 		candidates: c,
@@ -178,9 +178,6 @@ func newInsEngine(in *Instance, c candidates, service []float64, ktTours [][]int
 		}
 		if fn, _, ok := e.latestNeighborFinish(i); ok {
 			e.keyed[i] = true
-			if noSort {
-				fn = 0
-			}
 			e.pushFin(fn, int32(i))
 		}
 	}
@@ -292,17 +289,15 @@ func (e *insEngine) popFin() finEnt {
 
 // pick selects the next candidate and the placed neighbor to insert after
 // (-1 for the no-placed-neighbor fallback), reproducing the reference
-// scan's choice exactly. Under NoSortByFinishTime every key is 0 and never
-// re-keyed, so the heap pops by ascending si index: the reference then
-// takes the first pending candidate with a placed neighbor.
-func (e *insEngine) pick(noSort bool) (hIdx, after int) {
+// scan's choice exactly.
+func (e *insEngine) pick() (hIdx, after int) {
 	for len(e.fheap) > 0 {
 		ent := e.popFin()
 		if !e.pend[ent.h] {
 			continue
 		}
 		fn, best, _ := e.latestNeighborFinish(int(ent.h))
-		if !noSort && fn > ent.key {
+		if fn > ent.key {
 			// The key was a stale lower bound; re-key and retry. f_N is
 			// monotone non-decreasing, so keys never overshoot.
 			e.pushFin(fn, ent.h)
@@ -395,7 +390,7 @@ func (e *insEngine) split(t *wtour, c *wchunk) {
 }
 
 // run executes the insertion loop until no candidate is pending.
-func (e *insEngine) run(ctx context.Context, noSort bool) error {
+func (e *insEngine) run(ctx context.Context) error {
 	for iter := 0; e.remain > 0; iter++ {
 		// The insertion loop dominates dense instances; poll for
 		// cancellation every few iterations so a deadline aborts the
@@ -405,7 +400,7 @@ func (e *insEngine) run(ctx context.Context, noSort bool) error {
 				return fmt.Errorf("core: appro: insertion: %w", err)
 			}
 		}
-		hIdx, after := e.pick(noSort)
+		hIdx, after := e.pick()
 		e.pend[hIdx] = false
 		e.remain--
 
@@ -457,10 +452,7 @@ func (e *insEngine) run(ctx context.Context, noSort bool) error {
 		for _, w := range e.h.Neighbors(hIdx) {
 			if e.pend[w] && !e.keyed[w] {
 				e.keyed[w] = true
-				fn := 0.0 // NoSortByFinishTime keys every candidate 0
-				if !noSort {
-					fn, _, _ = e.latestNeighborFinish(int(w))
-				}
+				fn, _, _ := e.latestNeighborFinish(int(w))
 				e.pushFin(fn, w)
 			}
 		}

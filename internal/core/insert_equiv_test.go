@@ -19,22 +19,18 @@ import (
 // splices, full recomputeTourTimes per insert, map bookkeeping). The fast
 // engine in insert.go must reproduce its schedules byte for byte; this
 // copy is the oracle TestInsertionMatchesReference checks against.
-func approOrderedReference(ctx context.Context, in *Instance, opts Options) (*Schedule, error) {
-	if opts.MISOrder == 0 {
-		opts.MISOrder = graph.MISMaxDegree
-	}
+func approOrderedReference(ctx context.Context, in *Instance) (*Schedule, error) {
 	n := len(in.Requests)
 	sched := &Schedule{Tours: make([]Tour, in.K)}
 	if n == 0 {
 		return sched, nil
 	}
 	pts := in.Positions()
-	rng := rand.New(rand.NewSource(opts.Seed))
 
 	gc := graph.UnitDisk(pts, in.Gamma)
-	si := graph.MaximalIndependentSet(gc, opts.MISOrder, rng)
+	si := graph.MaximalIndependentSet(gc, graph.MISMaxDegree)
 	h := graph.IntersectionGraph(pts, si, in.Gamma)
-	vh := graph.MaximalIndependentSet(h, opts.MISOrder, rng)
+	vh := graph.MaximalIndependentSet(h, graph.MISMaxDegree)
 
 	grid := geom.NewGrid(pts, in.Gamma)
 	cover := make([][]int, len(si))
@@ -140,11 +136,8 @@ func approOrderedReference(ctx context.Context, in *Instance, opts Options) (*Sc
 			if !ok {
 				continue
 			}
-			if pick < 0 || fn < pickFN || opts.NoSortByFinishTime {
+			if pick < 0 || fn < pickFN {
 				pick, pickFN, pickAfter = pi, fn, after
-				if opts.NoSortByFinishTime {
-					break
-				}
 			}
 		}
 		if pick < 0 {
@@ -216,42 +209,41 @@ func equivInstance(n, k int, seed int64, side float64) *Instance {
 // TestInsertionMatchesReference checks the heap/chunk insertion engine
 // against the retired reference implementation: the schedules must be
 // byte-identical (reflect.DeepEqual over every stop, cover list, arrival
-// and delay) across sizes up to n=1200, charger counts, MIS strategies,
-// and the NoSortByFinishTime ablation.
+// and delay) across sizes up to n=1200, charger counts and densities from
+// a sparse 150 m field to a crowded 30 m one.
 func TestInsertionMatchesReference(t *testing.T) {
 	type cfg struct {
 		name string
 		n, k int
 		seed int64
 		side float64
-		opts Options
 	}
 	cfgs := []cfg{
-		{"tiny", 12, 1, 1, 20, Options{}},
-		{"small", 80, 2, 2, 60, Options{}},
-		{"mid", 250, 2, 3, 100, Options{}},
-		{"mid-k5", 250, 5, 4, 100, Options{}},
-		{"dense", 400, 3, 5, 60, Options{}},
-		{"lex", 250, 2, 6, 100, Options{MISOrder: graph.MISLexicographic}},
-		{"mindeg", 250, 2, 7, 100, Options{MISOrder: graph.MISMinDegree}},
-		{"random", 250, 2, 8, 100, Options{MISOrder: graph.MISRandom, Seed: 11}},
-		{"nosort", 250, 2, 10, 100, Options{NoSortByFinishTime: true}},
+		{"tiny", 12, 1, 1, 20},
+		{"small", 80, 2, 2, 60},
+		{"mid", 250, 2, 3, 100},
+		{"mid-k5", 250, 5, 4, 100},
+		{"dense", 400, 3, 5, 60},
+		{"sparse", 150, 2, 6, 150},
+		{"crowded", 300, 2, 7, 30},
+		{"mid-k3", 250, 3, 8, 80},
+		{"mid-k1", 250, 1, 10, 70},
 	}
 	if !testing.Short() {
 		cfgs = append(cfgs,
-			cfg{"n800", 800, 3, 12, 100, Options{}},
-			cfg{"n1200", 1200, 4, 13, 100, Options{}},
-			cfg{"n1200-nosort", 1200, 4, 14, 100, Options{NoSortByFinishTime: true}},
+			cfg{"n800", 800, 3, 12, 100},
+			cfg{"n1200", 1200, 4, 13, 100},
+			cfg{"n1200-dense", 1200, 4, 14, 70},
 		)
 	}
 	for _, tc := range cfgs {
 		t.Run(tc.name, func(t *testing.T) {
 			in := equivInstance(tc.n, tc.k, tc.seed, tc.side)
-			want, err := approOrderedReference(context.Background(), in, tc.opts)
+			want, err := approOrderedReference(context.Background(), in)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := approOrdered(context.Background(), in, tc.opts)
+			got, err := approOrdered(context.Background(), in)
 			if err != nil {
 				t.Fatalf("engine: %v", err)
 			}
@@ -272,29 +264,35 @@ func TestInsertionMatchesReference(t *testing.T) {
 
 // TestInsertionMatchesReferenceCoincident exercises the degenerate
 // geometries the random configs cannot hit: coincident points (zero
-// travel deltas, finish-time ties) and collinear chains.
+// travel deltas, finish-time ties) and collinear chains. Under gamma 1
+// the chain's links are gamma apart; gamma 1.5 puts both neighbours of a
+// link inside its disk, and gamma 3 also brings the clusters, 3 m apart,
+// into one another's range.
 func TestInsertionMatchesReferenceCoincident(t *testing.T) {
-	in := &Instance{Depot: geom.Pt(0, 0), Gamma: 1, Speed: 1, K: 2}
-	// Three co-located clusters plus a chain at gamma spacing.
-	for i := 0; i < 6; i++ {
-		in.Requests = append(in.Requests, Request{Pos: geom.Pt(5, 5), Duration: 3600})
-		in.Requests = append(in.Requests, Request{Pos: geom.Pt(8, 5), Duration: 1800})
-		in.Requests = append(in.Requests, Request{Pos: geom.Pt(5, 8), Duration: 2700})
-	}
-	for i := 0; i < 12; i++ {
-		in.Requests = append(in.Requests, Request{Pos: geom.Pt(float64(i), 0.5), Duration: 600})
-	}
-	for _, opts := range []Options{{}, {NoSortByFinishTime: true}, {MISOrder: graph.MISLexicographic}} {
-		want, err := approOrderedReference(context.Background(), in, opts)
+	for _, shape := range []struct {
+		gamma float64
+		k     int
+	}{{1, 2}, {1.5, 3}, {3, 1}} {
+		in := &Instance{Depot: geom.Pt(0, 0), Gamma: shape.gamma, Speed: 1, K: shape.k}
+		// Three co-located clusters plus a chain at unit spacing.
+		for i := 0; i < 6; i++ {
+			in.Requests = append(in.Requests, Request{Pos: geom.Pt(5, 5), Duration: 3600})
+			in.Requests = append(in.Requests, Request{Pos: geom.Pt(8, 5), Duration: 1800})
+			in.Requests = append(in.Requests, Request{Pos: geom.Pt(5, 8), Duration: 2700})
+		}
+		for i := 0; i < 12; i++ {
+			in.Requests = append(in.Requests, Request{Pos: geom.Pt(float64(i), 0.5), Duration: 600})
+		}
+		want, err := approOrderedReference(context.Background(), in)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		got, err := approOrdered(context.Background(), in, opts)
+		got, err := approOrdered(context.Background(), in)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("opts %+v: schedule diverged from reference", opts)
+			t.Fatalf("gamma %v, K %d: schedule diverged from reference", shape.gamma, shape.k)
 		}
 	}
 }

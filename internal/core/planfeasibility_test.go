@@ -21,7 +21,7 @@ func TestPlannedScheduleOverlapRate(t *testing.T) {
 		n := 100 + rng.Intn(500)
 		k := 2 + rng.Intn(3)
 		in := paperInstance(rng, n, k)
-		planned, err := Appro(context.Background(), in, Options{Seed: int64(trial)})
+		planned, err := Appro(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

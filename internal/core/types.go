@@ -163,25 +163,25 @@ type Planner interface {
 	Plan(ctx context.Context, in *Instance) (*Schedule, error)
 }
 
-// ApproPlanner adapts Appro to the Planner interface.
-type ApproPlanner struct {
-	// Opts tunes the algorithm; the zero value is the paper's default.
-	Opts Options
+// Options carries the planner options. Seed is the only one, and only
+// the seeded BiLevel contender reads it. Algorithm 1 fixes its own steps
+// (the max-degree MIS at steps 2 and 4, insertion in ascending f_N order
+// at step 6), so Appro takes no option.
+type Options struct {
+	// Seed drives a seeded planner's randomness.
+	Seed int64
 }
 
-// Name implements Planner.
-func (p ApproPlanner) Name() string { return "Appro" }
+// ApproPlanner adapts Appro to the Planner interface.
+type ApproPlanner struct{}
 
-// PlanOptions exposes the options the planner plans under. Consumers that
-// memoize schedules (internal/plancache) fold these into their keys, so
-// two ApproPlanners differing in a plan-changing option (MISOrder,
-// Seed, ...) never alias to one cached entry.
-func (p ApproPlanner) PlanOptions() Options { return p.Opts }
+// Name implements Planner.
+func (ApproPlanner) Name() string { return "Appro" }
 
 // Plan implements Planner by running Algorithm Appro and then executing the
 // plan so the returned schedule is conflict-free.
-func (p ApproPlanner) Plan(ctx context.Context, in *Instance) (*Schedule, error) {
-	s, err := Appro(ctx, in, p.Opts)
+func (ApproPlanner) Plan(ctx context.Context, in *Instance) (*Schedule, error) {
+	s, err := Appro(ctx, in, Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("Appro error %q does not name %s", err, tt.want)
 			}
-			if _, err := Analyze(context.Background(), in, Options{}); err == nil {
+			if _, err := Analyze(context.Background(), in); err == nil {
 				t.Error("Analyze accepted the instance")
 			} else if !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("Analyze error %q does not name %s", err, tt.want)
@@ -179,7 +179,7 @@ func TestApproCoverageAttributionIsPartition(t *testing.T) {
 				Duration: rng.Float64() * 5400,
 			})
 		}
-		s, err := Appro(context.Background(), in, Options{Seed: seed})
+		s, err := Appro(context.Background(), in, Options{})
 		if err != nil {
 			return false
 		}

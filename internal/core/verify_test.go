@@ -402,7 +402,7 @@ func overlapCase(t *testing.T, seed int64, n, k int, gamma, side float64, lattic
 		}
 		return in, s
 	}
-	s, err := Appro(context.Background(), in, Options{Seed: seed})
+	s, err := Appro(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatalf("Appro: %v", err)
 	}
@@ -478,10 +478,9 @@ func TestApproTerminates(t *testing.T) {
 	type tc struct {
 		name string
 		in   *Instance
-		opts Options
 	}
 	lattice, _ := overlapCase(t, -99, 90, 1, 5047.285714285714, 1070, true, 2) // mode 2: the instance, unplanned
-	cases := []tc{{"lattice-km", lattice, Options{Seed: -99}}}
+	cases := []tc{{"lattice-km", lattice}}
 	a, b := 0.1, 0.2 // variables: Go folds the constant sum to exactly 0.3
 	for _, n := range []int{1, 2, 60} {
 		in := &Instance{Depot: geom.Pt(0, 0.3), Gamma: 2.7, Speed: 1, K: 2}
@@ -492,7 +491,7 @@ func TestApproTerminates(t *testing.T) {
 			}
 			in.Requests = append(in.Requests, Request{Pos: geom.Pt(50*float64(i), y), Duration: 600})
 		}
-		cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/mst-doubling", n), in, Options{}})
+		cases = append(cases, tc{fmt.Sprintf("near-collinear-%d/mst-doubling", n), in})
 	}
 	rng := rand.New(rand.NewSource(5))
 	far := &Instance{Depot: geom.Pt(3000, 4000), Gamma: 2.7, Speed: 1, K: 4}
@@ -503,7 +502,7 @@ func TestApproTerminates(t *testing.T) {
 			Duration: (1.2 + 0.3*rng.Float64()) * 3600,
 		})
 	}
-	cases = append(cases, tc{"far-clusters", far, Options{}})
+	cases = append(cases, tc{"far-clusters", far})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			type result struct {
@@ -513,7 +512,7 @@ func TestApproTerminates(t *testing.T) {
 			done := make(chan result, 1)
 			start := time.Now()
 			go func() {
-				s, err := Appro(context.Background(), c.in, c.opts)
+				s, err := Appro(context.Background(), c.in, Options{})
 				done <- result{s, err}
 			}()
 			select {

@@ -92,7 +92,7 @@ func TestRunDeadlinePartial(t *testing.T) {
 
 // TestRunAblationHonorsContext covers the ablation paths.
 func TestRunAblationHonorsContext(t *testing.T) {
-	for _, id := range []string{AblationInsertion, AblationDispatch, AblationPartial} {
+	for _, id := range []string{AblationContender, AblationDispatch, AblationPartial} {
 		t.Run(id, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/registry"
@@ -383,14 +382,9 @@ func runCell(ctx context.Context, spec sweepSpec, opt Options, planner core.Plan
 
 // Ablation identifiers. See RunAblation.
 const (
-	// AblationMIS compares MIS selection strategies inside Appro.
-	AblationMIS = "mis"
-	// AblationInsertion compares the paper's latest-finish-time-sorted
-	// insertion order against arbitrary order.
-	AblationInsertion = "insertion"
 	// AblationDispatch compares the paper's synchronized round-based
 	// dispatch against independent per-charger dispatch over a full
-	// simulated year (unlike the other ablations, which plan single
+	// simulated year (unlike the contender ablation, which plans single
 	// rounds).
 	AblationDispatch = "dispatch"
 	// AblationPartial sweeps the partial-charging level (the model of the
@@ -419,13 +413,14 @@ type AblationResult struct {
 }
 
 // ablationSizes are the request densities the ablations plan at. Multi-node
-// consolidation — and hence the MIS/insertion design choices — only binds
-// on dense request sets, so ablations plan single rounds at these sizes
-// rather than running the (sparser-batch) year-long simulation.
+// consolidation — and hence the stop-set choices that separate Appro from
+// BiLevel — only binds on dense request sets, so the contender ablation
+// plans single rounds at these sizes rather than running the
+// (sparser-batch) year-long simulation.
 var ablationSizes = []int{300, 600, 1200}
 
 // RunAblation plans dense single rounds (K = 2, paper field parameters)
-// under every variant of the named ablation and returns one row per
+// under every variant of the "contender" ablation and returns one row per
 // (variant, request-set size) pair. The "dispatch" ablation instead runs
 // year-long simulations (one per network size in ablationSizes) comparing
 // the two dispatch protocols; its LongestH column is then the mean
@@ -441,35 +436,25 @@ func RunAblation(ctx context.Context, id string, opt Options) ([]AblationResult,
 		return runDispatchAblation(ctx, opt)
 	case AblationPartial:
 		return runPartialAblation(ctx, opt)
+	case AblationContender:
+		return runContenderAblation(ctx, opt)
 	}
-	type variant struct {
-		name    string
-		planner core.Planner
-	}
+	return nil, fmt.Errorf("experiments: unknown ablation %q", id)
+}
+
+// runContenderAblation plans dense single rounds with Appro and with
+// BiLevel under seeds 1 and 2.
+func runContenderAblation(ctx context.Context, opt Options) ([]AblationResult, error) {
+	const id = AblationContender
 	// Every variant resolves through the planner registry, like the
 	// figure harness and the serving layer.
-	appro := func(opts core.Options) core.Planner { return registry.MustNew("Appro", &opts) }
-	var variants []variant
-	switch id {
-	case AblationMIS:
-		for _, ord := range []graph.MISOrder{
-			graph.MISMaxDegree, graph.MISMinDegree, graph.MISLexicographic, graph.MISRandom,
-		} {
-			variants = append(variants, variant{name: "mis-" + ord.String(), planner: appro(core.Options{MISOrder: ord})})
-		}
-	case AblationInsertion:
-		variants = append(variants,
-			variant{name: "sorted-by-finish-time", planner: appro(core.Options{})},
-			variant{name: "arbitrary-order", planner: appro(core.Options{NoSortByFinishTime: true})},
-		)
-	case AblationContender:
-		variants = append(variants,
-			variant{name: "appro", planner: appro(core.Options{})},
-			variant{name: "bilevel-seed-1", planner: registry.MustNew("BiLevel", &core.Options{Seed: 1})},
-			variant{name: "bilevel-seed-2", planner: registry.MustNew("BiLevel", &core.Options{Seed: 2})},
-		)
-	default:
-		return nil, fmt.Errorf("experiments: unknown ablation %q", id)
+	variants := []struct {
+		name    string
+		planner core.Planner
+	}{
+		{"appro", registry.MustNew("Appro", nil)},
+		{"bilevel-seed-1", registry.MustNew("BiLevel", &core.Options{Seed: 1})},
+		{"bilevel-seed-2", registry.MustNew("BiLevel", &core.Options{Seed: 2})},
 	}
 
 	progress := obs.NewProgress(opt.Progress)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -138,24 +137,30 @@ func TestPlannersSeeSameNetworks(t *testing.T) {
 }
 
 func TestRunAblations(t *testing.T) {
-	for _, id := range []string{AblationMIS, AblationInsertion} {
-		rows, err := RunAblation(context.Background(), id, fastOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(rows) < 2*len(ablationSizes) {
-			t.Fatalf("%s: %d rows", id, len(rows))
-		}
-		for _, r := range rows {
-			if r.LongestH <= 0 || r.Stops <= 0 || r.N <= 0 {
-				t.Errorf("%s variant %s: empty result %+v", id, r.Variant, r)
-			}
-			if !strings.Contains(r.Variant, "-") {
-				t.Errorf("%s: suspicious variant name %q", id, r.Variant)
-			}
+	rows, err := RunAblation(context.Background(), AblationContender, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3*len(ablationSizes) {
+		t.Fatalf("%d rows, want one per variant and size (%d)", len(rows), 3*len(ablationSizes))
+	}
+	variants := map[string]bool{}
+	for _, r := range rows {
+		variants[r.Variant] = true
+		if r.LongestH <= 0 || r.Stops <= 0 || r.N <= 0 {
+			t.Errorf("variant %s: empty result %+v", r.Variant, r)
 		}
 	}
-	if _, err := RunAblation(context.Background(), "nope", fastOpts()); err == nil {
-		t.Error("unknown ablation accepted")
+	for _, v := range []string{"appro", "bilevel-seed-1", "bilevel-seed-2"} {
+		if !variants[v] {
+			t.Errorf("variant %s missing from %v", v, variants)
+		}
+	}
+	// "mis" and "insertion" were retired with the Appro options they
+	// compared.
+	for _, id := range []string{"nope", "mis", "insertion"} {
+		if _, err := RunAblation(context.Background(), id, fastOpts()); err == nil {
+			t.Errorf("unknown ablation %q accepted", id)
+		}
 	}
 }

@@ -8,118 +8,51 @@ import (
 )
 
 // MISOrder selects the vertex-selection strategy for maximal independent
-// set construction. All strategies produce a set that is independent and
+// set construction. Both strategies produce a set that is independent and
 // maximal; they differ in which maximal set they find, which affects the
 // number of sojourn locations Algorithm Appro considers.
 type MISOrder int
 
 const (
-	// MISLexicographic greedily scans vertices 0..n-1. Deterministic.
-	MISLexicographic MISOrder = iota + 1
-	// MISMinDegree repeatedly picks a remaining vertex of minimum residual
-	// degree. Tends to produce larger independent sets, i.e. denser
-	// candidate sojourn coverage. Deterministic.
-	MISMinDegree
 	// MISMaxDegree repeatedly picks a remaining vertex of maximum residual
 	// degree. Tends to produce smaller independent sets, i.e. fewer stops
-	// each covering many sensors. Deterministic.
-	MISMaxDegree
-	// MISRandom scans vertices in an order drawn from the provided source.
-	MISRandom
+	// each covering many sensors. It is Appro's order and the zero value.
+	MISMaxDegree MISOrder = iota
+	// MISMinDegree repeatedly picks a remaining vertex of minimum residual
+	// degree. Tends to produce larger independent sets, i.e. denser
+	// candidate sojourn coverage.
+	MISMinDegree
 )
 
-// String implements fmt.Stringer.
-func (o MISOrder) String() string {
-	switch o {
-	case MISLexicographic:
-		return "lexicographic"
-	case MISMinDegree:
-		return "min-degree"
-	case MISMaxDegree:
-		return "max-degree"
-	case MISRandom:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
-
 // MISConfig carries the optional knobs of MaximalIndependentSetWith. The
-// zero value is valid and means: no randomness source, no tracing.
+// zero value is valid and means no tracing.
 type MISConfig struct {
-	// Rng drives the seeded order MISRandom; it is ignored by the
-	// deterministic orders and may be nil (a fixed seed-1 source
-	// substitutes).
+	// Rng is ignored: neither order is seeded. The field stays so that
+	// callers written against the retired seeded order still compile.
 	Rng *rand.Rand
-	// Tracer, when non-nil, receives the degree orders' nested
-	// mis/select and mis/update spans.
+	// Tracer, when non-nil, receives the nested mis/select and
+	// mis/update spans.
 	Tracer *obs.Tracer
 }
 
 // MaximalIndependentSet returns a maximal independent set of g using the
-// given strategy, as an ascending slice of vertex indices. rng is used only
-// by the seeded strategies and may be nil otherwise. The result is never
-// nil for a non-empty graph: every vertex set has a maximal independent
-// set.
-func MaximalIndependentSet(g *Undirected, order MISOrder, rng *rand.Rand) []int {
-	return MaximalIndependentSetWith(g, order, MISConfig{Rng: rng})
+// given strategy, as an ascending slice of vertex indices. The result is
+// never nil for a non-empty graph: every vertex set has a maximal
+// independent set.
+func MaximalIndependentSet(g *Undirected, order MISOrder) []int {
+	return MaximalIndependentSetWith(g, order, MISConfig{})
 }
 
-// MaximalIndependentSetWith is MaximalIndependentSet with the full knob
-// set: a randomness source for the seeded strategies and an optional
-// tracer.
+// MaximalIndependentSetWith is MaximalIndependentSet with an optional
+// tracer. It repeatedly selects the remaining vertex with minimum (for
+// MISMinDegree) or maximum (any other order) residual degree, lowest
+// vertex index among ties, removing it and its neighbors. The selection
+// runs on the incremental bucket queue (bucket.go).
 func MaximalIndependentSetWith(g *Undirected, order MISOrder, cfg MISConfig) []int {
-	n := g.Len()
-	if n == 0 {
+	if g.Len() == 0 {
 		return nil
 	}
-	switch order {
-	case MISMinDegree, MISMaxDegree:
-		return misByDegree(g, order == MISMinDegree, cfg)
-	case MISRandom:
-		// Each branch computes only its own permutation: the fixed-seed
-		// fallback is for a nil source only, never thrown-away work.
-		var perm []int
-		if cfg.Rng != nil {
-			perm = cfg.Rng.Perm(n)
-		} else {
-			perm = rand.New(rand.NewSource(1)).Perm(n)
-		}
-		return misScan(g, perm)
-	default: // MISLexicographic and any unknown value
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return misScan(g, idx)
-	}
-}
-
-// misScan greedily adds vertices in the given scan order, skipping any
-// vertex adjacent to an already-selected one.
-func misScan(g *Undirected, scan []int) []int {
-	blocked := make([]bool, g.Len())
-	var out []int
-	for _, v := range scan {
-		if blocked[v] {
-			continue
-		}
-		out = append(out, v)
-		blocked[v] = true
-		for _, w := range g.Neighbors(v) {
-			blocked[w] = true
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// misByDegree repeatedly selects the remaining vertex with minimum (or
-// maximum) residual degree, lowest vertex index among ties, removing it
-// and its neighbors. The selection runs on the incremental bucket queue
-// (bucket.go); the selected vertices are returned sorted ascending.
-func misByDegree(g *Undirected, wantMin bool, cfg MISConfig) []int {
-	out := misByDegreeBucket(g, wantMin, cfg.Tracer)
+	out := misByDegreeBucket(g, order == MISMinDegree, cfg.Tracer)
 	sort.Ints(out)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -168,45 +169,6 @@ func TestMISDegreeOrderOracle(t *testing.T) {
 	})
 }
 
-// TestMISRandomComputesPermOncePerBranch is the regression test for the
-// MISRandom double-perm bug: the fixed-seed fallback permutation used to
-// be computed unconditionally and thrown away whenever a source was
-// supplied. The fix computes each permutation only on its own branch; the
-// output contract is unchanged on both branches.
-func TestMISRandomComputesPermOncePerBranch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(rng, 10+rng.Intn(50), rng.Float64()*0.4)
-		seed := rng.Int63()
-
-		// Seeded branch: identical to scanning the supplied source's perm.
-		got := MaximalIndependentSet(g, MISRandom, rand.New(rand.NewSource(seed)))
-		want := misScan(g, rand.New(rand.NewSource(seed)).Perm(g.Len()))
-		if !equalInts(got, want) {
-			t.Fatalf("seed %d: MISRandom = %v, want misScan over the source's perm %v", seed, got, want)
-		}
-
-		// Nil-source branch: identical to the documented seed-1 fallback.
-		got = MaximalIndependentSet(g, MISRandom, nil)
-		want = misScan(g, rand.New(rand.NewSource(1)).Perm(g.Len()))
-		if !equalInts(got, want) {
-			t.Fatalf("nil rng: MISRandom = %v, want seed-1 fallback %v", got, want)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FuzzMISDegreeOrder fuzzes arbitrary graphs against the sequence-equality
 // oracle: the bucket queue and the rescan reference must agree pick for
 // pick under both degree orders. Run in CI as a 10s smoke.
@@ -229,7 +191,7 @@ func FuzzMISDegreeOrder(f *testing.F) {
 		g := FromEdges(nv, edges) // dedups both orientations
 		for _, wantMin := range []bool{true, false} {
 			bucket, rescan := degreeSequences(g, wantMin)
-			if !equalInts(bucket, rescan) {
+			if !slices.Equal(bucket, rescan) {
 				t.Fatalf("wantMin=%v: sequences diverge on n=%d edges=%v\nbucket: %v\nrescan: %v",
 					wantMin, nv, edges, bucket, rescan)
 			}

@@ -32,12 +32,12 @@ func completeGraph(n int) *Undirected {
 
 func TestMISAllOrdersValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	orders := []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom}
+	orders := []MISOrder{MISMinDegree, MISMaxDegree}
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(60)
 		g := randomGraph(rng, n, rng.Float64()*0.5)
 		for _, ord := range orders {
-			set := MaximalIndependentSet(g, ord, rng)
+			set := MaximalIndependentSet(g, ord)
 			if n > 0 && len(set) == 0 {
 				t.Fatalf("%v: empty MIS on non-empty graph", ord)
 			}
@@ -53,14 +53,14 @@ func TestMISAllOrdersValid(t *testing.T) {
 
 func TestMISEmptyGraph(t *testing.T) {
 	g := FromEdges(0, nil)
-	if set := MaximalIndependentSet(g, MISLexicographic, nil); set != nil {
+	if set := MaximalIndependentSet(g, MISMaxDegree); set != nil {
 		t.Errorf("empty graph: MIS = %v, want nil", set)
 	}
 }
 
 func TestMISNoEdges(t *testing.T) {
 	g := FromEdges(5, nil)
-	set := MaximalIndependentSet(g, MISMinDegree, nil)
+	set := MaximalIndependentSet(g, MISMinDegree)
 	if len(set) != 5 {
 		t.Errorf("edgeless graph: |MIS| = %d, want 5", len(set))
 	}
@@ -68,8 +68,8 @@ func TestMISNoEdges(t *testing.T) {
 
 func TestMISCompleteGraph(t *testing.T) {
 	g := completeGraph(6)
-	for _, ord := range []MISOrder{MISLexicographic, MISMinDegree, MISMaxDegree, MISRandom} {
-		set := MaximalIndependentSet(g, ord, rand.New(rand.NewSource(9)))
+	for _, ord := range []MISOrder{MISMinDegree, MISMaxDegree} {
+		set := MaximalIndependentSet(g, ord)
 		if len(set) != 1 {
 			t.Errorf("%v: complete graph |MIS| = %d, want 1", ord, len(set))
 		}
@@ -80,10 +80,10 @@ func TestMISStar(t *testing.T) {
 	// Star K_{1,5}: min-degree picks leaves (size 5), max-degree picks the
 	// hub (size 1).
 	g := FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
-	if set := MaximalIndependentSet(g, MISMinDegree, nil); len(set) != 5 {
+	if set := MaximalIndependentSet(g, MISMinDegree); len(set) != 5 {
 		t.Errorf("min-degree star: |MIS| = %d, want 5", len(set))
 	}
-	if set := MaximalIndependentSet(g, MISMaxDegree, nil); len(set) != 1 || set[0] != 0 {
+	if set := MaximalIndependentSet(g, MISMaxDegree); len(set) != 1 || set[0] != 0 {
 		t.Errorf("max-degree star: MIS = %v, want [0]", set)
 	}
 }
@@ -100,7 +100,7 @@ func TestMISUnitDiskPairwiseDistance(t *testing.T) {
 			pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		}
 		g := UnitDisk(pts, gamma)
-		set := MaximalIndependentSet(g, MISMinDegree, nil)
+		set := MaximalIndependentSet(g, MISMinDegree)
 		for i := 0; i < len(set); i++ {
 			for j := i + 1; j < len(set); j++ {
 				if d := geom.Dist(pts[set[i]], pts[set[j]]); d <= gamma {
@@ -147,22 +147,5 @@ func TestIsIndependentSetRejectsBadInput(t *testing.T) {
 	}
 	if !IsMaximalIndependentSet(g, []int{0, 2}) {
 		t.Error("{0,2} should be maximal")
-	}
-}
-
-func TestMISOrderString(t *testing.T) {
-	for _, tc := range []struct {
-		o    MISOrder
-		want string
-	}{
-		{MISLexicographic, "lexicographic"},
-		{MISMinDegree, "min-degree"},
-		{MISMaxDegree, "max-degree"},
-		{MISRandom, "random"},
-		{MISOrder(99), "unknown"},
-	} {
-		if got := tc.o.String(); got != tc.want {
-			t.Errorf("String(%d) = %q, want %q", tc.o, got, tc.want)
-		}
 	}
 }

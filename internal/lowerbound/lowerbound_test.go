@@ -150,7 +150,7 @@ func TestApproEmpiricalQuality(t *testing.T) {
 		if ratio > worst {
 			worst = ratio
 		}
-		ana, err := core.Analyze(context.Background(), in, core.Options{})
+		ana, err := core.Analyze(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

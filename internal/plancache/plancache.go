@@ -11,13 +11,13 @@
 // everything the planners read: the planner's canonical registry name
 // (see Identity — internal/registry panics at init when two planners
 // register one name or an alias shadows one, so keys can never alias
-// across algorithms), a canonical encoding of the plan-shaping
-// core.Options fields (see KeyOf), the depot, gamma, the travel speed, K
-// and every request's position, duration and lifetime, in request order.
-// Any single difference that can change the plan — one coordinate
-// nudged, a different gamma, one more charger, a different MISOrder —
-// therefore changes the key (see FuzzPlanCacheKey), and SHA-256 makes a
-// crafted instance that shares another's key infeasible.
+// across algorithms), the seed of a seeded planner (BiLevel; the others
+// read no option, so theirs encodes as zero), the depot, gamma, the
+// travel speed, K and every request's position, duration and lifetime,
+// in request order. Any single difference that can change the plan — one
+// coordinate nudged, a different gamma, one more charger, another
+// BiLevel seed — therefore changes the key (see FuzzPlanCacheKey), and
+// SHA-256 makes a crafted instance that shares another's key infeasible.
 //
 // The stored bytes are handed to every caller as they are, shared and
 // read-only, so a hit copies nothing. Eviction is LRU with a bounded
@@ -44,7 +44,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
@@ -59,8 +58,8 @@ import (
 // the schedule). The bound is sized to that worst case.
 const DefaultCapacity = 64
 
-// Key identifies a (planner, options, instance) triple: the first 16
-// bytes of the SHA-256 of the canonical encoding.
+// Key identifies a (planner, seed, instance) triple: the first 16 bytes
+// of the SHA-256 of the canonical encoding.
 type Key [16]byte
 
 // Hash64 folds the key to 64 bits, the shape consistent hashing wants:
@@ -79,10 +78,11 @@ func (k Key) Hash64() uint64 {
 type Digest [sha256.Size]byte
 
 // Optioned is the optional interface a core.Planner implements to expose
-// the core.Options shaping its plans. Identity consults it so two
-// planners that share a Name but differ in plan-changing options (e.g.
-// two ApproPlanners with different MISOrders) never alias to one cache
-// entry.
+// the core.Options shaping its plans: the seeded planners (registry's
+// Seeded flag) implement it, and a planner that reads no option does not.
+// Identity consults it so two planners that share a Name but plan under
+// different seeds (two BiLevels) never alias to one cache entry, while an
+// unseeded planner keys every seed it is handed to one entry.
 type Optioned interface {
 	// PlanOptions returns the options the planner plans under.
 	PlanOptions() core.Options
@@ -90,11 +90,11 @@ type Optioned interface {
 
 // Identity resolves the pair a cache keys p under: the planner's
 // canonical registry name — Lookup collapses aliases, case variants and
-// wrappers that preserve Name to one spelling — and its plan-shaping
-// options when it exposes them via Optioned (nil otherwise, the zero
-// options). Keys derived this way can never alias across algorithms:
-// the registry panics at init when two planners register one canonical
-// name or an alias shadows an existing name.
+// wrappers that preserve Name to one spelling — and its options when it
+// exposes them via Optioned (nil otherwise, which keys like the zero
+// options). Keys derived this way can never alias across algorithms: the
+// registry panics at init when two planners register one canonical name
+// or an alias shadows an existing name.
 func Identity(p core.Planner) (name string, opts *core.Options) {
 	name = p.Name()
 	if e, ok := registry.Lookup(name); ok {
@@ -107,28 +107,6 @@ func Identity(p core.Planner) (name string, opts *core.Options) {
 	return name, opts
 }
 
-// canonOptions maps opts to the canonical representative of its
-// plan-equivalence class: two option values that provably produce the
-// same schedule encode identically, and any field that can change the
-// plan survives. nil means the zero (paper-default) options.
-//
-//   - MISOrder zero means graph.MISMaxDegree (Appro's documented default).
-//   - Seed only matters under the seeded order graph.MISRandom; it is
-//     zeroed under the deterministic ones.
-func canonOptions(opts *core.Options) core.Options {
-	var o core.Options
-	if opts != nil {
-		o = *opts
-	}
-	if o.MISOrder == 0 {
-		o.MISOrder = graph.MISMaxDegree
-	}
-	if o.MISOrder != graph.MISRandom {
-		o.Seed = 0
-	}
-	return o
-}
-
 // keyChunk is the size of the buffer KeyOf encodes into and hashes from:
 // large enough that SHA-256 sees long writes, small enough to stay in
 // cache and cost one small allocation at any instance size.
@@ -137,9 +115,8 @@ const keyChunk = 8 << 10
 // KeyOf hashes everything the named planner reads from the options and
 // the instance. Instances that differ in any field (a coordinate, a
 // duration, gamma, speed, K, the depot, the request count or order)
-// produce different keys, as do options that differ in any plan-changing
-// field; byte-equal inputs — and options inside the same plan-equivalence
-// class, see canonOptions — produce equal keys.
+// produce different keys, as do different seeds; byte-equal inputs
+// produce equal keys, and nil options key like the zero options.
 func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
 	h := sha256.New()
 	buf := make([]byte, 0, keyChunk)
@@ -147,14 +124,11 @@ func KeyOf(planner string, opts *core.Options, in *core.Instance) Key {
 	f := func(v float64) { u(math.Float64bits(v)) }
 	buf = append(buf, planner...)
 	buf = append(buf, 0) // terminate the name so "AB"+depot can't alias "A"+...
-	o := canonOptions(opts)
-	u(uint64(o.MISOrder))
-	u(uint64(o.Seed))
-	if o.NoSortByFinishTime {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	var seed int64
+	if opts != nil {
+		seed = opts.Seed
 	}
+	u(uint64(seed))
 	f(in.Depot.X)
 	f(in.Depot.Y)
 	f(in.Gamma)

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 func testInstance(n int, seed int64) *core.Instance {
@@ -59,43 +59,26 @@ func TestKeyOfSensitivity(t *testing.T) {
 
 // TestOptionsNoLongerAlias is the regression test for the option-aliasing
 // bug: the cache used to key on planner name + instance only, so two
-// ApproPlanners sharing the name "Appro" but planning under different
-// core.Options (e.g. MISOrder) aliased to one entry, and the second
-// planner was served the first one's stale schedule. The serve package's
-// TestPlanOptionsDoNotAlias checks the same end to end through /v1/plan.
+// planners sharing one name but planning under different core.Options
+// aliased to one entry, and the second planner was served the first one's
+// stale schedule. Seed, which only BiLevel reads, is the one option left.
+// The serve package's TestPlanOptionsDoNotAlias checks the same end to
+// end through /v1/plan.
 func TestOptionsNoLongerAlias(t *testing.T) {
 	in := testInstance(30, 9)
-
-	// Any plan-changing option field must change the key.
-	planChanging := map[string]*core.Options{
-		"mis-order":  {MISOrder: graph.MISMinDegree},
-		"no-sort":    {NoSortByFinishTime: true},
-		"mis-random": {MISOrder: graph.MISRandom, Seed: 1},
+	base := KeyOf("BiLevel", nil, in)
+	s1 := KeyOf("BiLevel", &core.Options{Seed: 1}, in)
+	s2 := KeyOf("BiLevel", &core.Options{Seed: 2}, in)
+	if s1 == base || s2 == base || s1 == s2 {
+		t.Error("BiLevel seeds 0, 1 and 2 plan differently, so they must key apart")
 	}
-	base := KeyOf("Appro", nil, in)
-	for name, o := range planChanging {
-		if KeyOf("Appro", o, in) == base {
-			t.Errorf("%s: option set %+v aliases to the default-options key", name, *o)
-		}
+	if KeyOf("BiLevel", &core.Options{}, in) != base {
+		t.Error("the zero options must key like nil options")
 	}
-	r1 := &core.Options{MISOrder: graph.MISRandom, Seed: 1}
-	r2 := &core.Options{MISOrder: graph.MISRandom, Seed: 2}
-	if KeyOf("Appro", r1, in) == KeyOf("Appro", r2, in) {
-		t.Error("under MISRandom the seed changes the plan, so it must change the key")
-	}
-
-	// Options inside one plan-equivalence class must keep sharing an
-	// entry: defaults spelled explicitly, and Seed under a deterministic
-	// MIS order.
-	equivalent := map[string]*core.Options{
-		"zero":         {},
-		"explicit-mis": {MISOrder: graph.MISMaxDegree},
-		"unused-seed":  {Seed: 42},
-	}
-	for name, o := range equivalent {
-		if KeyOf("Appro", o, in) != base {
-			t.Errorf("%s: plan-equivalent option set %+v does not share the default key", name, *o)
-		}
+	// A planner that reads no option exposes none, so every seed it is
+	// handed keys to its one entry.
+	if name, opts := Identity(registry.MustNew("Appro", &core.Options{Seed: 5})); name != "Appro" || opts != nil {
+		t.Errorf("Identity(Appro under Seed 5) = %q, %+v; want Appro and no options", name, opts)
 	}
 }
 

@@ -17,13 +17,8 @@ func init() {
 		Name:    "Appro",
 		Summary: "the paper's Algorithm 1: MIS sojourn selection, K-minMax tours, finish-time-sorted insertion",
 		Paper:   true,
-		Caps: Capabilities{
-			Context:   true,
-			Options:   true,
-			Seeded:    true,
-			MultiNode: true,
-		},
-		New: func(o core.Options) core.Planner { return core.ApproPlanner{Opts: o} },
+		Caps:    Capabilities{Context: true, MultiNode: true},
+		New:     func(core.Options) core.Planner { return core.ApproPlanner{} },
 	})
 	Register(Entry{
 		Name:    "K-EDF",
@@ -59,12 +54,7 @@ func init() {
 		Name:    "BiLevel",
 		Aliases: []string{"bi-level", "blm"},
 		Summary: "bi-level metaheuristic: seeded MIS stop-subset perturbation outside, min-max tours inside",
-		Caps: Capabilities{
-			Context:   true,
-			Options:   true,
-			Seeded:    true,
-			MultiNode: true,
-		},
-		New: func(o core.Options) core.Planner { return bilevel.Planner{Opts: o} },
+		Caps:    Capabilities{Context: true, Seeded: true, MultiNode: true},
+		New:     func(o core.Options) core.Planner { return bilevel.Planner{Opts: o} },
 	})
 }

@@ -1,7 +1,8 @@
 // Package registry is the single naming authority for planning
 // algorithms: every planner registers exactly once, with a canonical
-// name, its accepted aliases, a constructor taking core.Options, and
-// honest capability flags. Every consumer — the public repro facade,
+// name, its accepted aliases, a constructor taking core.Options (whose
+// one field, Seed, only planners flagged Seeded read), and honest
+// capability flags. Every consumer — the public repro facade,
 // wrsn-plan/-sim/-bench, the serving layer's ?planner= resolution and
 // /v1/planners listing, and plan-cache key derivation — resolves planner
 // names here instead of keeping its own switch statement, so adding an
@@ -21,21 +22,18 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // Capabilities are a planner's honest feature flags. "Honest" is
-// enforced by tests (see registry_test.go): a planner flagged Options
-// must actually fold core.Options into its plans, and one not flagged
-// must plan identically under any options.
+// enforced by tests (see registry_test.go): a planner flagged Seeded
+// must actually fold core.Options.Seed into its plans, and one not
+// flagged must plan identically under any seed.
 type Capabilities struct {
 	// Context: Plan honors ctx cancellation and deadlines mid-plan.
 	Context bool `json:"context"`
-	// Options: plan-shaping core.Options fields change the schedule
-	// (and therefore join the plan-cache key via plancache.Optioned).
-	Options bool `json:"options"`
-	// Seeded: Options.Seed shapes the plan (randomized MIS orders or
-	// seeded perturbation); the planner stays deterministic per seed.
+	// Seeded: core.Options.Seed, the one option, shapes the plan
+	// (BiLevel's seeded perturbation) and joins the plan-cache key via
+	// plancache.Optioned; the planner stays deterministic per seed.
 	Seeded bool `json:"seeded"`
 	// MultiNode: stops charge several sensors at once (the paper's
 	// one-to-many scheme) rather than one-to-one point charging.
@@ -51,7 +49,6 @@ func (c Capabilities) list() []string {
 		}
 	}
 	add(c.Context, "ctx")
-	add(c.Options, "options")
 	add(c.Seeded, "seeded")
 	add(c.MultiNode, "multi-node")
 	return out
@@ -76,8 +73,8 @@ type Entry struct {
 	Paper bool
 	// Caps are the planner's capability flags.
 	Caps Capabilities
-	// New constructs the planner under the given options. Planners
-	// without tunables ignore them.
+	// New constructs the planner under the given options. Planners not
+	// flagged Seeded ignore them.
 	New func(opts core.Options) core.Planner
 }
 
@@ -153,11 +150,9 @@ func (r *Registry) Lookup(name string) (Entry, bool) {
 }
 
 // New resolves the named planner and constructs it under opts (nil means
-// the zero, paper-default options). The empty name selects the default
-// planner. Unknown names return an error listing every valid name, so
-// callers (the HTTP 400 body, CLI stderr) need no list of their own. An
-// undefined MISOrder is an error too: the MIS would silently fall back to
-// lexicographic order under a cache key of its own.
+// the zero options). The empty name selects the default planner. Unknown
+// names return an error listing every valid name, so callers (the HTTP
+// 400 body, CLI stderr) need no list of their own.
 func (r *Registry) New(name string, opts *core.Options) (core.Planner, error) {
 	e, ok := r.Lookup(name)
 	if !ok {
@@ -167,10 +162,6 @@ func (r *Registry) New(name string, opts *core.Options) (core.Planner, error) {
 	var o core.Options
 	if opts != nil {
 		o = *opts
-	}
-	if o.MISOrder != 0 && o.MISOrder.String() == "unknown" {
-		return nil, fmt.Errorf("unknown MISOrder %d (valid: 0 for the default, %d-%d)",
-			o.MISOrder, graph.MISLexicographic, graph.MISRandom)
 	}
 	return e.New(o), nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/plancache"
 	"repro/internal/registry"
 )
@@ -80,20 +79,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewRejectsUndefinedMISOrder(t *testing.T) {
-	for _, o := range []graph.MISOrder{0, graph.MISLexicographic, graph.MISMinDegree, graph.MISMaxDegree, graph.MISRandom} {
-		if _, err := registry.New("Appro", &core.Options{MISOrder: o}); err != nil {
-			t.Errorf("MISOrder %d (%v): %v", o, o, err)
-		}
-	}
-	// 5 was the retired Luby order.
-	for _, o := range []graph.MISOrder{99, -4, 5} {
-		if _, err := registry.New("Appro", &core.Options{MISOrder: o}); err == nil {
-			t.Errorf("MISOrder %d accepted", o)
-		}
-	}
-}
-
 func TestDefaultAndUnknown(t *testing.T) {
 	e, ok := registry.Lookup("")
 	if !ok || e.Name != "Appro" {
@@ -154,10 +139,11 @@ func TestRegisterCollisionsPanic(t *testing.T) {
 // TestCapabilityFlagsHonest checks the flags against planner behavior.
 //
 //   - Context: a pre-cancelled context aborts the plan with an error.
-//   - Options: the planner exposes its options via plancache.Optioned,
-//     and a known plan-shaping option pair produces different schedules.
-//   - Seeded structurally implies Options (a seed that shaped plans
-//     without joining the cache key would poison the cache).
+//   - Seeded: the planner exposes its options via plancache.Optioned, so
+//     the seed joins the cache key, and seeds 1 and 2 plan differently.
+//     A planner not flagged Seeded plans identically under any seed and
+//     does not implement Optioned, so its seed cannot split one plan
+//     across cache entries.
 //   - MultiNode: on a dense instance some stop covers several sensors;
 //     one-to-one planners must only emit self-covering stops.
 func TestCapabilityFlagsHonest(t *testing.T) {
@@ -166,42 +152,31 @@ func TestCapabilityFlagsHonest(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 
-	// A plan-shaping option pair per Options-capable planner.
-	optionPairs := map[string][2]core.Options{
-		"Appro":   {{MISOrder: graph.MISMaxDegree}, {MISOrder: graph.MISLexicographic}},
-		"BiLevel": {{Seed: 1}, {Seed: 2}},
-	}
-	// Wild options that must NOT change a no-tunables planner's output.
-	wild := core.Options{MISOrder: graph.MISRandom, Seed: 99, NoSortByFinishTime: true}
-
 	for _, e := range registry.All() {
 		t.Run(e.Name, func(t *testing.T) {
-			if e.Caps.Seeded && !e.Caps.Options {
-				t.Errorf("%s: Seeded flagged without Options — the seed would not join the cache key", e.Name)
-			}
 			if e.Caps.Context {
 				if _, err := e.New(core.Options{}).Plan(cancelled, in); err == nil {
 					t.Errorf("%s: flagged Context but planned under a cancelled context", e.Name)
 				}
 			}
-			if e.Caps.Options {
-				if _, ok := e.New(core.Options{}).(plancache.Optioned); !ok {
-					t.Errorf("%s: flagged Options but does not implement plancache.Optioned", e.Name)
+			_, optioned := e.New(core.Options{}).(plancache.Optioned)
+			if e.Caps.Seeded {
+				if !optioned {
+					t.Errorf("%s: flagged Seeded but does not implement plancache.Optioned", e.Name)
 				}
-				pair, ok := optionPairs[e.Name]
-				if !ok {
-					t.Fatalf("%s: flagged Options but no option pair in this test — add one", e.Name)
-				}
-				a := mustPlan(t, e.New(pair[0]), in)
-				b := mustPlan(t, e.New(pair[1]), in)
+				a := mustPlan(t, e.New(core.Options{Seed: 1}), in)
+				b := mustPlan(t, e.New(core.Options{Seed: 2}), in)
 				if reflect.DeepEqual(a, b) {
-					t.Errorf("%s: flagged Options but %+v and %+v plan identically", e.Name, pair[0], pair[1])
+					t.Errorf("%s: flagged Seeded but seeds 1 and 2 plan identically", e.Name)
 				}
 			} else {
+				if optioned {
+					t.Errorf("%s: not flagged Seeded but implements plancache.Optioned", e.Name)
+				}
 				a := mustPlan(t, e.New(core.Options{}), in)
-				b := mustPlan(t, e.New(wild), in)
+				b := mustPlan(t, e.New(core.Options{Seed: 99}), in)
 				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s: not flagged Options but options changed the plan", e.Name)
+					t.Errorf("%s: not flagged Seeded but Seed 99 changed the plan", e.Name)
 				}
 			}
 			s := mustPlan(t, e.New(core.Options{}), in)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // bodyCase is one /v1/plan request: a ?planner= value and a body.
@@ -131,25 +130,26 @@ func TestBodyIndexMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestPlanOptionsDoNotAlias posts one instance bare and in an envelope
-// with the min-degree MIS order, which plans it differently, and requires
-// two cache entries, each answering its repeats — byte-identical ones
-// from the body index, a ?planner= spelling through the key — with its
-// own first bytes.
+// TestPlanOptionsDoNotAlias posts one instance in BiLevel envelopes under
+// seeds 1 and 2, which plan it differently, and requires two cache
+// entries, each answering its repeats — byte-identical ones from the body
+// index, a ?planner= spelling through the key — with its own first bytes.
+// Appro reads no option, so an Appro envelope under options.Seed 5
+// answers the bare body's bytes from the bare body's entry.
 func TestPlanOptionsDoNotAlias(t *testing.T) {
-	in := testInstance(60, 2, 3)
-	bare, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(PlanRequest{Instance: in, Options: &core.Options{MISOrder: graph.MISMinDegree}})
-	if err != nil {
-		t.Fatal(err)
+	in := testInstance(120, 2, 3)
+	envelope := func(planner string, seed int64) []byte {
+		body, err := json.Marshal(PlanRequest{Planner: planner, Instance: in, Options: &core.Options{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
 	s := New(Config{})
 	h := s.Handler()
+	seeded := [][]byte{envelope("BiLevel", 1), envelope("BiLevel", 2)}
 	var firsts [][]byte
-	for _, body := range [][]byte{bare, env} {
+	for _, body := range seeded {
 		first := postPlan(h, "", body)
 		if first.Code != http.StatusOK || first.Header().Get("X-Plan-Cache") != "miss" {
 			t.Fatalf("first post: status %d, X-Plan-Cache %q, want 200 and miss", first.Code, first.Header().Get("X-Plan-Cache"))
@@ -157,18 +157,31 @@ func TestPlanOptionsDoNotAlias(t *testing.T) {
 		firsts = append(firsts, first.Body.Bytes())
 	}
 	if bytes.Equal(firsts[0], firsts[1]) {
-		t.Fatal("the two MIS orders plan the instance alike, so the test cannot tell their entries apart")
+		t.Fatal("BiLevel seeds 1 and 2 plan the instance alike, so the test cannot tell their entries apart")
 	}
-	for i, body := range [][]byte{bare, env} {
-		for _, planner := range []string{"", "appro"} {
+	for i, body := range seeded {
+		for _, planner := range []string{"", "bilevel"} {
 			rec := postPlan(h, planner, body)
 			if rec.Header().Get("X-Plan-Cache") != "hit" || !bytes.Equal(rec.Body.Bytes(), firsts[i]) {
-				t.Errorf("body %d, ?planner=%q: X-Plan-Cache %q, want a hit with the body's own first bytes", i, planner, rec.Header().Get("X-Plan-Cache"))
+				t.Errorf("seed %d, ?planner=%q: X-Plan-Cache %q, want a hit with the body's own first bytes", i+1, planner, rec.Header().Get("X-Plan-Cache"))
 			}
 		}
 	}
-	if st := s.cache.Stats(); st.Size != 2 || st.Misses != 2 || st.Hits != 4 || st.BodyHits != 2 {
-		t.Errorf("stats %+v: want two entries, two misses and four hits, two of them from the index", st)
+
+	bare, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := postPlan(h, "", bare)
+	if want.Code != http.StatusOK || want.Header().Get("X-Plan-Cache") != "miss" {
+		t.Fatalf("bare post: status %d, X-Plan-Cache %q, want 200 and miss", want.Code, want.Header().Get("X-Plan-Cache"))
+	}
+	rec := postPlan(h, "", envelope("Appro", 5))
+	if rec.Header().Get("X-Plan-Cache") != "hit" || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("Appro envelope under Seed 5: X-Plan-Cache %q, want a hit with the bare body's bytes", rec.Header().Get("X-Plan-Cache"))
+	}
+	if st := s.cache.Stats(); st.Size != 3 || st.Misses != 3 || st.Hits != 5 || st.BodyHits != 2 {
+		t.Errorf("stats %+v: want three entries, three misses and five hits, two of them from the index", st)
 	}
 }
 

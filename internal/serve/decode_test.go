@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
 // referenceDecodePlanRequest is the two-pass, reflective decoder the
@@ -142,7 +141,7 @@ func decodeCorpus(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	compact, _ := json.Marshal(in)
-	env := PlanRequest{Planner: "K-EDF", Instance: in, Options: &core.Options{MISOrder: graph.MISMinDegree, Seed: 4}, TimeoutMS: 900}
+	env := PlanRequest{Planner: "K-EDF", Instance: in, Options: &core.Options{Seed: 4}, TimeoutMS: 900}
 	envCompact, _ := json.Marshal(env)
 	envIndented, _ := json.MarshalIndent(env, "", "\t")
 	const inst = `{"depot":{"x":1,"y":2},"requests":[{"pos":{"x":3,"y":4},"duration":5,"lifetime":6}],"gamma":2.7,"speed":1,"k":2}`
@@ -153,7 +152,7 @@ func decodeCorpus(t testing.TB) [][]byte {
 		inst, " \t\r\n" + inst + "\n\t ",
 		`{"instance":` + inst + `}`, `{"instance":` + inst + `,"planner":"bilevel","timeout_ms":-5}`,
 		`{"planner":null,"instance":` + inst + `,"options":null,"timeout_ms":null}`,
-		`{"instance":` + inst + `,"options":{"MISOrder":1,"Seed":3,"NoSortByFinishTime":true}}`,
+		`{"instance":` + inst + `,"options":{"Seed":3}}`,
 		// Case-folded and escaped names, including the Kelvin sign and
 		// the long s that encoding/json folds to k and s.
 		`{"K":1,"SPEED":1,"Gamma":2.7,"DePoT":{"X":1,"Y":2}}`,

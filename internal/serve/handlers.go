@@ -25,16 +25,17 @@ import (
 
 // PlanRequest is the /v1/plan request envelope. A request body may also
 // be a bare core.Instance (exactly what `wrsn-plan -dump-instance`
-// writes), which plans with the default planner and options.
+// writes), which plans with the default planner.
 type PlanRequest struct {
 	// Planner names the algorithm ("" means Appro); the ?planner= query
 	// parameter overrides it.
 	Planner string `json:"planner,omitempty"`
 	// Instance is the problem to plan.
 	Instance *core.Instance `json:"instance"`
-	// Options tunes Appro (field names as in core.Options: MISOrder,
-	// Seed, NoSortByFinishTime). Decoding is strict, so any other field,
-	// a retired option such as Workers included, is a 400.
+	// Options holds the planner options (field names as in
+	// core.Options: Seed, which only BiLevel reads; the other planners
+	// ignore it). Decoding is strict, so any other field, a retired
+	// option such as Workers included, is a 400.
 	Options *core.Options `json:"options,omitempty"`
 	// TimeoutMS is the per-request planning deadline in milliseconds,
 	// clamped to the server's MaxTimeout; 0 means the server default.
@@ -56,7 +57,8 @@ type SimulateRequest struct {
 	K int `json:"k,omitempty"`
 	// Planner names the algorithm ("" means Appro).
 	Planner string `json:"planner,omitempty"`
-	// Options tunes Appro, decoded as strictly as PlanRequest.Options.
+	// Options holds the planner options, decoded as strictly as
+	// PlanRequest.Options.
 	Options *core.Options `json:"options,omitempty"`
 	// DurationDays is the monitored period; 0 means 30 days (the full
 	// paper year is available but rarely what an API caller wants to
@@ -262,7 +264,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// and a write of the stored response, and should not queue behind a
 	// worker slot. Misses plan under admission control and publish their
 	// response bytes for the next caller. The key identity (canonical
-	// registry name + plan-shaping options) comes from plancache.Identity,
+	// registry name + a seeded planner's seed) comes from plancache.Identity,
 	// so an aliased or lowercased ?planner= spelling hits the same entries
 	// as the canonical one.
 	cacheState := "off"

@@ -41,7 +41,7 @@
 // the plan, frees the worker, and returns 504.
 //
 // All /v1/plan requests share one plan cache of response bytes, keyed on
-// planner name, plan-shaping options and canonical instance encoding. A
+// planner name, BiLevel's seed and canonical instance encoding. A
 // request whose ?planner= value and body bytes repeat one answered
 // before is answered by a SHA-256 of those bytes and a lookup in the
 // cache's body index, which writes the stored response without decoding
@@ -111,8 +111,8 @@ type Config struct {
 	// RetryAfter is the Retry-After hint attached to 429 responses;
 	// 0 means 1 s.
 	RetryAfter time.Duration
-	// NewPlanner resolves a planner name and optional plan-shaping
-	// options. nil means DefaultPlanner (the planner registry).
+	// NewPlanner resolves a planner name and optional planner options.
+	// nil means DefaultPlanner (the planner registry).
 	NewPlanner func(name string, opts *core.Options) (core.Planner, error)
 	// Tracer, when non-nil, replaces the server's own tracer; stage
 	// timings and counters from every request aggregate into it and
@@ -215,10 +215,9 @@ func (c Config) withDefaults() Config {
 // DefaultPlanner resolves planner names through the planner registry
 // (internal/registry): the same names, aliases and case-insensitive
 // matching wrsn-plan accepts. The empty name selects the registry's
-// default planner (Appro). Options apply to planners that fold them into
-// plans and are ignored by the one-to-one baselines, which have no
-// tunables. Unknown names return an error listing every valid name —
-// the body of the resulting 400.
+// default planner (Appro). Options.Seed applies to the seeded planner
+// (BiLevel) and is ignored by the others. Unknown names return an error
+// listing every valid name — the body of the resulting 400.
 func DefaultPlanner(name string, opts *core.Options) (core.Planner, error) {
 	return registry.New(name, opts)
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/registry"
 )
 
@@ -135,8 +134,8 @@ func TestPlanEnvelope(t *testing.T) {
 		t.Errorf("got %d tours, want %d", len(sched.Tours), in.K)
 	}
 
-	// Appro options shape the plan: an options request must still verify.
-	env = PlanRequest{Instance: in, Options: &core.Options{MISOrder: graph.MISMinDegree}}
+	// BiLevel's seed shapes the plan: an options request must still plan.
+	env = PlanRequest{Planner: "BiLevel", Instance: in, Options: &core.Options{Seed: 3}}
 	body, _ = json.Marshal(env)
 	if resp, out = postJSON(t, ts.URL+"/v1/plan", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("options plan: status %d: %s", resp.StatusCode, out)
@@ -177,10 +176,10 @@ var badPlanBodies = []struct {
 	{"retired TourBuilder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourBuilder":2}}`},
 	{"retired TourRestarts option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"TourRestarts":4}}`},
 	{"retired Workers option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Workers":2}}`},
-	// Undefined MIS orders; 5 was the retired Luby order.
-	{"undefined MISOrder 99", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":99}}`},
-	{"undefined MISOrder -4", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":-4}}`},
-	{"undefined MISOrder 5", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":5}}`},
+	// Appro's retired knobs, at values that were legal before.
+	{"retired MISOrder option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"MISOrder":3}}`},
+	{"retired NoSortByFinishTime option", `{"instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"NoSortByFinishTime":false}}`},
+	{"retired MISOrder beside Seed", `{"planner":"BiLevel","instance":{"depot":{"x":0,"y":0},"gamma":2.7,"speed":1,"k":1},"options":{"Seed":1,"MISOrder":3}}`},
 }
 
 func TestPlanBadRequests(t *testing.T) {
@@ -671,7 +670,8 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 
 	for _, tc := range []struct{ name, body string }{
-		{"undefined MISOrder", `{"n":40,"seed":1,"options":{"MISOrder":99}}`},
+		{"retired MISOrder option", `{"n":40,"seed":1,"options":{"MISOrder":3}}`},
+		{"retired NoSortByFinishTime option", `{"n":40,"seed":1,"options":{"NoSortByFinishTime":false}}`},
 		{"retired Workers option", `{"n":40,"seed":1,"options":{"Workers":2}}`},
 		{"trailing bracket", `{"n":40,"seed":1}]`},
 	} {

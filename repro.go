@@ -69,8 +69,9 @@ type (
 	Violation = core.Violation
 	// Planner plans charging tours for an instance.
 	Planner = core.Planner
-	// ApproOptions tunes Algorithm Appro.
-	ApproOptions = core.Options
+	// PlannerOptions carries the planner options for
+	// NewPlannerWithOptions: Seed, which only the seeded BiLevel reads.
+	PlannerOptions = core.Options
 )
 
 // World model and evaluation (see internal/wrsn, internal/sim,
@@ -140,14 +141,14 @@ func TracerFromContext(ctx context.Context) *Tracer { return obs.FromContext(ctx
 // Most callers want PlanAppro, which additionally executes the plan so the
 // returned times are conflict-free. The context cancels or deadlines the
 // computation; the returned error then wraps ctx.Err().
-func Appro(ctx context.Context, in *Instance, opts ApproOptions) (*Schedule, error) {
-	return core.Appro(ctx, in, opts)
+func Appro(ctx context.Context, in *Instance) (*Schedule, error) {
+	return core.Appro(ctx, in, core.Options{})
 }
 
 // PlanAppro plans with Algorithm Appro and executes the plan, returning a
 // schedule that provably never charges a sensor from two chargers at once.
-func PlanAppro(ctx context.Context, in *Instance, opts ApproOptions) (*Schedule, error) {
-	return core.ApproPlanner{Opts: opts}.Plan(ctx, in)
+func PlanAppro(ctx context.Context, in *Instance) (*Schedule, error) {
+	return core.ApproPlanner{}.Plan(ctx, in)
 }
 
 // Execute simulates the chargers driving a planned schedule, enforcing the
@@ -175,8 +176,8 @@ func VerifyScheme(in *Instance, s *Schedule) []Violation {
 }
 
 // NewApproPlanner returns Algorithm Appro as a Planner.
-func NewApproPlanner(opts ApproOptions) Planner {
-	return core.ApproPlanner{Opts: opts}
+func NewApproPlanner() Planner {
+	return core.ApproPlanner{}
 }
 
 // NewPlanner resolves a planner by name through the planner registry
@@ -190,9 +191,9 @@ func NewPlanner(name string) (Planner, error) {
 }
 
 // NewPlannerWithOptions resolves a planner by name and constructs it
-// under the given plan-shaping options. Planners without tunables (the
-// one-to-one baselines) ignore them.
-func NewPlannerWithOptions(name string, opts ApproOptions) (Planner, error) {
+// under the given options. Only the seeded planner (BiLevel) reads them;
+// the others, Appro included, ignore them.
+func NewPlannerWithOptions(name string, opts PlannerOptions) (Planner, error) {
 	return registry.New(name, &opts)
 }
 
@@ -288,8 +289,8 @@ type (
 // Analyze computes the approximation-ratio ingredients of Theorem 1 — the
 // auxiliary graph's maximum degree, tau_max/tau_min, and the resulting
 // instance-specific guarantee — without producing a schedule.
-func Analyze(ctx context.Context, in *Instance, opts ApproOptions) (*Analysis, error) {
-	return core.Analyze(ctx, in, opts)
+func Analyze(ctx context.Context, in *Instance) (*Analysis, error) {
+	return core.Analyze(ctx, in)
 }
 
 // ComputeLowerBound returns provable lower bounds on the optimal longest

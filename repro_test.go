@@ -27,7 +27,7 @@ func demoInstance(rng *rand.Rand, n, k int) *repro.Instance {
 
 func TestPublicPlanAndVerifyRoundTrip(t *testing.T) {
 	in := demoInstance(rand.New(rand.NewSource(1)), 80, 2)
-	s, err := repro.PlanAppro(context.Background(), in, repro.ApproOptions{})
+	s, err := repro.PlanAppro(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPublicPlanAndVerifyRoundTrip(t *testing.T) {
 
 func TestPublicApproThenExecute(t *testing.T) {
 	in := demoInstance(rand.New(rand.NewSource(2)), 50, 3)
-	planned, err := repro.Appro(context.Background(), in, repro.ApproOptions{})
+	planned, err := repro.Appro(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
