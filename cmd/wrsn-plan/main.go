@@ -183,8 +183,9 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 	}
 	fmt.Println("feasibility: OK (coverage, disjointness, timing, no simultaneous charging)")
 
-	// Quality report: a provable lower bound on the optimum and the
-	// instance's theoretical approximation guarantee (Theorem 1).
+	// Quality report: a provable lower bound on the optimum and, for an
+	// Appro plan, the instance's theoretical approximation guarantee
+	// (Theorem 1), which bounds Appro's plans only.
 	sp = tracer.Start(obs.StageLowerBound)
 	lb := repro.ComputeLowerBound(in)
 	sp.End()
@@ -193,11 +194,13 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 			lb.Value/3600, lb.Farthest/3600, lb.PackingWork/3600, lb.PackingTravel/3600, lb.PackingSize)
 		fmt.Printf("empirical approx factor:  <= %.2f\n", s.Longest/lb.Value)
 	}
-	if ana, err := repro.Analyze(ctx, in); err == nil {
-		fmt.Printf("theoretical guarantee:    %.1f (Delta_H=%d <= %d, tau_max/tau_min=%.2f, |S_I|=%d, |V'_H|=%d)\n",
-			ana.Ratio, ana.DeltaH, 26, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
-	} else if ctx.Err() != nil {
-		fmt.Println("theoretical guarantee:    skipped (deadline reached after planning)")
+	if planner.Name() == repro.NewApproPlanner().Name() {
+		if ana, err := repro.Analyze(ctx, in); err == nil {
+			fmt.Printf("theoretical guarantee:    %.1f (Delta_H=%d <= %d, tau_max/tau_min=%.2f, |S_I|=%d, |V'_H|=%d)\n",
+				ana.Ratio, ana.DeltaH, 26, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
+		} else if ctx.Err() != nil {
+			fmt.Println("theoretical guarantee:    skipped (deadline reached after planning)")
+		}
 	}
 
 	if svgPath != "" {

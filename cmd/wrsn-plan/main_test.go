@@ -95,22 +95,9 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 			instPath := filepath.Join(t.TempDir(), "inst.json")
 
 			// Capture the schedule JSON that run(-json) writes to stdout.
-			old := os.Stdout
-			r, w, err := os.Pipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			os.Stdout = w
-			runErr := run(context.Background(), 40, 2, name, 1, 100, "", "", false, true, instPath)
-			w.Close()
-			os.Stdout = old
-			got, err := io.ReadAll(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if runErr != nil {
-				t.Fatal(runErr)
-			}
+			got := captureStdout(t, func() error {
+				return run(context.Background(), 40, 2, name, 1, 100, "", "", false, true, instPath)
+			})
 
 			// The dumped instance must decode to exactly the generated one.
 			data, err := os.ReadFile(instPath)
@@ -137,6 +124,43 @@ func TestJSONOutputRoundTrip(t *testing.T) {
 				t.Fatalf("-json output differs from /v1/plan's answer\ngot:  %.120s\nwant: %.120s", got, rec.Body.Bytes())
 			}
 		})
+	}
+}
+
+// captureStdout returns what f writes to stdout, failing the test when f
+// fails. Its output must fit in a pipe buffer.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := f()
+	w.Close()
+	os.Stdout = old
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return got
+}
+
+// TestRunPrintsGuaranteeForApproOnly checks that text mode prints
+// Theorem 1's guarantee, which bounds Appro's plans, under Appro and not
+// under a one-to-one planner.
+func TestRunPrintsGuaranteeForApproOnly(t *testing.T) {
+	for name, want := range map[string]bool{"Appro": true, "K-EDF": false} {
+		out := captureStdout(t, func() error {
+			return run(context.Background(), 300, 2, name, 1, 100, "", "", false, false, "")
+		})
+		if got := bytes.Contains(out, []byte("theoretical guarantee:")); got != want {
+			t.Errorf("%s: guarantee line printed = %v, want %v\n%s", name, got, want, out)
+		}
 	}
 }
 

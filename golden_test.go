@@ -83,6 +83,9 @@ func TestPlanBytesGolden(t *testing.T) {
 		{"kminmax-n1200-k2-seed1", "K-minMax", workload.RequestSet(1200, 2, 1, 100), "d9447a06a72f589093e74a62bc188d90c14626cfbd5698114bebede16a75927c"},
 		{"aa-n1200-k2-seed1", "AA", workload.RequestSet(1200, 2, 1, 100), "c2af481a7ce826ca8df7dcfc333601f3ef873257e60e186a31de0a4853bf9d3c"},
 		{"bilevel-n1200-k2-seed1", "BiLevel", workload.RequestSet(1200, 2, 1, 100), "f993b971d73713bf569454e153a50e164f5c5ae70c53830ca43612dff13dbaa2"},
+		// e2ebench verified-30k's instance 0: thousands of stops per tour,
+		// so many insertion-chunk splits and the long grand-tour 2-opt.
+		{"appro-n30000-k4-field500-seed1", "Appro", workload.RequestSet(30000, 4, 1, 500), "002a020db2efc94fb4ff6d2d644d579b0d1ecaabd65013c565c5a463c16b5d53"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -263,8 +263,7 @@ func tourOrder(in *core.Instance, group []int) []int {
 		pts = append(pts, in.Requests[u].Pos)
 	}
 	// Untraced: these are AA's per-group tours, not K-minMax kernels.
-	t := tsp.MSTApprox(context.Background(), pts, 0)
-	tsp.TwoOpt(&t, pts, 0)
+	t := tsp.Construct(context.Background(), pts, 0)
 	out := make([]int, 0, len(group))
 	for _, v := range t.Order {
 		if v != 0 {

@@ -84,13 +84,12 @@ func (p Planner) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 	}
 	pts := in.Positions()
 	gc := graph.UnitDisk(pts, in.Gamma)
-	grid := geom.NewGrid(pts, in.Gamma)
 
 	// Outer level: one candidate schedule per round, fanned across
 	// GOMAXPROCS workers but indexed by round, so the scan below is
 	// deterministic.
 	cands, err := par.Map(ctx, OuterRounds, 0, func(ctx context.Context, r int) (*core.Schedule, error) {
-		return p.planRound(ctx, in, pts, grid, candidateSet(gc, p.Opts.Seed, r))
+		return p.planRound(ctx, in, pts, gc, candidateSet(gc, p.Opts.Seed, r))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bilevel: %w", err)
@@ -171,29 +170,27 @@ func perturbedMIS(gc *graph.Undirected, rng *rand.Rand) []int {
 }
 
 // planRound builds, finalizes and executes the schedule for one
-// candidate stop set.
-func (p Planner) planRound(ctx context.Context, in *core.Instance, pts []geom.Point, grid *geom.Grid, si []int) (*core.Schedule, error) {
+// candidate stop set si of the charging graph gc over pts.
+func (p Planner) planRound(ctx context.Context, in *core.Instance, pts []geom.Point, gc *graph.Undirected, si []int) (*core.Schedule, error) {
 	// Coverage attribution in ascending candidate order: each request
-	// goes to the first candidate within gamma. Maximality of the MIS
-	// guarantees every request is within gamma of some candidate, and
-	// independence guarantees each candidate at least covers itself
-	// (no earlier candidate is within gamma of it), so no stop is empty.
+	// goes to the first candidate within gamma, read from the candidate's
+	// closed G_c row N_c+(v). Maximality of the MIS guarantees every
+	// request is within gamma of some candidate, and independence
+	// guarantees each candidate at least covers itself (no earlier
+	// candidate is within gamma of it), so no stop is empty.
+	cov := gc.ClosedNeighborhoods(si)
 	covered := make([]bool, len(pts))
 	covers := make([][]int, len(si))
 	service := make([]float64, len(si))
 	nodes := make([]geom.Point, len(si))
-	var buf []int
 	for i, v := range si {
 		nodes[i] = pts[v]
-		buf = grid.Neighbors(pts[v], in.Gamma, buf)
-		cs := append([]int(nil), buf...)
-		sort.Ints(cs)
-		for _, u := range cs {
+		for _, u := range cov.Of(i) {
 			if covered[u] {
 				continue
 			}
 			covered[u] = true
-			covers[i] = append(covers[i], u)
+			covers[i] = append(covers[i], int(u))
 			if d := in.Requests[u].Duration; d > service[i] {
 				service[i] = d
 			}

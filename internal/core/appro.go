@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -116,18 +115,15 @@ func approOrdered(ctx context.Context, in *Instance) (*Schedule, error) {
 // candidates is the outcome of Algorithm 1's steps 1-4: S_I (the MIS of
 // the charging graph G_c), the auxiliary graph H over S_I, its MIS V'_H
 // (indices into si), and each candidate's coverage set N_c+(v) in one flat
-// arena, covArena[covOff[i]:covOff[i+1]], each segment ascending.
+// arena (cov.Of(i), ascending).
 type candidates struct {
-	si, vh   []int
-	h        *graph.Undirected
-	covOff   []int32
-	covArena []int32
+	si, vh []int
+	h      *graph.Undirected
+	cov    graph.Covers
 }
 
 // cover returns candidate i's coverage set N_c+(si[i]), ascending.
-func (c *candidates) cover(i int) []int32 {
-	return c.covArena[c.covOff[i]:c.covOff[i+1]]
-}
+func (c *candidates) cover(i int) []int32 { return c.cov.Of(i) }
 
 // tau returns tau(v) for candidate i (Eq. (2)): the longest charging
 // duration among the requests it covers.
@@ -147,6 +143,10 @@ func (c *candidates) tau(in *Instance, i int) float64 {
 // MIS steps use the max-degree order, which picks hub sensors whose
 // charging disks cover the most neighbors: EXPERIMENTS.md's retired MIS
 // ablation measured 17-28% longer plans under the other orders.
+//
+// G_c is the one request index: the coverage sets N_c+(v) are its closed
+// rows (graph.ClosedNeighborhoods), and H's pair test reads those sets,
+// so no other grid over the requests is built.
 func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point) (candidates, error) {
 	tr := obs.FromContext(ctx)
 	misCfg := graph.MISConfig{Tracer: tr}
@@ -162,9 +162,15 @@ func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point) (candi
 		return candidates{}, err
 	}
 
-	// Step 3-4: auxiliary graph H over S_I and its MIS V'_H.
+	// Step 3-4: coverage sets N_c+(v) for each candidate sojourn, the
+	// auxiliary graph H over S_I built on them, and H's MIS V'_H.
 	sp = tr.Start(obs.StageChargingGraph)
-	h := graph.IntersectionGraph(pts, si, in.Gamma)
+	cov := gc.ClosedNeighborhoods(si)
+	siPts := make([]geom.Point, len(si))
+	for i, v := range si {
+		siPts[i] = pts[v]
+	}
+	h := graph.IntersectionOf(siPts, in.Gamma, cov)
 	sp.End()
 	sp = tr.Start(obs.StageMIS)
 	vh := graph.MaximalIndependentSetWith(h, graph.MISMaxDegree, misCfg)
@@ -172,20 +178,5 @@ func buildCandidates(ctx context.Context, in *Instance, pts []geom.Point) (candi
 	if err := ctx.Err(); err != nil {
 		return candidates{}, err
 	}
-
-	// Coverage sets N_c+(v) for each candidate sojourn.
-	sp = tr.Start(obs.StageChargingGraph)
-	defer sp.End()
-	grid := geom.NewGrid(pts, in.Gamma)
-	c := candidates{si: si, vh: vh, h: h, covOff: make([]int32, len(si)+1), covArena: make([]int32, 0, 4*len(si))}
-	var buf []int
-	for i, node := range si {
-		buf = grid.Neighbors(pts[node], in.Gamma, buf)
-		sort.Ints(buf)
-		for _, u := range buf {
-			c.covArena = append(c.covArena, int32(u))
-		}
-		c.covOff[i+1] = int32(len(c.covArena))
-	}
-	return c, nil
+	return candidates{si: si, vh: vh, h: h, cov: cov}, nil
 }

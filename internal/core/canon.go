@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -29,45 +30,80 @@ import (
 // case of sensors equidistant from the depot with identical demands.
 
 // canonicalOrder returns the request indices sorted by the canonical key,
-// i.e. perm[rank] = original index. It sorts a pointer-free (depot
-// distance, index) array and reads the rest of the key from the requests
-// only on a distance tie. Ties of the whole key fall back to the index,
-// which makes the order a stable sort's. That needs the key to be a
-// strict weak order, which Instance.Validate guarantees by rejecting NaN
-// coordinates and lifetimes; every caller validates first.
+// i.e. perm[rank] = original index. It LSD-radix-sorts the indices by the
+// bits of their depot distances and reads the rest of the key from the
+// requests only inside runs of equal distance. A depot distance is never
+// negative, NaN or -0 (math.Hypot returns +0 for two zeros), and the bits
+// of such floats, +Inf included, order as the numbers do, so the radix
+// order is the distance order; the sort is stable, so equal distances
+// keep index order. Ties of the whole key fall back to the index, which
+// makes the order a stable sort's. That needs the key to be a strict weak
+// order, which Instance.Validate guarantees by rejecting NaN coordinates
+// and lifetimes; every caller validates first.
 func canonicalOrder(in *Instance) []int {
-	type key struct {
-		dist float64
-		i    int
-	}
-	keys := make([]key, len(in.Requests))
+	n := len(in.Requests)
+	bits := make([]uint64, n)
+	// hist[d][b] counts the distances whose byte d is b.
+	var hist [8][256]int
 	for i := range in.Requests {
-		keys[i] = key{geom.Dist(in.Depot, in.Requests[i].Pos), i}
+		b := math.Float64bits(geom.Dist(in.Depot, in.Requests[i].Pos))
+		bits[i] = b
+		for d := range hist {
+			hist[d][byte(b>>(8*d))]++
+		}
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
+	perm, tmp := make([]int, n), make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for d := range hist {
+		h := &hist[d]
+		if n == 0 || h[byte(bits[0]>>(8*d))] == n {
+			continue // every distance has the same byte d
 		}
-		ra, rb := &in.Requests[a.i], &in.Requests[b.i]
-		if c := cmp.Compare(ra.Duration, rb.Duration); c != 0 {
-			return c
+		sum := 0
+		for b, c := range h {
+			h[b], sum = sum, sum+c
 		}
-		if c := cmp.Compare(ra.Lifetime, rb.Lifetime); c != 0 {
-			return c
+		for _, i := range perm {
+			b := byte(bits[i] >> (8 * d))
+			tmp[h[b]] = i
+			h[b]++
 		}
-		if c := cmp.Compare(ra.Pos.X, rb.Pos.X); c != 0 {
-			return c
+		perm, tmp = tmp, perm
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && bits[perm[hi]] == bits[perm[lo]] {
+			hi++
 		}
-		if c := cmp.Compare(ra.Pos.Y, rb.Pos.Y); c != 0 {
-			return c
+		if hi-lo > 1 {
+			slices.SortFunc(perm[lo:hi], func(i, j int) int {
+				return compareDemand(&in.Requests[i], &in.Requests[j], i, j)
+			})
 		}
-		return cmp.Compare(a.i, b.i)
-	})
-	perm := make([]int, len(keys))
-	for rank, k := range keys {
-		perm[rank] = k.i
+		lo = hi
 	}
 	return perm
+}
+
+// compareDemand orders two requests at the same depot distance, with
+// indices i and j, by the rest of the canonical key: charge duration,
+// lifetime, raw X, raw Y, then index.
+func compareDemand(ra, rb *Request, i, j int) int {
+	if c := cmp.Compare(ra.Duration, rb.Duration); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ra.Lifetime, rb.Lifetime); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ra.Pos.X, rb.Pos.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ra.Pos.Y, rb.Pos.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(i, j)
 }
 
 // canonicalize returns the instance with requests in canonical order plus

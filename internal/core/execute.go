@@ -80,13 +80,21 @@ func (r *Realization) Execute(ctx context.Context, in *Instance, planned *Schedu
 		paused bool    // the tour's pause has been taken
 	}
 	curs := make([]cursor, len(planned.Tours))
+	ncov := 0
 	for k, t := range planned.Tours {
 		if len(t.Stops) > 0 {
 			first := t.Stops[0].Node
 			curs[k].arrive = leg(-1, first, in.Depot, in.Requests[first].Pos)
 		}
 		out.Tours[k].Stops = make([]Stop, 0, len(t.Stops))
+		for _, s := range t.Stops {
+			ncov += len(s.Covers)
+		}
 	}
+	// The executed stops' covers are copies in one arena; each stop gets
+	// a cap-limited window, so an append to one stop's covers reallocates
+	// instead of overwriting the next stop's.
+	covers := make([]int, 0, ncov)
 	// committed charging intervals, for conflict lookups.
 	type interval struct {
 		node int
@@ -143,11 +151,17 @@ func (r *Realization) Execute(ctx context.Context, in *Instance, planned *Schedu
 		c.paused = c.paused || taken
 		out.WaitTime += start - raw
 		committed = append(committed, interval{node: plan.Node, end: start + dur})
+		var cv []int
+		if len(plan.Covers) > 0 {
+			lo := len(covers)
+			covers = append(covers, plan.Covers...)
+			cv = covers[lo:len(covers):len(covers)]
+		}
 		out.Tours[pick].Stops = append(out.Tours[pick].Stops, Stop{
 			Node:     plan.Node,
 			Arrive:   start,
 			Duration: dur,
-			Covers:   append([]int(nil), plan.Covers...),
+			Covers:   cv,
 		})
 		// Advance the cursor. Stops are committed in arrival order, so
 		// each tour's stops stay sorted by Arrive.

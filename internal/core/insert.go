@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+
+	"repro/internal/geom"
 )
 
 // This file implements the step-6 insertion phase of Algorithm Appro
@@ -32,6 +34,14 @@ import (
 //     tour (frontier moves back to the insertion chunk) instead of paying
 //     an O(L) full-tour walk per insert.
 //
+//     Each stop also keeps its incoming travel leg, the in.Travel float
+//     from its predecessor (or the depot) that the walk adds before its
+//     arrival, so recomputing a chunk adds stored floats. A leg depends
+//     only on the stop and its predecessor, so an insert computes two:
+//     the new stop's, and its successor's, which is the next chunk's
+//     first stop when the insert lands at the end of a chunk. A split
+//     moves legs with their stops and computes none.
+//
 //  3. Cover sets live in one flat arena ([]int32 + offsets), and the
 //     inVH/stopPos maps of the reference become flat slices indexed by si
 //     position, eliminating per-candidate allocations and map traffic.
@@ -54,6 +64,7 @@ type wchunk struct {
 	hidx   []int32 // si index of each stop (dense inverse of node)
 	dur    []float64
 	arr    []float64
+	leg    []float64 // travel time from the previous stop (or the depot)
 	covOff []int32
 	covLen []int32
 }
@@ -68,24 +79,21 @@ type wtour struct {
 }
 
 // ensureClean advances the frontier until chunks[:ci+1] are exact.
-func (t *wtour) ensureClean(ci int, in *Instance) {
+func (t *wtour) ensureClean(ci int) {
 	for t.clean <= ci {
 		c := t.chunks[t.clean]
-		cur, now := in.Depot, 0.0
+		now := 0.0
 		if t.clean > 0 {
 			p := t.chunks[t.clean-1]
 			last := len(p.node) - 1
-			cur = in.Requests[p.node[last]].Pos
 			// The reference walk leaves now == arrive+duration after each
 			// stop, so this is the exact entry state of chunk t.clean.
 			now = p.arr[last] + p.dur[last]
 		}
-		for i := range c.node {
-			pos := in.Requests[c.node[i]].Pos
-			now += in.Travel(cur, pos)
+		for i, leg := range c.leg {
+			now += leg
 			c.arr[i] = now
 			now += c.dur[i]
-			cur = pos
 		}
 		t.clean++
 	}
@@ -97,7 +105,7 @@ func (t *wtour) delay(in *Instance) float64 {
 	if t.n == 0 {
 		return 0
 	}
-	t.ensureClean(len(t.chunks)-1, in)
+	t.ensureClean(len(t.chunks) - 1)
 	c := t.chunks[len(t.chunks)-1]
 	last := len(c.node) - 1
 	return c.arr[last] + c.dur[last] + in.Travel(in.Requests[c.node[last]].Pos, in.Depot)
@@ -184,23 +192,49 @@ func newInsEngine(in *Instance, c candidates, service []float64, ktTours [][]int
 	return e
 }
 
-// newChunk allocates a chunk with its six parallel arrays at full capacity
-// up front: a chunk lives at up to chunkMax stops plus the one insert that
-// triggers a split, so sizing for that eliminates all append regrowth.
+// newChunk allocates a chunk with its seven parallel arrays at full
+// capacity up front: a chunk lives at up to chunkMax stops plus the one
+// insert that triggers a split, so sizing for that eliminates all append
+// regrowth. The arrays are cap-limited windows of two backing arrays, one
+// per element type, so an append can never spill into a neighbour.
 func newChunk(t *wtour, cidx int) *wchunk {
+	const m = chunkMax + 1
+	ints := make([]int32, 4*m)
+	floats := make([]float64, 3*m)
 	return &wchunk{
 		t: t, cidx: cidx,
-		node:   make([]int32, 0, chunkMax+1),
-		hidx:   make([]int32, 0, chunkMax+1),
-		dur:    make([]float64, 0, chunkMax+1),
-		arr:    make([]float64, 0, chunkMax+1),
-		covOff: make([]int32, 0, chunkMax+1),
-		covLen: make([]int32, 0, chunkMax+1),
+		node:   ints[0:0:m],
+		hidx:   ints[m : m : 2*m],
+		covOff: ints[2*m : 2*m : 3*m],
+		covLen: ints[3*m : 3*m : 4*m],
+		dur:    floats[0:0:m],
+		arr:    floats[m : m : 2*m],
+		leg:    floats[2*m : 2*m : 3*m],
 	}
 }
 
-// rawAppend pushes a stop onto the end of a tour without touching arrival
-// state (used for the initial placement, which starts fully stale).
+// location returns the position of the stop at index i of chunk c.
+func (e *insEngine) location(c *wchunk, i int) geom.Point {
+	return e.in.Requests[c.node[i]].Pos
+}
+
+// predPos returns the position the charger leaves from to reach index i
+// of chunk c: the previous stop, the previous chunk's last stop, or the
+// depot.
+func (e *insEngine) predPos(c *wchunk, i int) geom.Point {
+	switch {
+	case i > 0:
+		return e.location(c, i-1)
+	case c.cidx > 0:
+		p := c.t.chunks[c.cidx-1]
+		return e.location(p, len(p.node)-1)
+	}
+	return e.in.Depot
+}
+
+// rawAppend pushes a stop onto the end of a tour, with its incoming leg,
+// without touching arrival state (used for the initial placement, which
+// starts fully stale).
 func (e *insEngine) rawAppend(t *wtour, node, hid int32, dur float64, covOff, covLen int32) {
 	var c *wchunk
 	if len(t.chunks) == 0 || len(t.chunks[len(t.chunks)-1].node) >= chunkMax {
@@ -209,6 +243,7 @@ func (e *insEngine) rawAppend(t *wtour, node, hid int32, dur float64, covOff, co
 	} else {
 		c = t.chunks[len(t.chunks)-1]
 	}
+	c.leg = append(c.leg, e.in.Travel(e.predPos(c, len(c.node)), e.in.Requests[node].Pos))
 	c.node = append(c.node, node)
 	c.hidx = append(c.hidx, hid)
 	c.dur = append(c.dur, dur)
@@ -224,7 +259,7 @@ func (e *insEngine) rawAppend(t *wtour, node, hid int32, dur float64, covOff, co
 // Stop.Finish() after a full recompute.
 func (e *insEngine) finish(hIdx int) float64 {
 	c := e.posChunk[hIdx]
-	c.t.ensureClean(c.cidx, e.in)
+	c.t.ensureClean(c.cidx)
 	i := e.posIdx[hIdx]
 	return c.arr[i] + c.dur[i]
 }
@@ -325,10 +360,22 @@ func (e *insEngine) shortestTour() *wtour {
 	return e.tours[best]
 }
 
-// insertAt splices a stop into chunk c at local index li, recomputes the
-// chunk's arrivals exactly, and marks the tour's suffix stale.
+// insertAt splices a stop into chunk c at local index li, computes its
+// incoming leg and its successor's, recomputes the chunk's arrivals
+// exactly, and marks the tour's suffix stale.
 func (e *insEngine) insertAt(t *wtour, c *wchunk, li int, node, hid int32, dur float64, covOff, covLen int32) {
-	t.ensureClean(c.cidx, e.in)
+	t.ensureClean(c.cidx)
+	pos := e.in.Requests[node].Pos
+	c.leg = append(c.leg, 0)
+	copy(c.leg[li+1:], c.leg[li:])
+	c.leg[li] = e.in.Travel(e.predPos(c, li), pos)
+	switch {
+	case li+1 < len(c.leg):
+		c.leg[li+1] = e.in.Travel(pos, e.location(c, li))
+	case c.cidx+1 < len(t.chunks):
+		nc := t.chunks[c.cidx+1]
+		nc.leg[0] = e.in.Travel(pos, e.location(nc, 0))
+	}
 	c.node = append(c.node, 0)
 	copy(c.node[li+1:], c.node[li:])
 	c.node[li] = node
@@ -353,7 +400,7 @@ func (e *insEngine) insertAt(t *wtour, c *wchunk, li int, node, hid int32, dur f
 	// Only this chunk's arrivals are recomputed now; everything after it
 	// shifts and goes stale until someone looks at it.
 	t.clean = c.cidx
-	t.ensureClean(c.cidx, e.in)
+	t.ensureClean(c.cidx)
 	if len(c.node) >= chunkMax {
 		e.split(t, c)
 	}
@@ -366,12 +413,14 @@ func (e *insEngine) split(t *wtour, c *wchunk) {
 	nc.hidx = append(nc.hidx, c.hidx[chunkSplit:]...)
 	nc.dur = append(nc.dur, c.dur[chunkSplit:]...)
 	nc.arr = append(nc.arr, c.arr[chunkSplit:]...)
+	nc.leg = append(nc.leg, c.leg[chunkSplit:]...)
 	nc.covOff = append(nc.covOff, c.covOff[chunkSplit:]...)
 	nc.covLen = append(nc.covLen, c.covLen[chunkSplit:]...)
 	c.node = c.node[:chunkSplit]
 	c.hidx = c.hidx[:chunkSplit]
 	c.dur = c.dur[:chunkSplit]
 	c.arr = c.arr[:chunkSplit]
+	c.leg = c.leg[:chunkSplit]
 	c.covOff = c.covOff[:chunkSplit]
 	c.covLen = c.covLen[:chunkSplit]
 	t.chunks = append(t.chunks, nil)
@@ -460,9 +509,10 @@ func (e *insEngine) run(ctx context.Context) error {
 	return nil
 }
 
-// materialize writes the engine's tours into sched and recomputes all
-// times from scratch — the reference's final state is exactly a full
-// recomputeTourTimes of the final stop sequences.
+// materialize writes the engine's tours into sched with their times. The
+// reference's final state is a full recomputeTourTimes of the final stop
+// sequences; a clean tour holds exactly those arrivals, and its delay adds
+// the return leg to the last finish as that walk does.
 func (e *insEngine) materialize(sched *Schedule) {
 	covers := make([]int, len(e.stopCov))
 	for i, u := range e.stopCov {
@@ -473,6 +523,7 @@ func (e *insEngine) materialize(sched *Schedule) {
 		if t.n == 0 {
 			continue
 		}
+		t.ensureClean(len(t.chunks) - 1)
 		stops := make([]Stop, 0, t.n)
 		for _, c := range t.chunks {
 			for i := range c.node {
@@ -481,10 +532,9 @@ func (e *insEngine) materialize(sched *Schedule) {
 					lo, hi := c.covOff[i], c.covOff[i]+c.covLen[i]
 					cv = covers[lo:hi:hi]
 				}
-				stops = append(stops, Stop{Node: int(c.node[i]), Duration: c.dur[i], Covers: cv})
+				stops = append(stops, Stop{Node: int(c.node[i]), Arrive: c.arr[i], Duration: c.dur[i], Covers: cv})
 			}
 		}
-		sched.Tours[k].Stops = stops
-		recomputeTourTimes(e.in, &sched.Tours[k])
+		sched.Tours[k] = Tour{Stops: stops, Delay: t.delay(e.in)}
 	}
 }

@@ -227,6 +227,10 @@ func TestInsertionMatchesReference(t *testing.T) {
 		{"sparse", 150, 2, 6, 150},
 		{"crowded", 300, 2, 7, 30},
 		{"mid-k3", 250, 3, 8, 80},
+		// One charger puts more than a chunk of stops in one tour: this
+		// run splits a chunk and inserts once after the last stop of a
+		// non-final chunk, whose successor's leg lives in the next chunk
+		// (TestInsertLegsMatchFullWalk pins both cases directly).
 		{"mid-k1", 250, 1, 10, 70},
 	}
 	if !testing.Short() {
@@ -294,5 +298,98 @@ func TestInsertionMatchesReferenceCoincident(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("gamma %v, K %d: schedule diverged from reference", shape.gamma, shape.k)
 		}
+	}
+}
+
+// TestInsertLegsMatchFullWalk drives the engine's tour edits directly and
+// checks after each one that every stop's stored leg is the in.Travel
+// float from its predecessor, and that every arrival and the tour delay
+// equal a full recomputeTourTimes walk, bit for bit. The edits reach each
+// edge case of the leg cache: an insert after the last stop of a
+// non-final chunk (the successor is the next chunk's first stop), with
+// and without a split; an insert at the head of a non-first chunk (the
+// predecessor is the previous chunk's last stop); the tour's first
+// position (the predecessor is the depot); its end; and random inserts
+// that keep splitting chunks.
+func TestInsertLegsMatchFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const placed, inserts = 300, 400
+	in := &Instance{Depot: geom.Pt(50, 50), Gamma: 2.7, Speed: 1.3, K: 1}
+	for range placed + inserts {
+		in.Requests = append(in.Requests, Request{
+			Pos:      geom.Pt(rng.Float64()*100, rng.Float64()*100),
+			Duration: rng.Float64() * 3600,
+		})
+	}
+	n := len(in.Requests)
+	e := &insEngine{in: in, posChunk: make([]*wchunk, n), posIdx: make([]int32, n)}
+	tour := &wtour{}
+	for h := range placed {
+		e.rawAppend(tour, int32(h), int32(h), in.Requests[h].Duration, 0, 0)
+	}
+	check := func(step string) {
+		t.Helper()
+		ref := Tour{}
+		for _, c := range tour.chunks {
+			for _, node := range c.node {
+				ref.Stops = append(ref.Stops, Stop{Node: int(node), Duration: in.Requests[node].Duration})
+			}
+		}
+		recomputeTourTimes(in, &ref)
+		tour.ensureClean(len(tour.chunks) - 1)
+		i, prev := 0, in.Depot
+		for ci, c := range tour.chunks {
+			if c.cidx != ci || len(c.leg) != len(c.node) || len(c.arr) != len(c.node) {
+				t.Fatalf("%s: chunk %d malformed (cidx %d, %d legs, %d arrivals, %d stops)", step, ci, c.cidx, len(c.leg), len(c.arr), len(c.node))
+			}
+			for li, node := range c.node {
+				pos := in.Requests[node].Pos
+				if c.leg[li] != in.Travel(prev, pos) {
+					t.Fatalf("%s: stop %d (chunk %d, index %d): leg %v, travel %v", step, i, ci, li, c.leg[li], in.Travel(prev, pos))
+				}
+				if c.arr[li] != ref.Stops[i].Arrive {
+					t.Fatalf("%s: stop %d arrives %v, full walk %v", step, i, c.arr[li], ref.Stops[i].Arrive)
+				}
+				if e.posChunk[c.hidx[li]] != c || e.posIdx[c.hidx[li]] != int32(li) {
+					t.Fatalf("%s: stop %d has a stale position", step, i)
+				}
+				prev = pos
+				i++
+			}
+		}
+		if i != len(ref.Stops) || tour.n != i {
+			t.Fatalf("%s: %d stops in chunks, count %d, want %d", step, i, tour.n, len(ref.Stops))
+		}
+		if d := tour.delay(in); d != ref.Delay {
+			t.Fatalf("%s: delay %v, full walk %v", step, d, ref.Delay)
+		}
+	}
+	check("initial placement")
+	if len(tour.chunks) != 3 || len(tour.chunks[0].node) != chunkMax {
+		t.Fatalf("initial placement: %d chunks, first of %d stops; want 3, %d", len(tour.chunks), len(tour.chunks[0].node), chunkMax)
+	}
+	next := int32(placed)
+	insert := func(step string, ci, li int) {
+		t.Helper()
+		c := tour.chunks[ci]
+		e.insertAt(tour, c, li, next, next, in.Requests[next].Duration, 0, 0)
+		next++
+		check(step)
+	}
+	insert("after the last stop of a full non-final chunk", 0, chunkMax)
+	if len(tour.chunks) != 4 {
+		t.Fatalf("inserting into a full chunk left %d chunks, want 4 after the split", len(tour.chunks))
+	}
+	insert("after the last stop of a non-final chunk", 0, len(tour.chunks[0].node))
+	insert("at the head of a non-first chunk", 1, 0)
+	insert("at the head of the tour", 0, 0)
+	last := len(tour.chunks) - 1
+	insert("at the end of the tour", last, len(tour.chunks[last].node))
+	for int(next) < n {
+		ci := rng.Intn(len(tour.chunks))
+		insert("random insert", ci, rng.Intn(len(tour.chunks[ci].node)+1))
+	}
+	if len(tour.chunks) < 8 {
+		t.Fatalf("%d random inserts left %d chunks; want splits to have made at least 8", n-placed-5, len(tour.chunks))
 	}
 }

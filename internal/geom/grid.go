@@ -230,9 +230,12 @@ func (g *Grid) Neighbors(q Point, r float64, dst []int) []int {
 	// Scan the cells of q ± w. The relative 1e-9 covers DistSq's rounding.
 	// The 1e-150 floor covers its underflow: a subnormal or zero r*r
 	// admits points up to ~1.5e-154 apart. An overflowing r*r admits
-	// every point, so the window is the whole grid.
+	// every point, so the window is the whole grid. So is an infinite
+	// cell, NewGrid's one cell for extents that overflow: there q's
+	// offset from the grid's corner can overflow too, and divided by
+	// the cell it is NaN, which scanRange reads as a miss.
 	x0, x1, y0, y1 := 0, g.cols-1, 0, g.rows-1
-	if !math.IsInf(r2, 1) {
+	if !math.IsInf(r2, 1) && !math.IsInf(g.cell, 1) {
 		w := math.Max(r, 1e-150) * (1 + 1e-9)
 		x0, x1 = scanRange(q.X, w, g.minX, g.cell, g.cols)
 		y0, y1 = scanRange(q.Y, w, g.minY, g.cell, g.rows)

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -184,6 +185,47 @@ func TestGridExtremeExtentsNoOverflow(t *testing.T) {
 	// the closest cluster.
 	if i, _ := g.NearestWhere(Pt(1e15, 1e15), math.Inf(1), nil); i < 0 {
 		t.Fatal("NearestWhere from 1e15 away found nothing")
+	}
+}
+
+// TestGridOverflowingExtentsQueryTheOneCell covers point sets whose
+// extent overflows float64 (clusters near ±1.5e308). NewGrid collapses
+// them into one infinite cell, and a query's offset from the grid corner
+// can overflow too; queries must still scan that cell and answer like the
+// brute-force oracle, in ascending index order, every point finding
+// itself.
+func TestGridOverflowingExtentsQueryTheOneCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var pts []Point
+	for _, c := range []Point{Pt(-1.5e308, 0), Pt(1.5e308, 0), Pt(0, 1.5e308), Pt(1e308, -1e308)} {
+		for i := 0; i < 6; i++ {
+			pts = append(pts, Pt(c.X+rng.Float64()*4-2, c.Y+rng.Float64()*4-2))
+		}
+	}
+	g := NewGrid(pts, 2.7)
+	if !math.IsInf(g.cell, 1) || g.cols != 1 || g.rows != 1 {
+		t.Fatalf("fixture does not collapse the grid: cell %v, %dx%d", g.cell, g.cols, g.rows)
+	}
+	for i, q := range pts {
+		for _, r := range []float64{0, 3, 10} {
+			got := g.Neighbors(q, r, nil)
+			if want := bruteNeighbors(pts, q, r); !equalInts(got, want) {
+				t.Fatalf("Neighbors(%v, %g) = %v, want %v", q, r, got, want)
+			}
+			if !slices.Contains(got, i) {
+				t.Fatalf("point %d not found by its own query at radius %g", i, r)
+			}
+		}
+		j, d := g.NearestWhere(q, 10, func(k int) bool { return k != i })
+		bj, bd := -1, math.Inf(1)
+		for k, p := range pts {
+			if dk := Dist(q, p); k != i && dk <= 10 && dk < bd {
+				bj, bd = k, dk
+			}
+		}
+		if j != bj || d != bd {
+			t.Fatalf("NearestWhere around %d = %d,%v, want %d,%v", i, j, d, bj, bd)
+		}
 	}
 }
 

@@ -61,6 +61,37 @@ func TestDistSymmetryAndTriangle(t *testing.T) {
 	}
 }
 
+// TestDistSqSymmetricBitForBit checks that DistSq(p, q) and DistSq(q, p)
+// are the same float, bit for bit: a - b is -(b - a) exactly under
+// round-to-nearest, and squaring drops the sign. The 2-opt's neighbour
+// lists read the d² stored on one side of a pair as the other side's key.
+// The inputs span magnitudes from subnormal to overflowing, signed zeros
+// and the lattice ties the planner meets.
+func TestDistSqSymmetricBitForBit(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-160, 0.1, 0.3, 1, 2.5, 2.7, -2.7,
+		3.14159, 1e8 + 0.5, -1e12, 1e154, 1e200, -1e200, 1.5e308, -1.5e308, math.MaxFloat64}
+	check := func(p, q Point) {
+		if a, b := math.Float64bits(DistSq(p, q)), math.Float64bits(DistSq(q, p)); a != b {
+			t.Fatalf("DistSq(%v, %v) = %v, DistSq(%v, %v) = %v", p, q, DistSq(p, q), q, p, DistSq(q, p))
+		}
+	}
+	for _, ax := range vals {
+		for _, ay := range vals {
+			for _, bx := range vals {
+				for _, by := range []float64{0, -0.1, 2.7, 1e200} {
+					check(Pt(ax, ay), Pt(bx, by))
+				}
+			}
+		}
+	}
+	f := func(ax, ay, bx, by float64) bool {
+		return math.Float64bits(DistSq(Pt(ax, ay), Pt(bx, by))) == math.Float64bits(DistSq(Pt(bx, by), Pt(ax, ay)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestWithin(t *testing.T) {
 	tests := []struct {
 		name string

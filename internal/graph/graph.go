@@ -16,9 +16,9 @@ import (
 // Undirected is a simple undirected graph on vertices 0..n-1, stored as a
 // frozen compressed-sparse-row (CSR) adjacency: one flat arc array plus
 // per-vertex offsets. Graphs are immutable once built — construct them with
-// UnitDisk, IntersectionGraph, or FromEdges. The flat layout halves memory
-// versus per-vertex slices (no slice headers, no growth slack) and makes
-// neighbor scans a single contiguous read.
+// UnitDisk, IntersectionGraph or IntersectionOf, or FromEdges. The flat
+// layout halves memory versus per-vertex slices (no slice headers, no
+// growth slack) and makes neighbor scans a single contiguous read.
 type Undirected struct {
 	off   []int32 // len n+1; vertex u's arcs live in adj[off[u]:off[u+1]]
 	adj   []int32 // len 2*edges; both directions of every edge
@@ -165,6 +165,39 @@ func UnitDisk(pts []geom.Point, radius float64) *Undirected {
 	return &Undirected{off: off, adj: adj, edges: len(adj) / 2}
 }
 
+// Covers holds one ascending set of int32 indices per vertex in a flat
+// arena: vertex i's set is arena[off[i]:off[i+1]].
+type Covers struct {
+	off, arena []int32
+}
+
+// Of returns vertex i's set, ascending. It is owned by the arena and must
+// not be modified.
+func (c Covers) Of(i int) []int32 { return c.arena[c.off[i]:c.off[i+1]] }
+
+// ClosedNeighborhoods returns the closed neighbourhood row(v) ∪ {v} of
+// each vertex nodes[i] as set i of one arena, ascending. On the charging
+// graph G_c = UnitDisk(pts, gamma) this is the coverage set N_c+(v), the
+// points within gamma of v: UnitDisk fills row v from v's own grid query,
+// and that query (Grid.NeighborsOf) is Grid.Neighbors(pts[v]) minus v
+// under the same DistSq <= gamma² test, so no second grid is needed.
+func (g *Undirected) ClosedNeighborhoods(nodes []int) Covers {
+	c := Covers{off: make([]int32, len(nodes)+1)}
+	total := len(nodes)
+	for _, v := range nodes {
+		total += g.Degree(v)
+	}
+	c.arena = make([]int32, 0, total)
+	for i, v := range nodes {
+		lo := len(c.arena)
+		c.arena = append(c.arena, g.Neighbors(v)...)
+		c.arena = append(c.arena, int32(v))
+		slices.Sort(c.arena[lo:])
+		c.off[i+1] = int32(len(c.arena))
+	}
+	return c
+}
+
 // IntersectionGraph builds the paper's auxiliary graph H over the points
 // indexed by nodes: there is an edge between two nodes iff their disks of
 // the given radius intersect a common point of pts, i.e. the closed
@@ -173,43 +206,56 @@ func UnitDisk(pts []geom.Point, radius float64) *Undirected {
 // the definition used here is the paper's exact set-intersection condition.
 //
 // nodes are indices into pts. The resulting graph has len(nodes) vertices,
-// vertex i standing for pts[nodes[i]].
+// vertex i standing for pts[nodes[i]]. It queries a grid over pts for each
+// node's cover set and hands them to IntersectionOf; a caller that holds
+// the charging graph reads the same sets from its rows instead
+// (ClosedNeighborhoods).
 func IntersectionGraph(pts []geom.Point, nodes []int, radius float64) *Undirected {
 	n := len(nodes)
 	if radius < 0 || n == 0 {
 		return emptyGraph(n)
 	}
-	// Cover sets live in one flat arena: covArena[covOff[i]:covOff[i+1]] =
-	// sorted sensor indices within radius of nodes[i].
 	grid := geom.NewGrid(pts, radius)
-	covOff := make([]int32, n+1)
-	var covArena []int
+	cov := Covers{off: make([]int32, n+1)}
+	nodePts := make([]geom.Point, n)
 	var buf []int
 	for i, nd := range nodes {
-		buf = grid.Neighbors(pts[nd], radius, buf)
-		covArena = append(covArena, buf...)
-		covOff[i+1] = int32(len(covArena))
-		sort.Ints(covArena[covOff[i]:])
-	}
-	cover := func(i int) []int { return covArena[covOff[i]:covOff[i+1]] }
-	// Candidate pairs are nodes within 2*radius of each other; check the
-	// exact intersection condition on each candidate. The expensive set
-	// intersection runs once per pair: accepted pairs are buffered in
-	// discovery order, then counted and filled into the CSR rows.
-	nodePts := make([]geom.Point, n)
-	for i, nd := range nodes {
 		nodePts[i] = pts[nd]
+		buf = grid.Neighbors(pts[nd], radius, buf)
+		lo := len(cov.arena)
+		for _, u := range buf {
+			cov.arena = append(cov.arena, int32(u))
+		}
+		slices.Sort(cov.arena[lo:])
+		cov.off[i+1] = int32(len(cov.arena))
+	}
+	return IntersectionOf(nodePts, radius, cov)
+}
+
+// IntersectionOf builds H over the vertices at nodePts whose cover sets
+// are cov: an edge joins i and j iff cov.Of(i) and cov.Of(j) share an
+// element. Candidate pairs are the vertices within 2*radius of each other
+// (a shared point lies within radius of both), found on one grid over
+// nodePts; the set intersection runs once per candidate pair. Accepted
+// pairs are buffered in discovery order, then counted and filled into the
+// CSR rows, so row i holds i's lower neighbours ascending, then its upper
+// ones in grid order — the append order of incremental construction.
+func IntersectionOf(nodePts []geom.Point, radius float64, cov Covers) *Undirected {
+	n := len(nodePts)
+	if radius < 0 || n == 0 {
+		return emptyGraph(n)
 	}
 	ngrid := geom.NewGrid(nodePts, 2*radius)
 	var pairs [][2]int32
+	var buf []int
 	deg := make([]int32, n)
-	for i := range nodes {
+	for i := range n {
 		buf = ngrid.NeighborsOf(i, 2*radius, buf)
 		for _, j := range buf {
 			if j <= i {
 				continue
 			}
-			if SortedIntersect(cover(i), cover(j)) {
+			if SortedIntersect(cov.Of(i), cov.Of(j)) {
 				pairs = append(pairs, [2]int32{int32(i), int32(j)})
 				deg[i]++
 				deg[j]++
@@ -226,10 +272,10 @@ func IntersectionGraph(pts []geom.Point, nodes []int, radius float64) *Undirecte
 	})
 }
 
-// SortedIntersect reports whether two ascending int slices share an
-// element. On cover sets it is the stop-conflict test; core.Coverage
-// shares it with H's construction.
-func SortedIntersect(a, b []int) bool {
+// SortedIntersect reports whether two ascending slices share an element.
+// On cover sets it is the stop-conflict test; core.Coverage shares it
+// with H's construction.
+func SortedIntersect[T int | int32](a, b []T) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

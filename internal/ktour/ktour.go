@@ -195,11 +195,11 @@ func MinMax(ctx context.Context, in Input) (*Solution, error) {
 
 // GrandTourOrder builds the single TSP tour over depot + nodes used as the
 // splitting backbone, returning node indices (0..len(Nodes)-1) in visit
-// order starting from the depot's successor. The tour is the MST-doubling
-// tour from the depot followed by one 2-opt descent, recorded under the
-// kminmax/2opt span; the descent never lengthens a tour, so the result is
-// at most twice the MST's weight. Exported so callers can time or inspect
-// the grand tour on its own.
+// order starting from the depot's successor. The tour is tsp.Construct's
+// MST-doubling tour from the depot followed by one 2-opt descent, recorded
+// under the kminmax/mst and kminmax/2opt spans; the descent never
+// lengthens a tour, so the result is at most twice the MST's weight.
+// Exported so callers can time or inspect the grand tour on its own.
 func GrandTourOrder(ctx context.Context, in Input) []int {
 	n := len(in.Nodes)
 	if n == 0 {
@@ -208,13 +208,8 @@ func GrandTourOrder(ctx context.Context, in Input) []int {
 	pts := make([]geom.Point, 0, n+1)
 	pts = append(pts, in.Depot)
 	pts = append(pts, in.Nodes...)
-	tour := tsp.MSTApprox(ctx, pts, 0)
-	if len(tour.Order) >= 4 {
-		sp := obs.FromContext(ctx).Start(obs.StageKMinMaxTwoOpt)
-		tsp.TwoOpt(&tour, pts, 0)
-		sp.End()
-	}
-	// Both calls keep the depot at Order[0].
+	tour := tsp.Construct(ctx, pts, 0)
+	// The construction keeps the depot at Order[0].
 	order := make([]int, n)
 	for i, v := range tour.Order[1:] {
 		order[i] = v - 1

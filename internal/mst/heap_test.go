@@ -131,8 +131,7 @@ func TestPrimForestMatchesContainerHeap(t *testing.T) {
 	cases["duplicates"], cases["collinear"], cases["far-clusters"], cases["uniform"] = dup, line, far, uni
 	for name, pts := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, off, adj := candidateGraph(pts)
-			neighbors := func(v int) []int32 { return adj[off[v]:off[v+1]] }
+			neighbors := NewCandidates(pts).Row
 			got, gotW := primForest(pts, neighbors, 0)
 			want, wantW := primForestReference(pts, neighbors, 0)
 			for v := range want {

@@ -39,13 +39,22 @@ import (
 // adversarial worst case (e.g. one tight cluster, where the candidate
 // graph degenerates to complete) falls back to the dense bound.
 func EuclideanSparse(pts []geom.Point, root int) *Tree {
-	n := len(pts)
-	if n == 0 || root < 0 || root >= n {
+	if len(pts) == 0 || root < 0 || root >= len(pts) {
 		return nil
 	}
-	grid, off, adj := candidateGraph(pts)
-	neighbors := func(v int) []int32 { return adj[off[v]:off[v+1]] }
-	parent, total := primForest(pts, neighbors, root)
+	return NewCandidates(pts).MST(root)
+}
+
+// MST is EuclideanSparse over the candidate graph's points, run on c
+// instead of a graph of its own. It returns nil when root is out of
+// range.
+func (c *Candidates) MST(root int) *Tree {
+	pts, grid := c.pts, c.grid
+	n := len(pts)
+	if root < 0 || root >= n {
+		return nil
+	}
+	parent, total := primForest(pts, c.Row, root)
 	if countComponents(parent) == 1 {
 		// The candidate graph was connected: the forest is the MST.
 		return &Tree{Root: root, Parent: parent, Weight: total}
@@ -160,31 +169,52 @@ func EuclideanSparse(pts []geom.Point, root int) *Tree {
 	return &Tree{Root: root, Parent: oriented, Weight: total}
 }
 
-// candidateGraph builds the grid and the CSR adjacency of the pruned
-// candidate edge set: all pairs within a radius chosen so a vertex sees a
+// Candidates is the pruned candidate edge set EuclideanSparse's first
+// phase runs on: all pairs within a radius chosen so a vertex sees a
 // small constant number of neighbors at the point set's average density
 // (r = geom.CellFor, which is 2*sqrt(area/n) for uniform points and
 // covers ~4π ≈ 12.6 expected neighbors, enough for connectivity at
 // planning densities while keeping the edge count linear). Correctness
-// never depends on r, only the edge count does. Each vertex is queried
-// once and its row appended in query order; the arena starts at the
-// uniform-density size and grows if the set is denser.
-func candidateGraph(pts []geom.Point) (*geom.Grid, []int32, []int32) {
+// never depends on r, only the edge count does.
+//
+// The grid indexes the points at cell size r and row u is its
+// NeighborsOf(u, r) query, in query order. The 2-opt's neighbour lists
+// (package tsp) start from exactly that query, so a tour construction
+// that runs both builds the graph once and hands it to both.
+type Candidates struct {
+	pts      []geom.Point
+	grid     *geom.Grid
+	radius   float64
+	off, adj []int32
+}
+
+// NewCandidates builds the candidate graph over pts: each vertex is
+// queried once and its row appended in query order; the arena starts at
+// the uniform-density size and grows if the set is denser.
+func NewCandidates(pts []geom.Point) *Candidates {
 	n := len(pts)
 	r := geom.CellFor(geom.Bounds(pts), n)
-	grid := geom.NewGrid(pts, r)
-	off := make([]int32, n+1)
-	adj := make([]int32, 0, 13*n)
+	c := &Candidates{pts: pts, grid: geom.NewGrid(pts, r), radius: r, off: make([]int32, n+1), adj: make([]int32, 0, 13*n)}
 	var buf []int
 	for u := range n {
-		buf = grid.NeighborsOf(u, r, buf)
+		buf = c.grid.NeighborsOf(u, r, buf)
 		for _, v := range buf {
-			adj = append(adj, int32(v))
+			c.adj = append(c.adj, int32(v))
 		}
-		off[u+1] = int32(len(adj))
+		c.off[u+1] = int32(len(c.adj))
 	}
-	return grid, off, adj
+	return c
 }
+
+// Row returns vertex u's candidate neighbours in grid query order. The
+// slice is owned by the graph and must not be modified.
+func (c *Candidates) Row(u int) []int32 { return c.adj[c.off[u]:c.off[u+1]] }
+
+// Grid returns the grid the graph was queried on.
+func (c *Candidates) Grid() *geom.Grid { return c.grid }
+
+// Radius returns the query radius, which is also the grid's cell size.
+func (c *Candidates) Radius() float64 { return c.radius }
 
 // countComponents counts the trees in a parent forest: the vertices with
 // parent -1 are the roots.

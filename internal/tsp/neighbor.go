@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // DefaultNeighborK is the neighbor-list size of the 2-opt descent:
@@ -33,12 +34,18 @@ const DefaultNeighborK = 10
 // and the first improving move is taken. Order[0] is the start vertex
 // before and after.
 func TwoOpt(t *Tour, pts []geom.Point, maxRounds int) int {
-	n := len(t.Order)
-	if n < 4 {
+	if len(t.Order) < 4 {
 		return 0
 	}
+	return twoOpt(t, pts, nil, maxRounds)
+}
+
+// twoOpt is TwoOpt with its neighbour lists' first ring read from cand,
+// the MST's candidate graph over pts, or queried afresh when cand is nil.
+func twoOpt(t *Tour, pts []geom.Point, cand *mst.Candidates, maxRounds int) int {
+	n := len(t.Order)
 	start := t.Order[0]
-	off, adj := neighborLists(pts)
+	off, adj := neighborLists(pts, cand)
 	pos := make([]int, len(pts))
 	for i, v := range t.Order {
 		pos[v] = i
@@ -167,32 +174,60 @@ func reverseCyclic(order []int, pos []int, from, count int) {
 // and every vertex that ranks v among its own k nearest, sorted by
 // (squared distance from v, index). Each vertex's k nearest are found by
 // grid ring expansion into a fixed k-slot list kept in (d², index) order
-// by insertion, so no candidate set is sorted. Row v starts as v's own
-// list; a vertex u that lists v joins it, by insertion on the same key,
-// only where v does not list u already. Construction is O(n·k²) at
-// bounded density.
-func neighborLists(pts []geom.Point) ([]int32, []int32) {
+// by insertion, so no candidate set is sorted. The first ring is the
+// query at radius geom.CellFor on a grid of that cell size. When cand,
+// the MST's candidate graph over pts, is given, its grid and rows are
+// exactly that grid and those queries, so the first ring is read from
+// it; otherwise the grid is built here. Row v starts as v's own list; a
+// vertex u that lists v joins it, by insertion on the same key, only
+// where v does not list u already. Construction is O(n·k²) at bounded
+// density.
+//
+// "Does u list v" is answered in O(1) when u's list is full. A ring stops
+// growing once it holds k vertices, and every vertex outside it is
+// farther than all inside, so a full list holds exactly the k least
+// (d², index) keys from u, and v is on it iff its key from u is at most
+// the k-th. Both keys are computed from u's side (and geom.DistSq is
+// symmetric bit for bit anyway). A list that is not full holds every
+// other vertex (n <= k), or comes from non-finite coordinates, where the
+// ring stops early; those are searched.
+func neighborLists(pts []geom.Point, cand *mst.Candidates) ([]int32, []int32) {
 	const k = DefaultNeighborK
 	n := len(pts)
 	b := geom.Bounds(pts)
-	r := geom.CellFor(b, n)
-	grid := geom.NewGrid(pts, r)
 	maxR := math.Hypot(b.Width(), b.Height())
-	// near[v*k : v*k+cnt[v]] is v's list of nearest, ascending by (d², index).
+	var grid *geom.Grid
+	var r float64
+	if cand != nil {
+		grid, r = cand.Grid(), cand.Radius()
+	} else {
+		r = geom.CellFor(b, n)
+		grid = geom.NewGrid(pts, r)
+	}
+	// near[v*k : v*k+cnt[v]] is v's list of nearest, ascending by (d²,
+	// index); kth[v] is the d² of its k-th entry when the list is full.
 	near := make([]int32, n*k)
 	cnt := make([]int32, n)
+	kth := make([]float64, n)
+	finite := true
 	var d2 [k]float64
 	var buf []int
-	// A NaN or infinite coordinate makes maxR or the radius non-finite,
-	// where radius > maxR never holds; the search then stops at once.
 	for u := range n {
+		finite = finite && pts[u].Finite()
 		radius := r
-		for {
-			buf = grid.NeighborsOf(u, radius, buf)
-			if len(buf) >= k || radius > maxR || !geom.Finite(radius) || !geom.Finite(maxR) {
-				break
+		if cand != nil {
+			buf = buf[:0]
+			for _, v := range cand.Row(u) {
+				buf = append(buf, int(v))
 			}
+		} else {
+			buf = grid.NeighborsOf(u, radius, buf)
+		}
+		// A NaN or infinite coordinate makes maxR or the radius
+		// non-finite, where radius <= maxR fails; the search then stops.
+		for len(buf) < k && radius <= maxR && geom.Finite(radius) && geom.Finite(maxR) {
 			radius *= 2
+			buf = grid.NeighborsOf(u, radius, buf)
 		}
 		row := near[u*k : u*k+k]
 		m := 0
@@ -208,9 +243,16 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 			}
 			d2[j], row[j] = dv, v
 		}
-		cnt[u] = int32(m)
+		cnt[u], kth[u] = int32(m), d2[k-1]
 	}
 	list := func(v int) []int32 { return near[v*k : v*k+int(cnt[v])] }
+	// lists reports whether u lists v, where d = DistSq(pts[u], pts[v]).
+	lists := func(u int, v int32, d float64) bool {
+		if finite && cnt[u] == k {
+			return !keyLess(kth[u], near[u*k+k-1], d, v)
+		}
+		return slices.Contains(list(u), v)
+	}
 
 	// Row u holds u's own list plus one reverse entry for each v that
 	// lists u while u does not list v.
@@ -218,7 +260,7 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 	for v := range n {
 		off[v+1] += cnt[v]
 		for _, u := range list(v) {
-			if !slices.Contains(list(int(u)), int32(v)) {
+			if !lists(int(u), int32(v), geom.DistSq(pts[u], pts[v])) {
 				off[u+1]++
 			}
 		}
@@ -235,10 +277,11 @@ func neighborLists(pts []geom.Point) ([]int32, []int32) {
 	// arrive in ascending v, and usually sort after the row's own list.
 	for v := range n {
 		for _, u := range list(v) {
-			if slices.Contains(list(int(u)), int32(v)) {
+			pu := pts[u]
+			dv := geom.DistSq(pu, pts[v])
+			if lists(int(u), int32(v), dv) {
 				continue
 			}
-			pu, dv := pts[u], geom.DistSq(pts[u], pts[v])
 			j := end[u]
 			for ; j > off[u] && keyLess(dv, int32(v), geom.DistSq(pu, pts[adj[j-1]]), adj[j-1]); j-- {
 				adj[j] = adj[j-1]

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 func rngPoints(rng *rand.Rand, n int, side float64) []geom.Point {
@@ -207,18 +208,23 @@ func TestNeighborListsMatchReference(t *testing.T) {
 	}
 }
 
+// assertNeighborListsMatch checks both ways of finding the first ring:
+// querying a grid of its own (TwoOpt) and reading the MST's candidate
+// graph (Construct).
 func assertNeighborListsMatch(t *testing.T, pts []geom.Point) {
 	t.Helper()
-	off, adj := neighborLists(pts)
 	wantOff, wantAdj := neighborListsReference(pts)
-	for u := range pts {
-		got, want := adj[off[u]:off[u+1]], wantAdj[wantOff[u]:wantOff[u+1]]
-		if !slices.Equal(got, want) {
-			t.Fatalf("row %d of %d: got %v, want %v", u, len(pts), got, want)
+	for _, cand := range []*mst.Candidates{nil, mst.NewCandidates(pts)} {
+		off, adj := neighborLists(pts, cand)
+		for u := range pts {
+			got, want := adj[off[u]:off[u+1]], wantAdj[wantOff[u]:wantOff[u+1]]
+			if !slices.Equal(got, want) {
+				t.Fatalf("shared graph %v: row %d of %d: got %v, want %v", cand != nil, u, len(pts), got, want)
+			}
 		}
-	}
-	if len(off) != len(pts)+1 || len(adj) != len(wantAdj) {
-		t.Fatalf("CSR shape: %d offsets, %d entries; want %d, %d", len(off), len(adj), len(pts)+1, len(wantAdj))
+		if len(off) != len(pts)+1 || len(adj) != len(wantAdj) {
+			t.Fatalf("shared graph %v: CSR shape: %d offsets, %d entries; want %d, %d", cand != nil, len(off), len(adj), len(pts)+1, len(wantAdj))
+		}
 	}
 }
 

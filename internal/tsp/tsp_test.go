@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 func randPts(rng *rand.Rand, n int) []geom.Point {
@@ -56,13 +57,23 @@ func TestTourValidate(t *testing.T) {
 	}
 }
 
+// mstApprox is the MST-doubling walk alone, Construct without its 2-opt
+// descent: the preorder of the Euclidean MST rooted at start.
+func mstApprox(pts []geom.Point, start int) Tour {
+	tree := mst.EuclideanSparse(pts, start)
+	if tree == nil {
+		return Tour{}
+	}
+	return Tour{Order: tree.PreorderDFS()}
+}
+
 func TestConstructorsProduceValidTours(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(120)
 		pts := randPts(rng, n)
 		start := rng.Intn(n)
-		tour := MSTApprox(context.Background(), pts, start)
+		tour := Construct(context.Background(), pts, start)
 		if err := tour.Validate(n); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -74,32 +85,37 @@ func TestConstructorsProduceValidTours(t *testing.T) {
 
 func TestConstructorsEdgeCases(t *testing.T) {
 	ctx := context.Background()
-	if tour := MSTApprox(ctx, nil, 0); len(tour.Order) != 0 {
+	if tour := Construct(ctx, nil, 0); len(tour.Order) != 0 {
 		t.Errorf("empty pts should give empty tour")
 	}
-	if tour := MSTApprox(ctx, randPts(rand.New(rand.NewSource(1)), 5), -1); len(tour.Order) != 0 {
+	if tour := Construct(ctx, randPts(rand.New(rand.NewSource(1)), 5), -1); len(tour.Order) != 0 {
 		t.Errorf("bad start should give empty tour")
 	}
-	one := MSTApprox(ctx, []geom.Point{geom.Pt(5, 5)}, 0)
+	one := Construct(ctx, []geom.Point{geom.Pt(5, 5)}, 0)
 	if len(one.Order) != 1 || one.Order[0] != 0 {
 		t.Errorf("single point tour = %v", one.Order)
 	}
-	two := MSTApprox(ctx, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
+	two := Construct(ctx, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
 	if err := two.Validate(2); err != nil || two.Order[0] != 1 {
 		t.Errorf("two point tour = %v (%v)", two.Order, err)
 	}
 }
 
-// TestMSTApproxWithinTwiceOptimal verifies the 2-approximation bound against
-// a brute-force optimum on small instances.
+// TestMSTApproxWithinTwiceOptimal verifies the 2-approximation bound of
+// the MST-doubling walk against a brute-force optimum on small instances,
+// and that Construct's 2-opt descent does not lengthen the walk.
 func TestMSTApproxWithinTwiceOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + rng.Intn(4) // 4..7
 		pts := randPts(rng, n)
 		opt := bruteForceOptimal(pts)
-		if got := MSTApprox(context.Background(), pts, 0).Length(pts); got > 2*opt+1e-9 {
-			t.Errorf("trial %d: length %v > 2*opt %v", trial, got, 2*opt)
+		walk := mstApprox(pts, 0).Length(pts)
+		if walk > 2*opt+1e-9 {
+			t.Errorf("trial %d: length %v > 2*opt %v", trial, walk, 2*opt)
+		}
+		if got := Construct(context.Background(), pts, 0).Length(pts); got > walk+1e-9 {
+			t.Errorf("trial %d: Construct length %v > doubling walk %v", trial, got, walk)
 		}
 	}
 }
@@ -167,12 +183,12 @@ func TestTwoOptTinyTours(t *testing.T) {
 	}
 }
 
-func BenchmarkMSTApprox1000(b *testing.B) {
+func BenchmarkConstruct1000(b *testing.B) {
 	pts := randPts(rand.New(rand.NewSource(1)), 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MSTApprox(context.Background(), pts, 0)
+		_ = Construct(context.Background(), pts, 0)
 	}
 }
 
