@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/obs"
 	"repro/internal/render"
@@ -197,7 +198,7 @@ func run(ctx context.Context, n, k int, name string, seed int64, field float64, 
 	if planner.Name() == repro.NewApproPlanner().Name() {
 		if ana, err := repro.Analyze(ctx, in); err == nil {
 			fmt.Printf("theoretical guarantee:    %.1f (Delta_H=%d <= %d, tau_max/tau_min=%.2f, |S_I|=%d, |V'_H|=%d)\n",
-				ana.Ratio, ana.DeltaH, 26, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
+				ana.Ratio, ana.DeltaH, core.LemmaTwoBound, ana.TauMax/ana.TauMin, ana.SI, ana.VH)
 		} else if ctx.Err() != nil {
 			fmt.Println("theoretical guarantee:    skipped (deadline reached after planning)")
 		}

@@ -12,8 +12,9 @@ import (
 
 // Hungarian solves min-cost assignment on an r x c cost matrix, r <= c:
 // every row is assigned a distinct column. It returns the column chosen
-// for each row and the total cost. Costs must be finite; use Forbidden for
-// disallowed pairs.
+// for each row and the total cost. Costs must be finite: with an
+// infinite cost the dual updates stop making progress, so it is rejected
+// like NaN rather than looped on.
 func Hungarian(cost [][]float64) ([]int, float64, error) {
 	r := len(cost)
 	if r == 0 {
@@ -28,8 +29,8 @@ func Hungarian(cost [][]float64) ([]int, float64, error) {
 			return nil, 0, fmt.Errorf("assign: ragged cost matrix at row %d", i)
 		}
 		for j, v := range cost[i] {
-			if math.IsNaN(v) {
-				return nil, 0, fmt.Errorf("assign: NaN cost at (%d,%d)", i, j)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, 0, fmt.Errorf("assign: non-finite cost %v at (%d,%d)", v, i, j)
 			}
 		}
 	}

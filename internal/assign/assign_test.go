@@ -23,6 +23,12 @@ func TestHungarianRejectsBadInput(t *testing.T) {
 	if _, _, err := Hungarian([][]float64{{math.NaN()}}); err == nil {
 		t.Error("NaN accepted")
 	}
+	// With every cost +Inf the dual updates make no progress: an
+	// infinite cost must be an error, not a loop.
+	inf := math.Inf(1)
+	if _, _, err := Hungarian([][]float64{{inf, inf}, {inf, inf}}); err == nil {
+		t.Error("+Inf accepted")
+	}
 }
 
 func TestHungarianKnownCases(t *testing.T) {

@@ -189,7 +189,8 @@ func (p NETWRAP) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 				k = j
 			}
 		}
-		// Its best next sensor.
+		// Its best next sensor. The first candidate is taken whatever its
+		// score, so a score that overflows to +Inf still picks one.
 		bestU, bestScore := -1, math.Inf(1)
 		for u := range remaining {
 			r := in.Requests[u]
@@ -198,7 +199,7 @@ func (p NETWRAP) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, e
 				life = -r.Duration
 			}
 			score := wt*in.Travel(pos[k], r.Pos) + wl*life
-			if score < bestScore || (score == bestScore && u < bestU) {
+			if bestU < 0 || score < bestScore || (score == bestScore && u < bestU) {
 				bestU, bestScore = u, score
 			}
 		}
@@ -308,10 +309,4 @@ func (KMinMax) Plan(ctx context.Context, in *core.Instance) (*core.Schedule, err
 	}
 	core.Finalize(in, s)
 	return s, nil
-}
-
-// All returns one instance of every baseline planner, in the order the
-// paper lists them.
-func All() []core.Planner {
-	return []core.Planner{KEDF{}, NETWRAP{}, AA{}, KMinMax{}}
 }

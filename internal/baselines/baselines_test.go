@@ -11,6 +11,9 @@ import (
 	"repro/internal/geom"
 )
 
+// allBaselines is one of each baseline planner, in the paper's order.
+var allBaselines = []core.Planner{KEDF{}, NETWRAP{}, AA{}, KMinMax{}}
+
 func randInstance(rng *rand.Rand, n, k int) *core.Instance {
 	in := &core.Instance{
 		Depot: geom.Pt(50, 50),
@@ -75,7 +78,7 @@ func TestAllBaselinesStructurallySound(t *testing.T) {
 		n := rng.Intn(80)
 		k := 1 + rng.Intn(5)
 		in := randInstance(rng, n, k)
-		for _, p := range All() {
+		for _, p := range allBaselines {
 			s, err := p.Plan(context.Background(), in)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
@@ -85,9 +88,46 @@ func TestAllBaselinesStructurallySound(t *testing.T) {
 	}
 }
 
+// TestBaselinesOverflowingDistances plans 12 requests in clusters near
+// ±1e308 and ±1.5e308, whose pairwise distances overflow float64. K-EDF's
+// assignment costs are then +Inf, which its Hungarian assignment must
+// reject with an error rather than loop on; every other baseline must
+// make each request its own stop exactly once, so K-minMax's and AA's
+// grand tours must reach every cluster.
+func TestBaselinesOverflowingDistances(t *testing.T) {
+	in := &core.Instance{Depot: geom.Pt(-1e308, 0), Gamma: 2.7, Speed: 1, K: 2}
+	for i := range 12 {
+		x := []float64{-1e308, 1e308, 1.5e308, -1.5e308}[i%4]
+		in.Requests = append(in.Requests, core.Request{Pos: geom.Pt(x, float64(i%3)*1e307), Duration: 3600, Lifetime: 86400})
+	}
+	for _, p := range allBaselines {
+		s, err := p.Plan(context.Background(), in)
+		if _, kedf := p.(KEDF); kedf {
+			if err == nil {
+				t.Error("K-EDF planned with infinite assignment costs")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		seen := make([]int, len(in.Requests))
+		for _, tour := range s.Tours {
+			for _, st := range tour.Stops {
+				seen[st.Node]++
+			}
+		}
+		for u, c := range seen {
+			if c != 1 {
+				t.Errorf("%s: request %d is planned %d times", p.Name(), u, c)
+			}
+		}
+	}
+}
+
 func TestBaselinesEmptyInstance(t *testing.T) {
 	in := &core.Instance{Depot: geom.Pt(0, 0), Gamma: 2.7, Speed: 1, K: 2}
-	for _, p := range All() {
+	for _, p := range allBaselines {
 		s, err := p.Plan(context.Background(), in)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -100,7 +140,7 @@ func TestBaselinesEmptyInstance(t *testing.T) {
 
 func TestBaselinesRejectInvalid(t *testing.T) {
 	in := &core.Instance{Depot: geom.Pt(0, 0), Gamma: 2.7, Speed: 0, K: 2}
-	for _, p := range All() {
+	for _, p := range allBaselines {
 		if _, err := p.Plan(context.Background(), in); err == nil {
 			t.Errorf("%s: invalid instance accepted", p.Name())
 		}
@@ -268,7 +308,7 @@ func TestKMinMaxBeatsAAOnUnbalancedClusters(t *testing.T) {
 
 func TestPlannerNames(t *testing.T) {
 	want := map[string]bool{"K-EDF": true, "NETWRAP": true, "AA": true, "K-minMax": true}
-	for _, p := range All() {
+	for _, p := range allBaselines {
 		if !want[p.Name()] {
 			t.Errorf("unexpected planner name %q", p.Name())
 		}

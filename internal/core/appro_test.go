@@ -204,6 +204,58 @@ func TestApproAllCoincident(t *testing.T) {
 	}
 }
 
+// overflowInstance has 12 requests in four clusters near ±1e308 and
+// ±1.5e308 and its depot at (-1e308, 0): it passes Validate, but most
+// pairwise distances overflow to +Inf, and so do the plan's times.
+func overflowInstance() *Instance {
+	in := &Instance{Depot: geom.Pt(-1e308, 0), Gamma: 2.7, Speed: 1, K: 2}
+	for i := range 12 {
+		x := []float64{-1e308, 1e308, 1.5e308, -1.5e308}[i%4]
+		in.Requests = append(in.Requests, Request{Pos: geom.Pt(x, float64(i%3)*1e307), Duration: float64(1+i%2) * 3600})
+	}
+	return in
+}
+
+// TestApproOverflowingDistances plans the overflow instance: Appro must
+// still make exactly one stop per V'_H node, each covering a request, and
+// Verify must flag the plan's infinite times rather than pass it.
+func TestApproOverflowingDistances(t *testing.T) {
+	in := overflowInstance()
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Appro(context.Background(), in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumStops() != a.VH {
+		t.Errorf("%d stops for %d V'_H nodes", s.NumStops(), a.VH)
+	}
+	seen := map[int]bool{}
+	for k, tour := range s.Tours {
+		for si, stop := range tour.Stops {
+			if seen[stop.Node] || len(stop.Covers) == 0 {
+				t.Errorf("tour %d stop %d: node %d repeated or covering nothing (covers %v)", k, si, stop.Node, stop.Covers)
+			}
+			seen[stop.Node] = true
+		}
+	}
+	nonFinite := 0
+	for _, v := range Verify(in, s) {
+		if v.Kind != "non-finite-time" {
+			t.Errorf("unexpected violation %v", v)
+		}
+		nonFinite++
+	}
+	if nonFinite == 0 {
+		t.Error("Verify passed a plan whose times are +Inf")
+	}
+}
+
 func TestApproStopsAreFewerThanOneToOne(t *testing.T) {
 	// On a dense instance, multi-node stops should be far fewer than
 	// sensors — the quantitative heart of the paper's 65% improvement.

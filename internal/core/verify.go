@@ -58,9 +58,11 @@ func isOneToOne(s *Schedule) bool {
 //  1. coverage — every request is attributed to exactly one stop, and lies
 //     within gamma of that stop's sojourn location;
 //  2. node-disjointness — no sojourn location is used by two tours;
-//  3. time consistency — within each tour, stop times respect travel at
-//     the instance speed and charging durations, and each stop's duration
-//     is at least the longest remaining charge among the sensors it covers;
+//  3. time consistency — every stop time and tour delay is finite (a plan
+//     whose distances or durations overflow float64 has no schedule);
+//     within each tour, stop times respect travel at the instance speed
+//     and charging durations, and each stop's duration is at least the
+//     longest remaining charge among the sensors it covers;
 //  4. no simultaneous overlap — for any two stops in different tours whose
 //     coverage disks share a sensor, the charging intervals are disjoint.
 //
@@ -161,6 +163,12 @@ func Verify(in *Instance, s *Schedule) []Violation {
 			if stop.Node < 0 || stop.Node >= len(in.Requests) {
 				continue
 			}
+			if !geom.Finite(stop.Arrive) || !geom.Finite(stop.Duration) {
+				out = append(out, Violation{
+					Kind:   "non-finite-time",
+					Detail: fmt.Sprintf("tour %d stop %d arrives at %v s and charges for %v s", k, si, stop.Arrive, stop.Duration),
+				})
+			}
 			pos := in.Requests[stop.Node].Pos
 			now += in.Travel(cur, pos)
 			if stop.Arrive < now-eps {
@@ -186,6 +194,12 @@ func Verify(in *Instance, s *Schedule) []Violation {
 					})
 				}
 			}
+		}
+		if !geom.Finite(tour.Delay) {
+			out = append(out, Violation{
+				Kind:   "non-finite-time",
+				Detail: fmt.Sprintf("tour %d reports delay %v s", k, tour.Delay),
+			})
 		}
 		if len(tour.Stops) > 0 {
 			now += in.Travel(cur, in.Depot)

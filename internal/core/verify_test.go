@@ -79,6 +79,9 @@ func TestVerifyCatchesEachViolation(t *testing.T) {
 		{"undercharge", func(s *Schedule) { s.Tours[0].Stops[0].Duration = 1 }, "undercharge", ""},
 		{"delay understated", func(s *Schedule) { s.Tours[0].Delay = 50 }, "delay-understated", ""},
 		{"wrong tour count", func(s *Schedule) { s.Tours = s.Tours[:1] }, "tour-count", ""},
+		{"infinite arrival", func(s *Schedule) { s.Tours[0].Stops[0].Arrive = math.Inf(1) }, "non-finite-time", ""},
+		{"NaN duration", func(s *Schedule) { s.Tours[1].Stops[0].Duration = math.NaN() }, "non-finite-time", ""},
+		{"infinite delay", func(s *Schedule) { s.Tours[1].Delay = math.Inf(1) }, "non-finite-time", ""},
 		{"shared sojourn", func(s *Schedule) {
 			s.Tours[1].Stops = append(s.Tours[1].Stops, Stop{Node: 0, Arrive: 200, Duration: 0})
 		}, "shared-sojourn", ""},

@@ -36,28 +36,3 @@ func (b Battery) Fraction() float64 {
 	}
 	return b.Residual / b.Capacity
 }
-
-// ChargeDuration returns t_v = (Capacity - Residual) / rate, the seconds a
-// charger with the given charging rate (watts) needs to fill the battery
-// (the paper's Eq. (1)). It returns 0 for a non-positive rate.
-func (b Battery) ChargeDuration(rate float64) float64 {
-	if rate <= 0 {
-		return 0
-	}
-	return (b.Capacity - b.Residual) / rate
-}
-
-// TimeToFraction returns how long the battery lasts until its residual
-// falls to the given fraction of capacity under constant draw (watts).
-// It returns +Inf for non-positive draw and 0 if already at or below the
-// fraction.
-func (b Battery) TimeToFraction(frac, draw float64) float64 {
-	if draw <= 0 {
-		return math.Inf(1)
-	}
-	target := frac * b.Capacity
-	if b.Residual <= target {
-		return 0
-	}
-	return (b.Residual - target) / draw
-}

@@ -45,37 +45,6 @@ func TestBatteryValidate(t *testing.T) {
 	}
 }
 
-func TestChargeDurationMatchesPaper(t *testing.T) {
-	// The paper: a 10.8 kJ battery at eta = 2 W charges from empty in
-	// 1.5 hours.
-	b := Battery{Capacity: 10800, Residual: 0}
-	if got := b.ChargeDuration(2); math.Abs(got-5400) > 1e-9 {
-		t.Errorf("ChargeDuration = %v s, want 5400 s (1.5 h)", got)
-	}
-	// At 20% residual: 1.2 hours.
-	b.Residual = 0.2 * 10800
-	if got := b.ChargeDuration(2); math.Abs(got-4320) > 1e-9 {
-		t.Errorf("ChargeDuration = %v s, want 4320 s (1.2 h)", got)
-	}
-	if got := b.ChargeDuration(0); got != 0 {
-		t.Errorf("zero rate: %v", got)
-	}
-}
-
-func TestTimeToFraction(t *testing.T) {
-	b := Battery{Capacity: 1000, Residual: 1000}
-	if got := b.TimeToFraction(0.2, 2); math.Abs(got-400) > 1e-9 {
-		t.Errorf("TimeToFraction = %v, want 400", got)
-	}
-	if got := b.TimeToFraction(0.2, 0); !math.IsInf(got, 1) {
-		t.Errorf("zero draw: %v", got)
-	}
-	low := Battery{Capacity: 1000, Residual: 100}
-	if got := low.TimeToFraction(0.2, 5); got != 0 {
-		t.Errorf("already below threshold: %v", got)
-	}
-}
-
 func TestRadioModelValidate(t *testing.T) {
 	if err := DefaultRadio().Validate(); err != nil {
 		t.Fatalf("default radio invalid: %v", err)
@@ -140,12 +109,8 @@ func TestLifetimeScale(t *testing.T) {
 	// that a 1000-sensor network generates tens of requests per day.
 	m := DefaultRadio()
 	draw := m.Draw(25e3, 25e3, 15)
-	life := Lifetime(10800, draw)
-	days := life / 86400
+	days := 10800 / draw / 86400
 	if days < 2 || days > 120 {
 		t.Errorf("mid-range sensor lifetime = %.1f days; calibration regression", days)
-	}
-	if !math.IsInf(Lifetime(10800, 0), 1) {
-		t.Error("zero draw should give infinite lifetime")
 	}
 }

@@ -90,12 +90,3 @@ func (m RadioModel) Draw(ownBps, relayedBps, parentDist float64) float64 {
 		m.ElecJPerBit*relayedBps
 	return m.DutyCycle * p
 }
-
-// Lifetime returns how long a full battery of the given capacity lasts at
-// the given draw, in seconds (+Inf for non-positive draw).
-func Lifetime(capacity, draw float64) float64 {
-	if draw <= 0 {
-		return math.Inf(1)
-	}
-	return capacity / draw
-}

@@ -129,11 +129,6 @@ func planners() []core.Planner {
 	return registry.PaperPlanners()
 }
 
-// PlannerNames returns the algorithm names in the paper's order.
-func PlannerNames() []string {
-	return registry.PaperNames()
-}
-
 func figure3() sweepSpec {
 	return sweepSpec{
 		id:     "3",

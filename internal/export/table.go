@@ -3,7 +3,6 @@
 package export
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -110,9 +109,3 @@ func F(v float64, decimals int) string {
 
 // I formats an int.
 func I(v int) string { return strconv.Itoa(v) }
-
-// Sprintf is a convenience alias so callers need only this package for
-// cell formatting.
-func Sprintf(format string, args ...interface{}) string {
-	return fmt.Sprintf(format, args...)
-}

@@ -78,7 +78,4 @@ func TestFormatters(t *testing.T) {
 	if got := I(42); got != "42" {
 		t.Errorf("I = %q", got)
 	}
-	if got := Sprintf("%s-%d", "x", 7); got != "x-7" {
-		t.Errorf("Sprintf = %q", got)
-	}
 }

@@ -182,12 +182,6 @@ func (g *Grid) cells(k, end int) ([]int32, int) {
 	return g.idx[lo:e], k + 1
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Point returns the i-th indexed point.
-func (g *Grid) Point(i int) Point { return g.pts[i] }
-
 // cellIndex maps a coordinate to its cell index along one axis, clamping
 // the float before the int conversion: a query point arbitrarily far from
 // the indexed bounds (or a NaN coordinate) must not trip Go's

@@ -27,8 +27,8 @@ func sortedCopy(xs []int) []int {
 
 func TestGridEmpty(t *testing.T) {
 	g := NewGrid(nil, 1)
-	if g.Len() != 0 {
-		t.Fatalf("Len = %d", g.Len())
+	if len(g.pts) != 0 {
+		t.Fatalf("indexed %d points", len(g.pts))
 	}
 	if got := g.Neighbors(Pt(0, 0), 10, nil); len(got) != 0 {
 		t.Errorf("Neighbors on empty grid = %v", got)
@@ -265,7 +265,7 @@ func TestPairRadiusFindsEveryPair(t *testing.T) {
 			t.Fatalf("pair %v %v at Dist %v not found", p, q, d)
 		}
 		// Two points within d/2 of a shared third under Within.
-		u := Midpoint(p, q)
+		u := Pt((p.X+q.X)/2, (p.Y+q.Y)/2)
 		half := math.Max(Dist(p, u), Dist(q, u))
 		if Within(p, u, half) && Within(q, u, half) && !found([]Point{p, q}, 2*half, 0, 1) {
 			t.Fatalf("pair %v %v sharing %v within %v not found", p, q, u, half)
@@ -422,8 +422,8 @@ func (c *orderedCheck) queries(qs []Point, rs []float64) int {
 // points (all of them when k < 0) at every radius.
 func (c *orderedCheck) neighborsOf(k int, rs []float64) {
 	c.t.Helper()
-	if k < 0 || k > c.g.Len() {
-		k = c.g.Len()
+	if k < 0 || k > len(c.g.pts) {
+		k = len(c.g.pts)
 	}
 	var buf []int
 	for _, r := range rs {

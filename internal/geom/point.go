@@ -44,14 +44,8 @@ func Within(p, q Point, r float64) bool {
 // Add returns the component-wise sum p + q.
 func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
 
-// Sub returns the component-wise difference p - q.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
 // Scale returns p scaled by factor f.
 func (p Point) Scale(f float64) Point { return Point{X: p.X * f, Y: p.Y * f} }
-
-// Norm returns the Euclidean length of the vector p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Finite reports whether v is neither NaN nor infinite.
 func Finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -61,11 +55,6 @@ func (p Point) Finite() bool { return Finite(p.X) && Finite(p.Y) }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
-
-// Midpoint returns the midpoint of segment pq.
-func Midpoint(p, q Point) Point {
-	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
-}
 
 // PathLength returns the total length of the open polyline through pts.
 func PathLength(pts []Point) float64 {

@@ -27,11 +27,6 @@ func (r Rect) Center() Point {
 	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
 }
 
-// Contains reports whether p lies inside r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	if p.X < r.Min.X {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -16,9 +15,10 @@ import (
 // Undirected is a simple undirected graph on vertices 0..n-1, stored as a
 // frozen compressed-sparse-row (CSR) adjacency: one flat arc array plus
 // per-vertex offsets. Graphs are immutable once built — construct them with
-// UnitDisk, IntersectionGraph or IntersectionOf, or FromEdges. The flat
-// layout halves memory versus per-vertex slices (no slice headers, no
-// growth slack) and makes neighbor scans a single contiguous read.
+// UnitDisk, IntersectionGraph or IntersectionOf (tests also build them from
+// edge lists with FromEdges, in graph_test.go). The flat layout halves
+// memory versus per-vertex slices (no slice headers, no growth slack) and
+// makes neighbor scans a single contiguous read.
 type Undirected struct {
 	off   []int32 // len n+1; vertex u's arcs live in adj[off[u]:off[u+1]]
 	adj   []int32 // len 2*edges; both directions of every edge
@@ -31,44 +31,6 @@ func emptyGraph(n int) *Undirected {
 		n = 0
 	}
 	return &Undirected{off: make([]int32, n+1)}
-}
-
-// FromEdges builds the graph on n vertices containing the given edges.
-// Duplicate edges (in either orientation) are collapsed. It panics on
-// out-of-range vertices or self-loops. Adjacency lists come out ascending.
-func FromEdges(n int, edges [][2]int) *Undirected {
-	if n < 0 {
-		n = 0
-	}
-	// Materialize both directed arcs per edge, then sort+dedup: the CSR
-	// fill becomes a single linear sweep and rows come out sorted.
-	arcs := make([]int64, 0, 2*len(edges))
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
-		}
-		if u == v {
-			panic(fmt.Sprintf("graph: self-loop at %d", u))
-		}
-		arcs = append(arcs, int64(u)<<32|int64(v), int64(v)<<32|int64(u))
-	}
-	sort.Slice(arcs, func(i, j int) bool { return arcs[i] < arcs[j] })
-	g := &Undirected{off: make([]int32, n+1), adj: make([]int32, 0, len(arcs))}
-	var prev int64 = -1
-	for _, a := range arcs {
-		if a == prev {
-			continue
-		}
-		prev = a
-		g.adj = append(g.adj, int32(a&0xffffffff))
-		g.off[a>>32+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.off[i+1] += g.off[i]
-	}
-	g.edges = len(g.adj) / 2
-	return g
 }
 
 // Len returns the number of vertices.

@@ -56,51 +56,3 @@ func MaximalIndependentSetWith(g *Undirected, order MISOrder, cfg MISConfig) []i
 	sort.Ints(out)
 	return out
 }
-
-// IsIndependentSet reports whether no two vertices of set are adjacent in g.
-func IsIndependentSet(g *Undirected, set []int) bool {
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		if v < 0 || v >= g.Len() || in[v] {
-			return false
-		}
-		in[v] = true
-	}
-	for _, v := range set {
-		for _, w := range g.Neighbors(v) {
-			if in[int(w)] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsMaximalIndependentSet reports whether set is independent and no further
-// vertex of g can be added to it, i.e. every vertex outside the set has a
-// neighbor inside it.
-func IsMaximalIndependentSet(g *Undirected, set []int) bool {
-	if !IsIndependentSet(g, set) {
-		return false
-	}
-	in := make([]bool, g.Len())
-	for _, v := range set {
-		in[v] = true
-	}
-	for v := 0; v < g.Len(); v++ {
-		if in[v] {
-			continue
-		}
-		dominated := false
-		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			return false
-		}
-	}
-	return true
-}

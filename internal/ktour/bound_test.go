@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mst"
-	"repro/internal/tsp"
 )
 
 // TestGrandTourWithinTwiceMST pins the bound the published
@@ -58,19 +57,54 @@ func TestGrandTourWithinTwiceMST(t *testing.T) {
 				for i := range in.Nodes {
 					in.Nodes[i] = sh.node(rng, i, n)
 				}
+				order := GrandTourOrder(context.Background(), in)
+				checkPermutation(t, order, n)
+				tour := []geom.Point{in.Depot}
+				for _, v := range order {
+					tour = append(tour, in.Nodes[v])
+				}
 				pts := append([]geom.Point{in.Depot}, in.Nodes...)
-				tour := tsp.Tour{Order: []int{0}}
-				for _, v := range GrandTourOrder(context.Background(), in) {
-					tour.Order = append(tour.Order, v+1)
-				}
-				if err := tour.Validate(len(pts)); err != nil {
-					t.Fatal(err)
-				}
-				length, bound := tour.Length(pts), 2*mst.EuclideanSparse(pts, 0).Weight
+				length, bound := geom.ClosedTourLength(tour), 2*mst.EuclideanSparse(pts, 0).Weight
 				if length > bound*(1+1e-9) {
 					t.Fatalf("grand tour %.9g exceeds twice the MST %.9g (ratio %.12f)", length, bound, length/bound*2)
 				}
 			})
 		}
+	}
+}
+
+// TestGrandTourOverflowingDistances checks that the grand tour is a
+// permutation of the nodes and MinMax a partition of them when pairwise
+// distances overflow float64, so every tour time is +Inf.
+func TestGrandTourOverflowingDistances(t *testing.T) {
+	in := Input{Depot: geom.Pt(-1e308, 0), Nodes: make([]geom.Point, 12), Speed: 1, K: 2}
+	for i := range in.Nodes {
+		in.Nodes[i] = geom.Pt([]float64{-1e308, 1e308, 1.5e308, -1.5e308}[i%4], float64(i%3)*1e307)
+	}
+	checkPermutation(t, GrandTourOrder(context.Background(), in), len(in.Nodes))
+	sol, err := MinMax(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []int
+	for _, tour := range sol.Tours {
+		all = append(all, tour...)
+	}
+	checkPermutation(t, all, len(in.Nodes))
+}
+
+// checkPermutation fails unless order lists each of the nodes 0..n-1
+// exactly once.
+func checkPermutation(t *testing.T, order []int, n int) {
+	t.Helper()
+	seen := make([]bool, n)
+	for _, v := range order {
+		if v < 0 || v >= n || seen[v] {
+			t.Fatalf("order %v is not a permutation of 0..%d", order, n-1)
+		}
+		seen[v] = true
+	}
+	if len(order) != n {
+		t.Fatalf("order lists %d of %d nodes", len(order), n)
 	}
 }

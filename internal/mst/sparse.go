@@ -107,9 +107,19 @@ func (c *Candidates) MST(root int) *Tree {
 			}
 		}
 		if !merged {
-			// Only possible with degenerate (NaN) coordinates that the
-			// grid cannot key; give up rather than loop forever.
-			break
+			// No component has an outgoing edge shorter than +Inf: the
+			// distances between the remaining components overflow
+			// float64. Every spanning tree then weighs +Inf, so any edges
+			// that join them complete a minimum one; join each to root's
+			// component at its lowest-index vertex, so that the tree
+			// still spans every vertex.
+			for v := 0; v < n; v++ {
+				if dsu.Union(root, v) {
+					e := Edge{U: root, V: v, W: geom.Dist(pts[root], pts[v])}
+					bridges = append(bridges, e)
+					total += e.W
+				}
+			}
 		}
 	}
 

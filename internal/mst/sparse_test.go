@@ -219,3 +219,27 @@ func TestEuclideanSparseNonzeroRoot(t *testing.T) {
 		}
 	}
 }
+
+// TestEuclideanSparseSpansOverflowingDistances pins the tree on points
+// whose pairwise distances overflow float64: clusters near ±1e308 and
+// ±1.5e308, so no Boruvka bridge between them is shorter than +Inf. The
+// result must still span every vertex (its weight is +Inf), or the
+// preorder walk the tours are built from drops the unreached ones.
+func TestEuclideanSparseSpansOverflowingDistances(t *testing.T) {
+	for _, n := range []int{4, 12, 40} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt([]float64{-1e308, 1e308, 1.5e308, -1.5e308}[i%4], float64(i%3)*1e307)
+		}
+		for _, root := range []int{0, n - 1} {
+			tr := EuclideanSparse(pts, root)
+			assertSpanningTree(t, tr, n, root)
+			if !math.IsInf(tr.Weight, 1) {
+				t.Errorf("n=%d root=%d: weight %v, want +Inf", n, root, tr.Weight)
+			}
+			if order := tr.PreorderDFS(); len(order) != n {
+				t.Errorf("n=%d root=%d: preorder visits %d of %d vertices", n, root, len(order), n)
+			}
+		}
+	}
+}

@@ -17,7 +17,7 @@ func init() {
 		Name:    "Appro",
 		Summary: "the paper's Algorithm 1: MIS sojourn selection, K-minMax tours, finish-time-sorted insertion",
 		Paper:   true,
-		Caps:    Capabilities{Context: true, MultiNode: true},
+		Caps:    Capabilities{MultiNode: true},
 		New:     func(core.Options) core.Planner { return core.ApproPlanner{} },
 	})
 	Register(Entry{
@@ -25,21 +25,18 @@ func init() {
 		Aliases: []string{"kedf"},
 		Summary: "earliest-deadline-first dispatch in groups of K with Hungarian travel assignment",
 		Paper:   true,
-		Caps:    Capabilities{Context: true},
 		New:     func(core.Options) core.Planner { return baselines.KEDF{} },
 	})
 	Register(Entry{
 		Name:    "NETWRAP",
 		Summary: "greedy on-demand baseline: each free charger picks the best travel/lifetime tradeoff",
 		Paper:   true,
-		Caps:    Capabilities{Context: true},
 		New:     func(core.Options) core.Planner { return baselines.NETWRAP{} },
 	})
 	Register(Entry{
 		Name:    "AA",
 		Summary: "k-means partition baseline: one charger tours each spatial cluster",
 		Paper:   true,
-		Caps:    Capabilities{Context: true},
 		New:     func(core.Options) core.Planner { return baselines.AA{} },
 	})
 	Register(Entry{
@@ -47,14 +44,13 @@ func init() {
 		Aliases: []string{"kminmax"},
 		Summary: "strongest one-to-one baseline: K node-disjoint min-max closed tours over all sensors",
 		Paper:   true,
-		Caps:    Capabilities{Context: true},
 		New:     func(core.Options) core.Planner { return baselines.KMinMax{} },
 	})
 	Register(Entry{
 		Name:    "BiLevel",
 		Aliases: []string{"bi-level", "blm"},
 		Summary: "bi-level metaheuristic: seeded MIS stop-subset perturbation outside, min-max tours inside",
-		Caps:    Capabilities{Context: true, Seeded: true, MultiNode: true},
+		Caps:    Capabilities{Seeded: true, MultiNode: true},
 		New:     func(o core.Options) core.Planner { return bilevel.Planner{Opts: o} },
 	})
 }

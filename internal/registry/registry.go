@@ -27,10 +27,10 @@ import (
 // Capabilities are a planner's honest feature flags. "Honest" is
 // enforced by tests (see registry_test.go): a planner flagged Seeded
 // must actually fold core.Options.Seed into its plans, and one not
-// flagged must plan identically under any seed.
+// flagged must plan identically under any seed. Honouring ctx is not a
+// capability but a requirement of core.Planner: /v1/plan's 504 at a
+// deadline relies on every registered planner returning promptly.
 type Capabilities struct {
-	// Context: Plan honors ctx cancellation and deadlines mid-plan.
-	Context bool `json:"context"`
 	// Seeded: core.Options.Seed, the one option, shapes the plan
 	// (BiLevel's seeded perturbation) and joins the plan-cache key via
 	// plancache.Optioned; the planner stays deterministic per seed.
@@ -39,23 +39,6 @@ type Capabilities struct {
 	// one-to-many scheme) rather than one-to-one point charging.
 	MultiNode bool `json:"multi_node"`
 }
-
-// list returns the set flags as short labels, for tables and listings.
-func (c Capabilities) list() []string {
-	var out []string
-	add := func(on bool, label string) {
-		if on {
-			out = append(out, label)
-		}
-	}
-	add(c.Context, "ctx")
-	add(c.Seeded, "seeded")
-	add(c.MultiNode, "multi-node")
-	return out
-}
-
-// String renders the set flags as a comma-separated list.
-func (c Capabilities) String() string { return strings.Join(c.list(), ", ") }
 
 // Entry is one registered planner.
 type Entry struct {
@@ -175,12 +158,6 @@ func (r *Registry) MustNew(name string, opts *core.Options) core.Planner {
 	return p
 }
 
-// All returns every entry in registration order (the paper's
-// presentation order first, extensions after).
-func (r *Registry) All() []Entry {
-	return append([]Entry(nil), r.entries...)
-}
-
 // Names returns the canonical names in registration order.
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.entries))
@@ -200,35 +177,15 @@ func (r *Registry) Planners() []core.Planner {
 	return out
 }
 
-// PaperEntries returns the entries flagged Paper, in registration order.
-func (r *Registry) PaperEntries() []Entry {
-	var out []Entry
+// PaperPlanners constructs the paper's algorithms (the entries flagged
+// Paper) under zero options, in the paper's presentation order — the set
+// the figure harness sweeps.
+func (r *Registry) PaperPlanners() []core.Planner {
+	var out []core.Planner
 	for _, e := range r.entries {
 		if e.Paper {
-			out = append(out, e)
+			out = append(out, e.New(core.Options{}))
 		}
-	}
-	return out
-}
-
-// PaperPlanners constructs the paper's algorithms under zero options, in
-// the paper's presentation order — the set the figure harness sweeps.
-func (r *Registry) PaperPlanners() []core.Planner {
-	entries := r.PaperEntries()
-	out := make([]core.Planner, len(entries))
-	for i, e := range entries {
-		out[i] = e.New(core.Options{})
-	}
-	return out
-}
-
-// PaperNames returns the paper algorithms' canonical names in
-// presentation order.
-func (r *Registry) PaperNames() []string {
-	entries := r.PaperEntries()
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.Name
 	}
 	return out
 }
@@ -252,35 +209,6 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// MarkdownTable renders the registered planners as a GitHub-flavored
-// markdown table. README.md embeds it between planner-table markers and
-// a test regenerates and compares, so the documented table cannot drift
-// from the code.
-func (r *Registry) MarkdownTable() string {
-	var b strings.Builder
-	b.WriteString("| Planner | Aliases | Origin | Capabilities | What it does |\n")
-	b.WriteString("|---|---|---|---|---|\n")
-	for i, e := range r.entries {
-		aliases := "—"
-		if len(e.Aliases) > 0 {
-			sorted := append([]string(nil), e.Aliases...)
-			sort.Strings(sorted)
-			aliases = "`" + strings.Join(sorted, "`, `") + "`"
-		}
-		origin := "extension"
-		if e.Paper {
-			origin = "paper"
-		}
-		name := "`" + e.Name + "`"
-		if i == 0 {
-			name += " (default)"
-		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-			name, aliases, origin, e.Caps.String(), e.Summary)
-	}
-	return b.String()
-}
-
 // std is the default registry, populated by builtin.go at init.
 var std Registry
 
@@ -297,26 +225,14 @@ func New(name string, opts *core.Options) (core.Planner, error) { return std.New
 // MustNew is New panicking on unknown names.
 func MustNew(name string, opts *core.Options) core.Planner { return std.MustNew(name, opts) }
 
-// All returns every registered entry in registration order.
-func All() []Entry { return std.All() }
-
 // Names returns the canonical planner names in registration order.
 func Names() []string { return std.Names() }
 
 // Planners constructs every registered planner under zero options.
 func Planners() []core.Planner { return std.Planners() }
 
-// PaperEntries returns the paper's five algorithms' entries.
-func PaperEntries() []Entry { return std.PaperEntries() }
-
 // PaperPlanners constructs the paper's five algorithms, paper order.
 func PaperPlanners() []core.Planner { return std.PaperPlanners() }
 
-// PaperNames returns the paper algorithms' names, paper order.
-func PaperNames() []string { return std.PaperNames() }
-
 // List returns the serializable listing of the default registry.
 func List() []Info { return std.List() }
-
-// MarkdownTable renders the default registry's planner table.
-func MarkdownTable() string { return std.MarkdownTable() }

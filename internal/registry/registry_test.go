@@ -34,9 +34,14 @@ func TestNamesOrder(t *testing.T) {
 	if got := registry.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	wantPaper := want[:5]
-	if got := registry.PaperNames(); !reflect.DeepEqual(got, wantPaper) {
-		t.Fatalf("PaperNames() = %v, want %v", got, wantPaper)
+	paper := registry.PaperPlanners()
+	if len(paper) != 5 {
+		t.Fatalf("PaperPlanners() returned %d planners, want 5", len(paper))
+	}
+	for i, p := range paper {
+		if p.Name() != want[i] {
+			t.Errorf("PaperPlanners()[%d].Name() = %q, want %q", i, p.Name(), want[i])
+		}
 	}
 	ps := registry.Planners()
 	if len(ps) != len(want) {
@@ -53,7 +58,7 @@ func TestNamesOrder(t *testing.T) {
 // and lowercase variants of each, and requires them all to construct a
 // planner whose Name() is the entry's canonical name.
 func TestRoundTrip(t *testing.T) {
-	for _, e := range registry.All() {
+	for _, e := range registry.List() {
 		spellings := []string{e.Name, strings.ToLower(e.Name), strings.ToUpper(e.Name)}
 		for _, a := range e.Aliases {
 			spellings = append(spellings, a, strings.ToLower(a), strings.ToUpper(a))
@@ -136,9 +141,10 @@ func TestRegisterCollisionsPanic(t *testing.T) {
 	}
 }
 
-// TestCapabilityFlagsHonest checks the flags against planner behavior.
+// TestCapabilityFlagsHonest checks the flags against planner behavior,
+// after checking what core.Planner requires of every registered planner:
+// a pre-cancelled context aborts the plan with an error.
 //
-//   - Context: a pre-cancelled context aborts the plan with an error.
 //   - Seeded: the planner exposes its options via plancache.Optioned, so
 //     the seed joins the cache key, and seeds 1 and 2 plan differently.
 //     A planner not flagged Seeded plans identically under any seed and
@@ -152,12 +158,11 @@ func TestCapabilityFlagsHonest(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 
-	for _, e := range registry.All() {
+	for _, name := range registry.Names() {
+		e, _ := registry.Lookup(name)
 		t.Run(e.Name, func(t *testing.T) {
-			if e.Caps.Context {
-				if _, err := e.New(core.Options{}).Plan(cancelled, in); err == nil {
-					t.Errorf("%s: flagged Context but planned under a cancelled context", e.Name)
-				}
+			if _, err := e.New(core.Options{}).Plan(cancelled, in); err == nil {
+				t.Errorf("%s: planned under a cancelled context", e.Name)
 			}
 			_, optioned := e.New(core.Options{}).(plancache.Optioned)
 			if e.Caps.Seeded {
@@ -235,7 +240,7 @@ func plancacheKey(t *testing.T, p core.Planner, in *core.Instance) plancache.Key
 	return plancache.KeyOf(name, opts, in)
 }
 
-func TestListAndMarkdownTable(t *testing.T) {
+func TestList(t *testing.T) {
 	infos := registry.List()
 	if len(infos) != len(registry.Names()) {
 		t.Fatalf("List() has %d entries, registry %d", len(infos), len(registry.Names()))
@@ -247,14 +252,5 @@ func TestListAndMarkdownTable(t *testing.T) {
 		if info.Summary == "" {
 			t.Errorf("List()[%d] (%s) has no summary", i, info.Name)
 		}
-	}
-	table := registry.MarkdownTable()
-	for _, name := range registry.Names() {
-		if !strings.Contains(table, "`"+name+"`") {
-			t.Errorf("MarkdownTable() missing %q", name)
-		}
-	}
-	if !strings.Contains(table, "(default)") {
-		t.Error("MarkdownTable() does not mark the default planner")
 	}
 }

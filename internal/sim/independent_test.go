@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/registry"
 )
 
 func independentCfg() Config {
@@ -19,7 +19,7 @@ func independentCfg() Config {
 
 func TestIndependentAllPlanners(t *testing.T) {
 	nw := smallNetwork(t, 80, 12)
-	planners := append([]core.Planner{core.ApproPlanner{}}, baselines.All()...)
+	planners := registry.PaperPlanners()
 	for _, p := range planners {
 		res, err := Run(context.Background(), nw, 2, p, independentCfg())
 		if err != nil {

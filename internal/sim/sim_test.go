@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/workload"
 	"repro/internal/wrsn"
 )
@@ -38,10 +39,33 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestBuildInstanceChargeDurationMatchesPaper checks Eq. (1) where the
+// simulator applies it: a 10.8 kJ battery at eta = 2 W charges from empty
+// in 1.5 h and from 20% residual in 1.2 h, and a partial-charge target
+// already met asks for no charging.
+func TestBuildInstanceChargeDurationMatchesPaper(t *testing.T) {
+	nw := &wrsn.Network{Gamma: 2.7, Speed: 1, ChargeRate: 2, Sensors: make([]wrsn.Sensor, 3)}
+	states := []sensorState{
+		{capacity: 10800, residual: 0, draw: 0.1},
+		{capacity: 10800, residual: 0.2 * 10800, draw: 0.1},
+		{capacity: 10800, residual: 0.6 * 10800, draw: 0.1},
+	}
+	in := buildInstance(nw, states, []int{0, 1}, 2, 1)
+	if got := in.Requests[0].Duration; math.Abs(got-5400) > 1e-9 {
+		t.Errorf("empty battery: duration = %v s, want 5400 s (1.5 h)", got)
+	}
+	if got := in.Requests[1].Duration; math.Abs(got-4320) > 1e-9 {
+		t.Errorf("20%% residual: duration = %v s, want 4320 s (1.2 h)", got)
+	}
+	if got := buildInstance(nw, states, []int{2}, 2, 0.5).Requests[0].Duration; got != 0 {
+		t.Errorf("target below residual: duration = %v, want 0", got)
+	}
+}
+
 func TestRunShortHorizonAllPlanners(t *testing.T) {
 	nw := smallNetwork(t, 60, 2)
 	cfg := Config{Duration: 30 * 86400, Verify: true}
-	planners := append([]core.Planner{core.ApproPlanner{}}, baselines.All()...)
+	planners := registry.PaperPlanners()
 	for _, p := range planners {
 		res, err := Run(context.Background(), nw, 2, p, cfg)
 		if err != nil {

@@ -1,60 +1,12 @@
-// Package stats provides the small set of descriptive statistics the
-// evaluation harness needs: means, standard deviations, percentiles, and
-// running accumulators for aggregating results across simulation instances.
+// Package stats provides the descriptive statistics the evaluation
+// harness needs: a running accumulator (count, mean, sample standard
+// deviation, min and max) for aggregating results across simulation
+// instances.
 package stats
 
 import (
 	"math"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (n-1 denominator), or
-// 0 when fewer than two values are present.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Accumulator collects values incrementally, tracking count, mean (via
 // Welford's algorithm), variance, min and max without storing the values.

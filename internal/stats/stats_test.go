@@ -20,7 +20,11 @@ func TestMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Mean(tt.xs); math.Abs(got-tt.want) > 1e-12 {
+			var acc Accumulator
+			for _, x := range tt.xs {
+				acc.Add(x)
+			}
+			if got := acc.Mean(); math.Abs(got-tt.want) > 1e-12 {
 				t.Errorf("Mean = %v, want %v", got, tt.want)
 			}
 		})
@@ -28,26 +32,31 @@ func TestMean(t *testing.T) {
 }
 
 func TestStdDev(t *testing.T) {
-	if got := StdDev(nil); got != 0 {
-		t.Errorf("StdDev(nil) = %v", got)
+	var acc Accumulator
+	if got := acc.StdDev(); got != 0 {
+		t.Errorf("StdDev(empty) = %v", got)
 	}
-	if got := StdDev([]float64{7}); got != 0 {
+	acc.Add(7)
+	if got := acc.StdDev(); got != 0 {
 		t.Errorf("StdDev(single) = %v", got)
 	}
 	// Known sample: {2,4,4,4,5,5,7,9} has sample stddev ~2.138.
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(xs); math.Abs(got-2.1380899353) > 1e-6 {
+	acc = Accumulator{}
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		acc.Add(x)
+	}
+	if got := acc.StdDev(); math.Abs(got-2.1380899353) > 1e-6 {
 		t.Errorf("StdDev = %v", got)
 	}
 }
 
 func TestMinMax(t *testing.T) {
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max should be +/-Inf")
+	var acc Accumulator
+	for _, x := range []float64{3, -2, 8, 0} {
+		acc.Add(x)
 	}
-	xs := []float64{3, -2, 8, 0}
-	if Min(xs) != -2 || Max(xs) != 8 {
-		t.Errorf("Min=%v Max=%v", Min(xs), Max(xs))
+	if acc.Min() != -2 || acc.Max() != 8 {
+		t.Errorf("Min=%v Max=%v", acc.Min(), acc.Max())
 	}
 }
 
@@ -61,12 +70,23 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 			acc.Add(xs[i])
 		}
+		// The two-pass batch statistics.
+		m := 0.0
+		for _, x := range xs {
+			m += x
+		}
+		m /= float64(n)
+		ss, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+		for _, x := range xs {
+			ss += (x - m) * (x - m)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
 		tol := 1e-6
 		return acc.N() == n &&
-			math.Abs(acc.Mean()-Mean(xs)) < tol &&
-			math.Abs(acc.StdDev()-StdDev(xs)) < tol &&
-			acc.Min() == Min(xs) &&
-			acc.Max() == Max(xs)
+			math.Abs(acc.Mean()-m) < tol &&
+			math.Abs(acc.StdDev()-math.Sqrt(ss/float64(n-1))) < tol &&
+			acc.Min() == lo &&
+			acc.Max() == hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,6 +18,38 @@ func randPts(rng *rand.Rand, n int) []geom.Point {
 		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
 	}
 	return pts
+}
+
+// Length returns the total Euclidean length of the closed tour over pts.
+func (t Tour) Length(pts []geom.Point) float64 {
+	if len(t.Order) < 2 {
+		return 0
+	}
+	total := 0.0
+	for i := 1; i < len(t.Order); i++ {
+		total += geom.Dist(pts[t.Order[i-1]], pts[t.Order[i]])
+	}
+	total += geom.Dist(pts[t.Order[len(t.Order)-1]], pts[t.Order[0]])
+	return total
+}
+
+// Validate checks that t is a permutation of 0..n-1. It returns a
+// descriptive error otherwise.
+func (t Tour) Validate(n int) error {
+	if len(t.Order) != n {
+		return fmt.Errorf("tsp: tour has %d vertices, want %d", len(t.Order), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range t.Order {
+		if v < 0 || v >= n {
+			return fmt.Errorf("tsp: vertex %d out of range [0,%d)", v, n)
+		}
+		if seen[v] {
+			return fmt.Errorf("tsp: vertex %d repeated", v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 func TestTourLength(t *testing.T) {

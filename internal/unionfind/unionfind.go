@@ -25,9 +25,6 @@ func New(n int) *DSU {
 	return d
 }
 
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
 // Sets returns the current number of disjoint sets.
 func (d *DSU) Sets() int { return d.sets }
 

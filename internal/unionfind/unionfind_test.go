@@ -7,8 +7,8 @@ import (
 
 func TestBasics(t *testing.T) {
 	d := New(5)
-	if d.Len() != 5 || d.Sets() != 5 {
-		t.Fatalf("new: Len=%d Sets=%d", d.Len(), d.Sets())
+	if len(d.parent) != 5 || d.Sets() != 5 {
+		t.Fatalf("new: Len=%d Sets=%d", len(d.parent), d.Sets())
 	}
 	if !d.Union(0, 1) {
 		t.Error("first union should merge")
@@ -33,10 +33,10 @@ func TestBasics(t *testing.T) {
 }
 
 func TestZeroAndNegative(t *testing.T) {
-	if d := New(0); d.Len() != 0 || d.Sets() != 0 {
+	if d := New(0); len(d.parent) != 0 || d.Sets() != 0 {
 		t.Error("New(0) should be empty")
 	}
-	if d := New(-3); d.Len() != 0 {
+	if d := New(-3); len(d.parent) != 0 {
 		t.Error("New(-3) should be empty")
 	}
 }

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"testing"
-
-	"repro/internal/energy"
 )
 
 func TestNewParamsMatchPaper(t *testing.T) {
@@ -79,7 +77,7 @@ func TestGenerateProperties(t *testing.T) {
 		t.Error("base/depot should be at field center")
 	}
 	for i, s := range nw.Sensors {
-		if !nw.Field.Contains(s.Pos) {
+		if nw.Field.Clamp(s.Pos) != s.Pos {
 			t.Fatalf("sensor %d outside field: %v", i, s.Pos)
 		}
 		if s.DataRate < p.BMinBps || s.DataRate > p.BMaxBps {
@@ -106,7 +104,7 @@ func TestGenerateClustered(t *testing.T) {
 		t.Fatalf("sensors = %d", len(nw.Sensors))
 	}
 	for _, s := range nw.Sensors {
-		if !nw.Field.Contains(s.Pos) {
+		if nw.Field.Clamp(s.Pos) != s.Pos {
 			t.Fatal("clustered sensor outside field (clamp failed)")
 		}
 	}
@@ -146,7 +144,7 @@ func TestCalibration(t *testing.T) {
 	}
 	// And average per-sensor lifetime should be days, not minutes/years.
 	avgDraw := total / 1000
-	days := energy.Lifetime(10800, avgDraw) / 86400
+	days := 10800 / avgDraw / 86400
 	if days < 1 || days > 200 {
 		t.Errorf("avg sensor lifetime %.1f days; calibration regression", days)
 	}

@@ -3,7 +3,8 @@
 // charger depot, the multi-hop routing tree toward the base station, and
 // the per-sensor power draw derived from it. It is the glue between the
 // energy model and the scheduling algorithms: it identifies
-// lifetime-critical sensors and converts them into core.Instance values.
+// lifetime-critical sensors, which the simulator (internal/sim) turns
+// into core.Instance values.
 package wrsn
 
 import (
@@ -13,7 +14,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/geom"
 )
@@ -246,38 +246,6 @@ func (nw *Network) Requests(threshold float64) []int {
 		}
 	}
 	return out
-}
-
-// Instance converts a request set (sensor IDs) into a scheduling instance
-// for the given number of chargers. Charge durations use the sensors'
-// current residual energies and the network charging rate (Eq. (1)).
-func (nw *Network) Instance(requests []int, k int) *core.Instance {
-	in := &core.Instance{
-		Depot: nw.Depot,
-		Gamma: nw.Gamma,
-		Speed: nw.Speed,
-		K:     k,
-	}
-	for _, id := range requests {
-		s := nw.Sensors[id]
-		life := nw.ResidualLifetime(id)
-		if math.IsInf(life, 1) {
-			life = 0 // unknown; planners fall back to depletion order
-		}
-		in.Requests = append(in.Requests, core.Request{
-			Pos:      s.Pos,
-			Duration: s.Battery.ChargeDuration(nw.ChargeRate),
-			Lifetime: life,
-		})
-	}
-	return in
-}
-
-// ResidualLifetime returns how long sensor i lasts until empty at its
-// current draw, in seconds (+Inf for zero draw).
-func (nw *Network) ResidualLifetime(i int) float64 {
-	s := nw.Sensors[i]
-	return s.Battery.TimeToFraction(0, s.Draw)
 }
 
 // sortByDistDesc sorts idx in place by decreasing dist value.

@@ -124,37 +124,13 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestRequestsAndInstance(t *testing.T) {
+func TestRequests(t *testing.T) {
 	nw := lineNetwork()
 	nw.Sensors[1].Battery.Residual = 0.1 * 10800 // below 20%
 	nw.Sensors[2].Battery.Residual = 0.19 * 10800
 	reqs := nw.Requests(0.2)
 	if len(reqs) != 2 || reqs[0] != 1 || reqs[1] != 2 {
 		t.Fatalf("Requests = %v, want [1 2]", reqs)
-	}
-	in := nw.Instance(reqs, 2)
-	if err := in.Validate(); err != nil {
-		t.Fatalf("instance invalid: %v", err)
-	}
-	if in.K != 2 || in.Gamma != 2.7 || in.Speed != 1 {
-		t.Errorf("instance params wrong: %+v", in)
-	}
-	// t_v for sensor 1: 0.9 * 10800 / 2 = 4860 s.
-	if math.Abs(in.Requests[0].Duration-4860) > 1e-6 {
-		t.Errorf("duration = %v, want 4860", in.Requests[0].Duration)
-	}
-	if in.Requests[0].Pos != nw.Sensors[1].Pos {
-		t.Error("request position mismatch")
-	}
-}
-
-func TestResidualLifetime(t *testing.T) {
-	nw := lineNetwork()
-	nw.BuildRouting()
-	life := nw.ResidualLifetime(2)
-	want := nw.Sensors[2].Battery.Residual / nw.Sensors[2].Draw
-	if math.Abs(life-want) > 1e-6 {
-		t.Errorf("ResidualLifetime = %v, want %v", life, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -25,8 +26,43 @@ func TestReadmePlannerTable(t *testing.T) {
 		t.Fatalf("README.md lacks the %s / %s markers", begin, end)
 	}
 	got := strings.TrimSpace(md[i+len(begin) : j])
-	want := strings.TrimSpace(registry.MarkdownTable())
+	want := strings.TrimSpace(plannerTable(registry.List()))
 	if got != want {
 		t.Errorf("README planner table drifted from the registry.\n--- README has ---\n%s\n--- registry says ---\n%s", got, want)
 	}
+}
+
+// plannerTable renders the registry's listing as the GitHub-flavoured
+// markdown table README.md embeds.
+func plannerTable(infos []registry.Info) string {
+	var b strings.Builder
+	b.WriteString("| Planner | Aliases | Origin | Capabilities | What it does |\n")
+	b.WriteString("|---|---|---|---|---|\n")
+	for _, info := range infos {
+		name := "`" + info.Name + "`"
+		if info.Default {
+			name += " (default)"
+		}
+		aliases := "—"
+		if len(info.Aliases) > 0 {
+			aliases = "`" + strings.Join(info.Aliases, "`, `") + "`"
+		}
+		origin := "extension"
+		if info.Paper {
+			origin = "paper"
+		}
+		var caps []string
+		if info.Capabilities.Seeded {
+			caps = append(caps, "seeded")
+		}
+		if info.Capabilities.MultiNode {
+			caps = append(caps, "multi-node")
+		}
+		capCell := "—"
+		if len(caps) > 0 {
+			capCell = strings.Join(caps, ", ")
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", name, aliases, origin, capCell, info.Summary)
+	}
+	return b.String()
 }
